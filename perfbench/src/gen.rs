@@ -156,7 +156,7 @@ impl Request {
 
 /// The session a workload starts from: what the engine's checkpoint
 /// image holds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Session {
     /// The interner (every name the instance and statements use).
     pub vocab: Vocabulary,

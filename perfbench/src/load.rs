@@ -8,7 +8,9 @@
 //! times it from that instant, so a stall also charges the requests
 //! queued behind it.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::os::fd::AsRawFd;
@@ -20,6 +22,12 @@ use crate::shadow::Outcome;
 /// A reply that takes longer than this fails the request and ends the
 /// phase for its connection.
 pub const REPLY_TIMEOUT: Duration = Duration::from_secs(20);
+/// Each measured phase is cut into windows of this many seconds; a
+/// reported figure is the median over its phase's windows, so a stall of
+/// the shared host decides at most a few windows, not the run.
+pub const WINDOW_SECS: f64 = 0.5;
+/// Replies folded into one [`Chunk`] of a [`Replies`] record.
+const CHUNK: u32 = 64;
 
 /// One client connection with its unparsed reply bytes.
 #[derive(Debug)]
@@ -135,10 +143,8 @@ fn wait_readable(stream: &TcpStream, wait: Duration) -> std::io::Result<bool> {
     }
 }
 
-/// One request's record: when it was due, sent and answered (in ticks
-/// of 100 ns after the phase origin) and what the reply said. Kept
-/// small: a run holds one per request, and the process's peak memory is
-/// a metric.
+/// One open-loop request's record: when it was due, sent and answered
+/// (in ticks of 100 ns after the phase origin) and what the reply said.
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     /// The request's verb.
@@ -172,14 +178,9 @@ impl Sample {
         }
     }
 
-    /// When the request was due (open loop) or sent (closed loop), s.
+    /// When the request was due, s.
     pub fn due_secs(&self) -> f64 {
         f64::from(self.due) / 1e7
-    }
-
-    /// When its reply arrived, s.
-    pub fn done_secs(&self) -> f64 {
-        f64::from(self.done) / 1e7
     }
 
     /// Latency from the due instant to the reply, µs.
@@ -193,11 +194,67 @@ impl Sample {
     }
 }
 
-/// Everything one connection did in one phase.
+/// Consecutive replies of one lane, folded into a digest.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Chunk {
+    /// A hash over the replies' verbs and outcomes, in order.
+    pub digest: u64,
+    /// The number of replies.
+    pub len: u32,
+    /// Replies that are errors or carry an invalid certificate.
+    pub unsound: u32,
+}
+
+/// Every reply of one lane in request order, folded into one [`Chunk`]
+/// per 64 replies. The record grows by a few bytes per thousand
+/// requests, so the generator's memory does not grow with the service's
+/// throughput (the process's peak memory is a metric). The checker folds
+/// the shadow session's predictions the same way and compares the
+/// records chunk by chunk.
+#[derive(Debug, Clone, Default)]
+pub struct Replies {
+    chunks: Vec<Chunk>,
+}
+
+impl Replies {
+    /// Adds the next reply.
+    pub fn push(&mut self, verb: Verb, outcome: Outcome) {
+        if !matches!(self.chunks.last(), Some(c) if c.len < CHUNK) {
+            self.chunks.push(Chunk::default());
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room");
+        let mut h = DefaultHasher::new();
+        (chunk.digest, verb, outcome).hash(&mut h);
+        chunk.digest = h.finish();
+        chunk.len += 1;
+        chunk.unsound += u32::from(!outcome.is_sound());
+    }
+
+    /// The number of replies added.
+    pub fn count(&self) -> u64 {
+        self.chunks.iter().map(|c| u64::from(c.len)).sum()
+    }
+
+    /// Replies that are errors or carry an invalid certificate.
+    pub fn unsound(&self) -> u64 {
+        self.chunks.iter().map(|c| u64::from(c.unsound)).sum()
+    }
+
+    /// The chunks, in order.
+    pub fn chunks(&self) -> &[Chunk] {
+        &self.chunks
+    }
+}
+
+/// What one connection did in one phase, beside its replies.
 #[derive(Debug, Default)]
 pub struct LaneLog {
-    /// Answered requests, in request order.
+    /// Open-loop replies with their times. The open loop sends at a fixed
+    /// rate, so their number does not grow with the service's speed.
     pub samples: Vec<Sample>,
+    /// Closed-loop replies per [`WINDOW_SECS`] window after the phase
+    /// origin.
+    pub completed: Vec<u32>,
     /// Requests sent that never got a reply.
     pub unanswered: usize,
 }
@@ -224,12 +281,14 @@ pub enum Pacing {
 }
 
 /// Drives one connection through one phase. `next` yields the requests
-/// (`None` ends the phase early); times are offsets from `origin`.
+/// (`None` ends the phase early), every reply is added to `replies`, and
+/// times are offsets from `origin`.
 pub fn drive(
     conn: &mut Conn,
     next: &mut dyn FnMut() -> Option<Request>,
     pacing: Pacing,
     origin: Instant,
+    replies: &mut Replies,
 ) -> LaneLog {
     let mut log = LaneLog::default();
     let mut inflight: VecDeque<(Verb, Duration, Duration)> = VecDeque::new();
@@ -293,24 +352,33 @@ pub fn drive(
             _ => REPLY_TIMEOUT,
         }
         .min(Duration::from_millis(50));
-        let answered = log.samples.len();
+        let waiting = inflight.len();
         let received = conn.receive(wait, &mut |line| {
             let done = origin.elapsed();
-            if let Some((verb, due, sent)) = inflight.pop_front() {
-                log.samples.push(Sample::new(
-                    verb,
-                    due,
-                    sent,
-                    done,
-                    Outcome::of_reply(verb, line),
-                ));
+            let Some((verb, due, sent)) = inflight.pop_front() else {
+                return;
+            };
+            let outcome = Outcome::of_reply(verb, line);
+            replies.push(verb, outcome);
+            match pacing {
+                Pacing::Closed { .. } => {
+                    let w = (done.as_secs_f64() / WINDOW_SECS) as usize;
+                    if log.completed.len() <= w {
+                        log.completed.resize(w + 1, 0);
+                    }
+                    log.completed[w] += 1;
+                }
+                Pacing::Open { .. } => {
+                    log.samples
+                        .push(Sample::new(verb, due, sent, done, outcome));
+                }
             }
         });
         if received.is_err() {
             log.unanswered += inflight.len();
             return log;
         }
-        if inflight.is_empty() || log.samples.len() > answered {
+        if inflight.is_empty() || inflight.len() < waiting {
             last_progress = Instant::now();
         } else if last_progress.elapsed() > REPLY_TIMEOUT {
             log.unanswered += inflight.len();

@@ -1,7 +1,8 @@
 //! `perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>`
 //!
 //! Prints one line per metric, then the result as one JSON object on the
-//! last line of standard output.
+//! last line of standard output. Exits with 1 when a reply or a check
+//! failed, and with 2 on a usage error.
 
 use std::path::Path;
 use std::process::ExitCode;
@@ -65,5 +66,9 @@ fn main() -> ExitCode {
         run(&cfg)
     };
     print!("{}", report.render());
-    ExitCode::SUCCESS
+    if report.failed == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -11,8 +11,8 @@ use magik_exec::Executor;
 use magik_server::{DurabilityOptions, Engine, Server};
 use magik_storage::{CheckpointImage, FsyncPolicy, Store, StoreOptions, WalRecord};
 
-use crate::gen::{LaneStream, Request, Spec, Verb, Workload};
-use crate::load::{drive, Conn, LaneLog, Pacing, Sample};
+use crate::gen::{LaneStream, Request, Session, Spec, Verb, Workload};
+use crate::load::{drive, Conn, LaneLog, Pacing, Replies, Sample, WINDOW_SECS};
 use crate::shadow::{CacheCaps, Outcome, Shadow};
 use crate::stats::{median, peak_rss_mb, quantile, ratio, timed};
 use crate::trace::{self, Tracer};
@@ -28,10 +28,6 @@ pub const CHECKPOINT_EVERY: u64 = 128;
 const CRASH_TAIL_OPS: u64 = 32;
 /// Request workers in the service's pool.
 const SERVER_WORKERS: usize = 2;
-/// Each measured phase is cut into windows of about this many seconds;
-/// a reported figure is the median over its phase's windows, so a stall
-/// of the shared host decides at most a few windows, not the run.
-const WINDOW_SECS: f64 = 0.5;
 /// Latency windows hold at least this many samples on average, so a
 /// window's p99 is not just its maximum.
 const WINDOW_SAMPLES: usize = 200;
@@ -39,6 +35,8 @@ const WINDOW_SAMPLES: usize = 200;
 /// drifts over fractions of a second; spacing the rounds samples more
 /// than one stretch of it.
 const ROUND_GAP: Duration = Duration::from_millis(150);
+/// The quantile of the timed recovery rounds reported as `recovery_s`.
+const RECOVERY_QUANTILE: f64 = 0.1;
 /// The epochs of every workload's initial checkpoint image.
 const INITIAL_EPOCHS: (u64, u64) = (3, 0);
 
@@ -53,7 +51,7 @@ struct Params {
     trace_requests: usize,
     /// Set-ups per run (`setup_s` is their median).
     setups: usize,
-    /// Recoveries timed per run (`recovery_s` is the fastest).
+    /// Recoveries timed per run (`recovery_s` is their 10th percentile).
     recoveries: usize,
 }
 
@@ -63,22 +61,22 @@ fn params(w: Workload) -> Params {
             rate: 2000.0,
             window: 16,
             trace_requests: 4000,
-            setups: 9,
-            recoveries: 15,
+            setups: 25,
+            recoveries: 31,
         },
         Workload::ColdReasoning => Params {
             rate: 300.0,
             window: 2,
             trace_requests: 1500,
-            setups: 5,
-            recoveries: 9,
+            setups: 11,
+            recoveries: 31,
         },
         Workload::DurableChurn => Params {
             rate: 200.0,
             window: 4,
             trace_requests: 1200,
-            setups: 5,
-            recoveries: 5,
+            setups: 15,
+            recoveries: 15,
         },
     }
 }
@@ -159,7 +157,11 @@ impl Report {
     }
 
     fn fail(&mut self, problem: String) {
-        self.failed += 1;
+        self.fail_n(1, problem);
+    }
+
+    fn fail_n(&mut self, requests: u64, problem: String) {
+        self.failed += requests;
         if self.problems.len() < 10 {
             self.problems.push(problem);
         }
@@ -255,13 +257,13 @@ fn copy_dir(from: &Path, to: &Path) {
 
 /// Writes the workload's initial session as a checkpoint image: the
 /// durable engine loads it instead of replaying thousands of asserts.
-fn write_image(spec: &Spec, dir: &Path) {
+fn write_image(session: Session, dir: &Path) {
     let (mut store, _) = Store::open(dir, store_options()).expect("open image store");
     store
         .checkpoint(&CheckpointImage {
-            vocab: spec.session.vocab.clone(),
-            tcs: spec.session.tcs.clone(),
-            db: spec.session.db.clone(),
+            vocab: session.vocab,
+            tcs: session.tcs,
+            db: session.db,
             tcs_epoch: INITIAL_EPOCHS.0,
             data_epoch: INITIAL_EPOCHS.1,
         })
@@ -300,11 +302,16 @@ fn engine_metrics(engine: &Engine) -> HashMap<String, f64> {
         .collect()
 }
 
+/// Logged writes the engine has applied since it opened the initial
+/// image.
+fn applied_writes(engine: &Engine) -> u64 {
+    engine.epochs().1 - INITIAL_EPOCHS.1
+}
+
 /// Waits until the background checkpointer has finished the
-/// checkpoints `applied` logged writes trigger (or stops making
-/// progress).
-fn await_checkpoints(engine: &Engine, applied: u64) {
-    let expected = (applied / CHECKPOINT_EVERY) as f64;
+/// checkpoints the applied writes trigger (or stops making progress).
+fn await_checkpoints(engine: &Engine) {
+    let expected = (applied_writes(engine) / CHECKPOINT_EVERY) as f64;
     let mut last = -1.0;
     let mut since = Instant::now();
     loop {
@@ -343,6 +350,7 @@ fn set_up(spec: &Spec, dirs: &Dirs, report: &mut Report) -> (Service, f64) {
         Server::start(Arc::clone(&engine), "127.0.0.1:0", SERVER_WORKERS).expect("start server");
     let mut conn = Conn::connect(server.local_addr()).expect("connect");
     let mut warmup = spec.warmup.iter().cloned();
+    let mut replies = Replies::default();
     let log = drive(
         &mut conn,
         &mut || warmup.next(),
@@ -351,24 +359,39 @@ fn set_up(spec: &Spec, dirs: &Dirs, report: &mut Report) -> (Service, f64) {
             until: start + Duration::from_secs(3600),
         },
         start,
+        &mut replies,
     );
     let secs = start.elapsed().as_secs_f64();
-    for s in &log.samples {
-        if !s.outcome.is_sound() {
-            report.fail(format!("warm-up {} got {:?}", s.verb.name(), s.outcome));
-        }
-    }
-    if log.unanswered > 0 {
-        report.fail(format!("{} warm-up requests unanswered", log.unanswered));
-    }
+    fail_unsound("warm-up", &replies, log.unanswered, report);
     (Service { engine, server }, secs)
 }
 
+/// Fails the requests of a phase whose replies are only checked for
+/// soundness: those without a reply, with an error reply or with an
+/// invalid certificate.
+fn fail_unsound(phase: &str, replies: &Replies, unanswered: usize, report: &mut Report) {
+    let unsound = replies.unsound();
+    if unsound > 0 {
+        report.fail_n(
+            unsound,
+            format!("{unsound} {phase} replies were errors or invalid certificates"),
+        );
+    }
+    if unanswered > 0 {
+        report.fail_n(
+            unanswered as u64,
+            format!("{unanswered} {phase} requests unanswered"),
+        );
+    }
+}
+
 /// Drives both connections through one phase in parallel, one thread
-/// each; returns each lane's log.
+/// each, adding every reply to its lane's record; returns each lane's
+/// log.
 fn phase(
     conns: &mut [Conn; 2],
     lanes: &mut [LaneStream; 2],
+    replies: &mut [Replies; 2],
     pacing: impl Fn(usize) -> Pacing + Sync,
     origin: Instant,
 ) -> [LaneLog; 2] {
@@ -376,10 +399,11 @@ fn phase(
         let handles: Vec<_> = conns
             .iter_mut()
             .zip(lanes.iter_mut())
+            .zip(replies.iter_mut())
             .enumerate()
-            .map(|(i, (conn, lane))| {
+            .map(|(i, ((conn, lane), replies))| {
                 let pacing = pacing(i);
-                s.spawn(move || drive(conn, &mut || Some(lane.next()), pacing, origin))
+                s.spawn(move || drive(conn, &mut || Some(lane.next()), pacing, origin, replies))
             })
             .collect();
         let mut logs = handles
@@ -440,12 +464,11 @@ struct Recovery {
 fn crash_and_recover(
     service: Service,
     dirs: &Dirs,
-    applied: u64,
     flushed: Option<(u64, u64)>,
     rounds: usize,
     report: &mut Report,
 ) -> Recovery {
-    await_checkpoints(&service.engine, applied);
+    await_checkpoints(&service.engine);
     let acked = service.engine.epochs();
     let crash = dirs.get("crash");
     copy_dir(&dirs.get("live"), &crash);
@@ -490,9 +513,13 @@ fn crash_and_recover(
             ));
         }
     }
+    // A low quantile rather than the median: the host's vCPUs switch
+    // between two speeds about 1.7x apart for seconds at a time, so the
+    // median of one run lands in either mode. Not the fastest either:
+    // a millisecond-long recovery's fsyncs spread it widely.
     Recovery {
-        recovery_s: quantile(&times, 0.0),
-        load_s: quantile(&loads, 0.0),
+        recovery_s: quantile(&times, RECOVERY_QUANTILE),
+        load_s: quantile(&loads, RECOVERY_QUANTILE),
         replayed_ops: replayed,
     }
 }
@@ -535,21 +562,18 @@ fn lose_unflushed(dir: &Path, epochs: (u64, u64)) -> bool {
 /// `durable_churn`'s end of load: a write that must be flushed (sent
 /// after a full fsync interval of silence), then writes up to a fixed
 /// distance past the last checkpoint. Returns the flushed write's
-/// epochs; `applied` counts the applied writes.
+/// epochs.
 fn barrier_and_tail(
     conn: &mut Conn,
     lane: &mut LaneStream,
     engine: &Engine,
-    log: &mut Vec<Sample>,
-    applied: &mut u64,
-    origin: Instant,
+    replies: &mut Replies,
     report: &mut Report,
 ) -> (u64, u64) {
     std::thread::sleep(FSYNC_INTERVAL + Duration::from_millis(20));
     let mut flushed = None;
     loop {
         let req = lane.next();
-        let sent = origin.elapsed();
         let outcome = match conn.round_trip(&req) {
             Ok(reply) => Outcome::of_reply(req.verb, &reply),
             Err(e) => {
@@ -557,13 +581,11 @@ fn barrier_and_tail(
                 return flushed.unwrap_or_default();
             }
         };
-        let done = origin.elapsed();
-        log.push(Sample::new(req.verb, sent, sent, done, outcome));
+        replies.push(req.verb, outcome);
         if outcome.is_applied_write() {
-            *applied += 1;
             match flushed {
                 None => flushed = Some(engine.epochs()),
-                Some(_) if *applied % CHECKPOINT_EVERY == CRASH_TAIL_OPS => break,
+                Some(_) if applied_writes(engine) % CHECKPOINT_EVERY == CRASH_TAIL_OPS => break,
                 Some(_) => {}
             }
         }
@@ -572,30 +594,47 @@ fn barrier_and_tail(
 }
 
 /// Checks every recorded reply against a sequential replay of the same
-/// lane streams through a shadow session.
-fn verify(spec: &Spec, lanes: &[Vec<Sample>; 2], report: &mut Report) {
-    let mut shadow = Shadow::new(&spec.session, INITIAL_EPOCHS, CacheCaps::MEMO);
+/// lane streams through a shadow session over `session`. A chunk whose
+/// digest differs fails all its requests; in a matching chunk, the
+/// unsound replies fail.
+fn verify(spec: &Spec, session: &Session, lanes: &[Replies; 2], report: &mut Report) {
+    let mut shadow = Shadow::new(session, INITIAL_EPOCHS, CacheCaps::MEMO);
     let mut memo: HashMap<String, Outcome> = HashMap::new();
     let mut off = Tracer::off();
-    for (lane, samples) in lanes.iter().enumerate() {
+    for (lane, got) in lanes.iter().enumerate() {
         let mut stream = spec.lane(lane);
-        for (i, s) in samples.iter().enumerate() {
+        let mut expected = Replies::default();
+        for _ in 0..got.count() {
             let req = stream.next();
             // k-MCS and MCG results are not cached by the service; the
             // checker memoizes them by request text.
-            let expected = if matches!(req.verb, Verb::Generalize | Verb::Specialize) {
+            let outcome = if matches!(req.verb, Verb::Generalize | Verb::Specialize) {
                 *memo
                     .entry(req.line.clone())
                     .or_insert_with(|| shadow.handle(&req, &mut off))
             } else {
                 shadow.handle(&req, &mut off)
             };
-            if req.verb != s.verb || s.outcome != expected || !s.outcome.is_sound() {
-                report.fail(format!(
-                    "lane {lane} request {i} `{}`: got {:?}, expected {expected:?}",
-                    req.line, s.outcome
-                ));
+            expected.push(req.verb, outcome);
+        }
+        let mut first = 0;
+        for (g, e) in got.chunks().iter().zip(expected.chunks()) {
+            let span = format!("lane {lane} requests {first}..{}", first + g.len);
+            if g.digest != e.digest {
+                report.fail_n(
+                    g.len.into(),
+                    format!("{span}: replies differ from the shadow session's"),
+                );
+            } else if g.unsound > 0 {
+                report.fail_n(
+                    g.unsound.into(),
+                    format!(
+                        "{span}: {} error replies or invalid certificates",
+                        g.unsound
+                    ),
+                );
             }
+            first += g.len;
         }
     }
 }
@@ -603,64 +642,67 @@ fn verify(spec: &Spec, lanes: &[Vec<Sample>; 2], report: &mut Report) {
 /// Runs the untraced benchmark: end-to-end metrics.
 pub fn run(cfg: &Config) -> Report {
     let p = params(cfg.workload);
-    let spec = Spec::generate(cfg.workload, cfg.seed);
+    let mut spec = Spec::generate(cfg.workload, cfg.seed);
     let dirs = Dirs::new(cfg);
-    write_image(&spec, &dirs.get("image"));
+    // The image takes the generator's copy of the session, so the
+    // process's memory high-water mark is the service's; the checker
+    // generates the session again after the run.
+    write_image(std::mem::take(&mut spec.session), &dirs.get("image"));
     let mut report = Report::default();
 
-    let mut setups = Vec::new();
-    let mut service = None;
-    for round in 0..p.setups {
-        if round > 0 {
-            std::thread::sleep(ROUND_GAP);
-        }
-        let (s, secs) = set_up(&spec, &dirs, &mut report);
-        setups.push(secs);
-        if round + 1 < p.setups {
-            s.server.stop();
-        } else {
-            service = Some(s);
-        }
-    }
-    let service = service.expect("at least one set-up round");
+    // The first set-up is the one put under load; the other timed rounds
+    // run after the crash. Every set-up's threads leave allocator arenas
+    // behind, so rounds before the load would raise the memory
+    // high-water mark with their number.
+    let (service, secs) = set_up(&spec, &dirs, &mut report);
+    let mut setups = vec![secs];
     let addr = service.server.local_addr();
     let mut conns = [
         Conn::connect(addr).expect("connect"),
         Conn::connect(addr).expect("connect"),
     ];
     let mut lanes = [spec.lane(0), spec.lane(1)];
-    let mut logs: [Vec<Sample>; 2] = [Vec::new(), Vec::new()];
+    let mut replies = [Replies::default(), Replies::default()];
 
     // Closed loop: throughput at a fixed pipelining window.
-    let closed_secs = cfg.seconds * 0.3;
+    let closed_secs = cfg.seconds * 0.4;
     let origin = Instant::now();
     let until = origin + Duration::from_secs_f64(closed_secs);
     let closed = phase(
         &mut conns,
         &mut lanes,
+        &mut replies,
         |_| Pacing::Closed {
             window: p.window,
             until,
         },
         origin,
     );
-    let completed: Vec<(f64, f64)> = closed
-        .iter()
-        .flat_map(|l| l.samples.iter().map(|s| (s.done_secs(), 1.0)))
+    // Whole windows before `until` only: the drain after it is not
+    // counted.
+    let window_secs = WINDOW_SECS.min(closed_secs);
+    let rates: Vec<f64> = (0..((closed_secs / window_secs) as usize).max(1))
+        .map(|w| {
+            let n: u32 = closed
+                .iter()
+                .map(|l| l.completed.get(w).copied().unwrap_or(0))
+                .sum();
+            f64::from(n) / window_secs
+        })
         .collect();
-    let closed_windows = windows(&completed, closed_secs);
-    let window_secs = closed_secs / closed_windows.len() as f64;
-    let rates: Vec<f64> = closed_windows
+    let completed: u64 = closed
         .iter()
-        .map(|w| w.len() as f64 / window_secs)
-        .collect();
+        .flat_map(|l| &l.completed)
+        .map(|&n| u64::from(n))
+        .sum();
 
     // Open loop: latency at the workload's fixed rate, from due time.
-    let open_secs = cfg.seconds * 0.7;
+    let open_secs = cfg.seconds * 0.6;
     let origin = Instant::now();
     let open = phase(
         &mut conns,
         &mut lanes,
+        &mut replies,
         open_pacing(p, open_secs, origin),
         origin,
     );
@@ -691,56 +733,61 @@ pub fn run(cfg: &Config) -> Report {
     }
     let rss = peak_rss_mb();
 
-    for (lane, (c, o)) in closed.into_iter().zip(open).enumerate() {
-        report.attempted +=
-            (c.samples.len() + c.unanswered + o.samples.len() + o.unanswered) as u64;
-        for _ in 0..c.unanswered + o.unanswered {
-            report.fail(format!("lane {lane}: request timed out"));
+    for (lane, log) in closed.iter().chain(&open).enumerate() {
+        if log.unanswered > 0 {
+            report.attempted += log.unanswered as u64;
+            report.fail_n(
+                log.unanswered as u64,
+                format!("lane {}: {} requests timed out", lane % 2, log.unanswered),
+            );
         }
-        logs[lane].extend(c.samples);
-        logs[lane].extend(o.samples);
     }
-    let mut applied = logs[0]
-        .iter()
-        .filter(|s| s.outcome.is_applied_write())
-        .count() as u64;
 
     let mut flushed = None;
     if cfg.workload == Workload::DurableChurn {
-        let before = logs[0].len();
         let [conn0, _] = &mut conns;
         let [lane0, _] = &mut lanes;
+        let [replies0, _] = &mut replies;
         flushed = Some(barrier_and_tail(
             conn0,
             lane0,
             &service.engine,
-            &mut logs[0],
-            &mut applied,
-            origin,
+            replies0,
             &mut report,
         ));
-        report.attempted += (logs[0].len() - before) as u64;
     }
     drop(conns);
-    let rec = crash_and_recover(service, &dirs, applied, flushed, p.recoveries, &mut report);
+    let applied = applied_writes(&service.engine);
+    let rec = crash_and_recover(service, &dirs, flushed, p.recoveries, &mut report);
+    for _ in 1..p.setups {
+        std::thread::sleep(ROUND_GAP);
+        let (s, secs) = set_up(&spec, &dirs, &mut report);
+        setups.push(secs);
+        s.server.stop();
+    }
 
-    verify(&spec, &logs, &mut report);
+    report.attempted += replies.iter().map(Replies::count).sum::<u64>();
+    let session = Spec::generate(cfg.workload, cfg.seed).session;
+    verify(&spec, &session, &replies, &mut report);
 
     let n_setup = setups.len();
     report.metric(
         "setup_s",
         median(&setups),
         "s",
-        format!("(median of {n_setup} set-ups)"),
+        format!(
+            "(median of {n_setup} set-ups, quartiles {:.4} to {:.4} s)",
+            quantile(&setups, 0.25),
+            quantile(&setups, 0.75)
+        ),
     );
     report.metric(
         "throughput_rps",
         median(&rates),
         "req/s",
         format!(
-            "(median of {} windows; {} replies, window {} x 2 connections)",
+            "(median of {} windows; {completed} replies, window {} x 2 connections)",
             rates.len(),
-            completed.len(),
             p.window
         ),
     );
@@ -779,7 +826,7 @@ pub fn run(cfg: &Config) -> Report {
         rec.recovery_s,
         "s",
         format!(
-            "(fastest of {}, {} ops replayed)",
+            "(10th percentile of {}, {} ops replayed)",
             p.recoveries, rec.replayed_ops
         ),
     );
@@ -847,7 +894,7 @@ pub fn run_traced(cfg: &Config) -> Report {
     let p = params(cfg.workload);
     let spec = Spec::generate(cfg.workload, cfg.seed);
     let dirs = Dirs::new(cfg);
-    write_image(&spec, &dirs.get("image"));
+    write_image(spec.session.clone(), &dirs.get("image"));
     let mut report = Report::default();
     let (service, _) = set_up(&spec, &dirs, &mut report);
     let addr = service.server.local_addr();
@@ -861,7 +908,6 @@ pub fn run_traced(cfg: &Config) -> Report {
     ];
     let mut rtts = Vec::with_capacity(seq.len());
     let mut tcp_outcomes = Vec::with_capacity(seq.len());
-    let mut applied = 0u64;
     for req in &seq {
         let start = Instant::now();
         let outcome = match conns[0].round_trip(req) {
@@ -869,16 +915,17 @@ pub fn run_traced(cfg: &Config) -> Report {
             Err(_) => Outcome::Error,
         };
         rtts.push(start.elapsed().as_secs_f64() * 1e6);
-        applied += u64::from(outcome.is_applied_write());
         tcp_outcomes.push(outcome);
     }
 
     // A short open-loop phase: how late the generator runs.
     let open_secs = cfg.seconds * 0.4;
     let origin = Instant::now();
+    let mut replies = [Replies::default(), Replies::default()];
     let open = phase(
         &mut conns,
         &mut lanes,
+        &mut replies,
         open_pacing(p, open_secs, origin),
         origin,
     );
@@ -886,21 +933,12 @@ pub fn run_traced(cfg: &Config) -> Report {
         .iter()
         .flat_map(|l| l.samples.iter().map(Sample::lag_us))
         .collect();
-    for log in &open {
-        report.attempted += (log.samples.len() + log.unanswered) as u64;
-        applied += log
-            .samples
-            .iter()
-            .filter(|s| s.outcome.is_applied_write())
-            .count() as u64;
-        for s in &log.samples {
-            if !s.outcome.is_sound() {
-                report.fail(format!("open loop {} got {:?}", s.verb.name(), s.outcome));
-            }
-        }
+    for (log, replies) in open.iter().zip(&replies) {
+        report.attempted += replies.count() + log.unanswered as u64;
+        fail_unsound("open-loop", replies, log.unanswered, &mut report);
     }
     drop(conns);
-    let rec = crash_and_recover(service, &dirs, applied, None, p.recoveries, &mut report);
+    let rec = crash_and_recover(service, &dirs, None, p.recoveries, &mut report);
 
     // The same sequence in-process, untraced and traced, each on a
     // fresh engine and shadow.
@@ -913,7 +951,7 @@ pub fn run_traced(cfg: &Config) -> Report {
     let counts_before = shadow.counts();
     let mut tr = Tracer::on();
     let (outcomes, traced_secs) = replay(&engine, &mut shadow, &seq, &mut tr);
-    await_checkpoints(&engine, shadow.counts().writes);
+    await_checkpoints(&engine);
     let after = engine_metrics(&engine);
     let delta =
         |k: &str| after.get(k).copied().unwrap_or(0.0) - before.get(k).copied().unwrap_or(0.0);
@@ -959,8 +997,13 @@ pub fn run_traced(cfg: &Config) -> Report {
             delta(&format!("{cache}.hits")),
             delta(&format!("{cache}.misses")),
         );
+        // The per-layer split describes the engine only if the shadow
+        // probed, missed and computed on the same requests.
         if (eh, em) != (hits as f64, misses as f64) {
-            eprintln!("note: shadow {cache} {hits}/{misses} vs engine {eh}/{em} (hits/misses)");
+            report.fail(format!(
+                "the shadow's {cache} made {hits} hits and {misses} misses, \
+                 the engine's {eh} and {em}"
+            ));
         }
     }
 
@@ -1125,7 +1168,7 @@ pub fn run_traced(cfg: &Config) -> Report {
         "storage.load_s",
         rec.load_s,
         "s",
-        format!("(fastest of {})", p.recoveries),
+        format!("(10th percentile of {})", p.recoveries),
     );
     report.metric(
         "storage.replayed_ops",

@@ -30,7 +30,7 @@ use crate::gen::{ANSWER_CACHE_CAP, PLAN_CACHE_CAP, VERDICT_CACHE_CAP, WHY_CACHE_
 use crate::trace::Tracer;
 
 /// What a reply says, reduced to what the benchmark checks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Outcome {
     /// `check`: the verdict.
     Verdict(bool),

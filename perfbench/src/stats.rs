@@ -32,24 +32,18 @@ pub fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-#[repr(C)]
-struct RUsage {
-    /// `ru_utime` and `ru_stime` (two `timeval`s), then the fourteen
-    /// `long` counters starting with `ru_maxrss`.
-    words: [i64; 18],
-}
-
-extern "C" {
-    fn getrusage(who: i32, usage: *mut RUsage) -> i32;
-}
-
-/// The process's resident-set high-water mark in MiB (`ru_maxrss`).
+/// The process's resident-set high-water mark in MiB (`VmHWM` in
+/// `/proc/self/status`). `getrusage`'s `ru_maxrss` would not do: it
+/// keeps the high-water mark of the process this one was exec'd from
+/// (cargo, or whatever forked the benchmark), which on small workloads
+/// is larger than the benchmark's own.
 pub fn peak_rss_mb() -> f64 {
-    let mut usage = RUsage { words: [0; 18] };
-    // SAFETY: `RUsage` has the size and layout of Linux's `struct
-    // rusage` on 64-bit targets (two 16-byte `timeval`s followed by
-    // fourteen `long`s), and `usage` is a valid, writable instance of it.
-    let rc = unsafe { getrusage(0, &mut usage) };
-    assert_eq!(rc, 0, "getrusage(RUSAGE_SELF) cannot fail");
-    usage.words[4] as f64 / 1024.0
+    let status = std::fs::read_to_string("/proc/self/status").expect("read /proc/self/status");
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().strip_suffix("kB"))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("/proc/self/status reports VmHWM in kB");
+    kib / 1024.0
 }

@@ -1,5 +1,5 @@
-//! The traced run's output: one span file per workload and a self-time
-//! summary per layer that accounts for every `Engine::handle` span.
+//! The traced run's output: one span file per workload, a self-time
+//! summary per layer, and layer spans that track `Engine::handle`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -131,21 +131,40 @@ fn traced_run_writes_consistent_spans_and_layer_summary() {
         }
     }
     assert!(rows.contains_key("engine.unaccounted"), "{summary}");
-    // Layer self times plus the unaccounted remainder make up the
-    // handle spans (to the summary's printed precision).
-    let handle: f64 = rows
+
+    // The layer spans time the shadow, not the engine. They describe the
+    // engine only if the shadow does its work: the run already fails when
+    // their cache counts differ, and here each request's `shadow` span
+    // must take about as long as its `Engine::handle` span, with the
+    // handle time not covered by layer spans non-negative on the median.
+    let mut handle: BTreeMap<u64, f64> = BTreeMap::new();
+    let mut shadow: BTreeMap<u64, f64> = BTreeMap::new();
+    for (name, start, end, _, request) in &spans {
+        let ns = (end - start) as f64;
+        if name.starts_with("engine.handle.") {
+            handle.insert(*request, ns);
+        } else if name == "shadow" {
+            shadow.insert(*request, ns);
+        }
+    }
+    assert_eq!(
+        handle.len(),
+        shadow.len(),
+        "one handle and one shadow span per request"
+    );
+    let mut ratios: Vec<f64> = handle
         .iter()
-        .filter(|(k, _)| k.starts_with("engine.handle."))
-        .map(|(_, v)| v.1)
-        .sum();
-    let layers: f64 = magik_perfbench::trace::FOREGROUND_LAYERS
-        .iter()
-        .filter_map(|l| rows.get(*l))
-        .map(|v| v.1)
-        .sum();
-    let unaccounted = rows["engine.unaccounted"].1;
+        .map(|(request, h)| shadow[request] / h.max(1.0))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let median = ratios[ratios.len() / 2];
     assert!(
-        (handle - layers - unaccounted).abs() < 1.0 + handle * 1e-6,
-        "handle {handle} != layers {layers} + unaccounted {unaccounted}"
+        (0.5..=2.0).contains(&median),
+        "the median request's shadow span is {median:.2}x its Engine::handle span"
+    );
+    assert!(
+        metrics["engine.unaccounted_us"] >= 0.0,
+        "the layer spans cover more than the median Engine::handle span: {}",
+        metrics["engine.unaccounted_us"]
     );
 }
