@@ -37,6 +37,11 @@ pub const COLD_POOL: usize = 4 * VERDICT_CACHE_CAP;
 /// The most churned facts `durable_churn` keeps asserted at once; the
 /// instance stays within `[base, base + DURABLE_MAX_OUTSTANDING]` facts.
 pub const DURABLE_MAX_OUTSTANDING: usize = 256;
+/// The pupils `durable_churn` asserts and retracts facts about. A fixed
+/// set, interned by the warm-up: the vocabulary, and with it every
+/// checkpoint image, then keeps its size however many writes a run
+/// makes.
+pub const CHURN_PUPILS: usize = 512;
 /// Seeds the session and the pools (not the streams).
 const FIXED_SEED: u64 = 20130826;
 /// Schools in the ~13 k-fact instance (20 pupils each, ~1.6 `learns`
@@ -517,8 +522,15 @@ fn warmup(workload: Workload, pools: &Pools) -> Vec<Request> {
             }
         }
         Workload::ColdReasoning => {
-            for group in &pools.queries {
+            // Least drawn first: the least recently used entries are
+            // evicted, so the verdict and `why` caches end up holding
+            // the most drawn queries, as under the stream itself, and the
+            // hit ratios need no further warming up.
+            for group in pools.queries.iter().rev() {
                 out.push(Request::new(Verb::Check, &group[0]));
+            }
+            for group in pools.queries[..WHY_CACHE_CAP].iter().rev() {
+                out.push(Request::new(Verb::Why, &group[0]));
             }
         }
     }
@@ -528,6 +540,12 @@ fn warmup(workload: Workload, pools: &Pools) -> Vec<Request> {
     for fact in &pools.ghost_facts {
         out.push(Request::new(Verb::Guaranteed, fact));
     }
+    if workload == Workload::DurableChurn {
+        for i in 0..CHURN_PUPILS {
+            let fact = format!("learns({}, english)", churn_pupil(i));
+            out.push(Request::new(Verb::Guaranteed, &fact));
+        }
+    }
     out
 }
 
@@ -536,8 +554,11 @@ fn warmup(workload: Workload, pools: &Pools) -> Vec<Request> {
 struct Churn {
     outstanding: Vec<String>,
     present: HashSet<String>,
-    /// Pupils asserted so far (fresh names, never reused).
-    pupils: Vec<String>,
+}
+
+/// The name of churned pupil `i`.
+fn churn_pupil(i: usize) -> String {
+    format!("newpupil{i}")
 }
 
 /// An endless, seeded request stream for one lane.
@@ -628,8 +649,8 @@ impl LaneStream {
     }
 
     /// One real write: a retract of an earlier assert when the band is
-    /// full (or by coin flip), otherwise an assert of a fresh pupil or of
-    /// a language an asserted pupil learns.
+    /// full (or by coin flip), otherwise an assert of a `pupil` or
+    /// `learns` fact of one of the [`CHURN_PUPILS`] churned pupils.
     fn churn(&mut self) -> Request {
         let c = &mut self.churn;
         let full = c.outstanding.len() >= DURABLE_MAX_OUTSTANDING;
@@ -640,30 +661,27 @@ impl LaneStream {
             return Request::new(Verb::Retract, &format!("{fact}."));
         }
         const LANGS: [&str; 4] = ["english", "german", "italian", "ladin"];
-        let fact = if c.pupils.is_empty() || self.rng.gen_bool(0.4) {
-            let name = format!("newpupil{}", c.pupils.len());
+        let pupil = churn_pupil(self.rng.gen_range(0..CHURN_PUPILS));
+        let fact = if self.rng.gen_bool(0.4) {
             let schools = &self.pools.schools;
             let school = &schools[self.rng.gen_range(0..schools.len())];
             let code = self.rng.gen_range(0..5);
-            c.pupils.push(name.clone());
-            format!("pupil({name}, c{code}, {school})")
+            format!("pupil({pupil}, c{code}, {school})")
         } else {
-            let pupil = &c.pupils[self.rng.gen_range(0..c.pupils.len())];
             let lang = LANGS[self.rng.gen_range(0..LANGS.len())];
-            let fact = format!("learns({pupil}, {lang})");
-            if c.present.contains(&fact) {
-                // Already asserted: retract it instead, still a real write.
-                let i = c
-                    .outstanding
-                    .iter()
-                    .position(|f| *f == fact)
-                    .expect("tracked");
-                c.outstanding.swap_remove(i);
-                c.present.remove(&fact);
-                return Request::new(Verb::Retract, &format!("{fact}."));
-            }
-            fact
+            format!("learns({pupil}, {lang})")
         };
+        if c.present.contains(&fact) {
+            // Already asserted: retract it instead, still a real write.
+            let i = c
+                .outstanding
+                .iter()
+                .position(|f| *f == fact)
+                .expect("tracked");
+            c.outstanding.swap_remove(i);
+            c.present.remove(&fact);
+            return Request::new(Verb::Retract, &format!("{fact}."));
+        }
         c.outstanding.push(fact.clone());
         c.present.insert(fact.clone());
         Request::new(Verb::Assert, &format!("{fact}."))

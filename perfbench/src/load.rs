@@ -110,6 +110,23 @@ struct Timespec {
 
 extern "C" {
     fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+    fn prctl(option: i32, ...) -> i32;
+}
+
+/// `prctl` option that sets the calling thread's timer slack.
+const PR_SET_TIMERSLACK: i32 = 29;
+
+/// Lets the calling thread's timed waits end on time. Linux delays a
+/// normal thread's timer wake-ups by up to its *timer slack*, 50 µs by
+/// default, to batch them; the open loop would then send that much after
+/// each due instant, and the latency it reports would carry the delay.
+fn precise_timers() {
+    // SAFETY: `PR_SET_TIMERSLACK` takes one unsigned long and changes
+    // only the calling thread's timer slack; the variadic call passes
+    // exactly that argument.
+    unsafe {
+        prctl(PR_SET_TIMERSLACK, 1 as std::ffi::c_ulong);
+    }
 }
 
 /// Waits until `stream` has bytes to read or `wait` passes. A socket
@@ -290,6 +307,7 @@ pub fn drive(
     origin: Instant,
     replies: &mut Replies,
 ) -> LaneLog {
+    precise_timers();
     let mut log = LaneLog::default();
     let mut inflight: VecDeque<(Verb, Duration, Duration)> = VecDeque::new();
     let mut sent = 0usize;

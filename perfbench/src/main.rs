@@ -3,12 +3,16 @@
 //! Prints one line per metric, then the result as one JSON object on the
 //! last line of standard output. Exits with 1 when a reply or a check
 //! failed, and with 2 on a usage error.
+//!
+//! `perfbench --recover-round <dir>` is the child process a run starts
+//! for each timed recovery: it recovers `<dir>` once and prints the
+//! timings.
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use magik_perfbench::gen::Workload;
-use magik_perfbench::run::{run, run_traced, Config};
+use magik_perfbench::run::{recover_round, run, run_traced, Config, RECOVER_FLAG};
 
 const USAGE: &str = "usage: perfbench --workload <hot_reads|cold_reasoning|durable_churn> \
                      --seed <n> --seconds <s> --trace <0|1>";
@@ -49,10 +53,18 @@ fn parse_args() -> Result<Config, String> {
         seconds,
         trace,
         out_dir: Path::new(env!("CARGO_MANIFEST_DIR")).join("out"),
+        exe: std::env::current_exe().map_err(|e| format!("cannot find this executable: {e}"))?,
     })
 }
 
 fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let [flag, dir] = &args[..] {
+        if flag == RECOVER_FLAG {
+            println!("{}", recover_round(Path::new(dir)));
+            return ExitCode::SUCCESS;
+        }
+    }
     let cfg = match parse_args() {
         Ok(cfg) => cfg,
         Err(e) => {

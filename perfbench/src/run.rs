@@ -31,12 +31,34 @@ const SERVER_WORKERS: usize = 2;
 /// Latency windows hold at least this many samples on average, so a
 /// window's p99 is not just its maximum.
 const WINDOW_SAMPLES: usize = 200;
-/// Pause between timed set-up or recovery rounds. The host's speed
-/// drifts over fractions of a second; spacing the rounds samples more
-/// than one stretch of it.
-const ROUND_GAP: Duration = Duration::from_millis(150);
-/// The quantile of the timed recovery rounds reported as `recovery_s`.
-const RECOVERY_QUANTILE: f64 = 0.1;
+/// Pause before each timed set-up or recovery round, so the rounds
+/// spread over their share of the run.
+const ROUND_GAP: Duration = Duration::from_millis(100);
+/// Share of `--seconds` under load; set-up and recovery rounds take the
+/// rest.
+const LOAD_SHARE: f64 = 0.75;
+/// The load alternates a closed-loop and an open-loop slice in cycles
+/// of about this many seconds. The shared host's speed shifts by 10-30%
+/// for a few seconds at a time; one long phase per kind would sit in
+/// whichever speed its stretch of the run had, while cycles spread each
+/// kind over the whole run.
+const CYCLE_SECS: f64 = 3.0;
+/// Share of each cycle in closed loop.
+const CLOSED_SHARE: f64 = 0.4;
+/// Set-up rounds after the crash, at least (each with one recovery).
+const MIN_ROUNDS: usize = 5;
+/// Recoveries of a crash image of the running service after each cycle
+/// of the load.
+const RECOVERIES_PER_CYCLE: usize = 2;
+/// The quantile of a run's recovery times reported as `recovery_s`. A
+/// recovery takes milliseconds, and the shared host runs each one in
+/// one of two speed modes about 1.5x apart; the share of rounds in each
+/// mode changes from run to run, which moves the median between the
+/// modes. The fast end is steady: a few of the run's 25 to 40 rounds
+/// land in the fast mode in every run.
+const RECOVERY_QUANTILE: f64 = 0.05;
+/// Recovery rounds of a traced run.
+const TRACE_RECOVERIES: usize = 9;
 /// The epochs of every workload's initial checkpoint image.
 const INITIAL_EPOCHS: (u64, u64) = (3, 0);
 
@@ -45,38 +67,33 @@ const INITIAL_EPOCHS: (u64, u64) = (3, 0);
 struct Params {
     /// Open-loop rate over both connections, requests/s.
     rate: f64,
-    /// Closed-loop pipelining window per connection.
-    window: usize,
+    /// Closed-loop pipelining window of each connection (0: the
+    /// connection sends nothing in closed loop).
+    windows: [usize; 2],
     /// Requests in the traced replay.
     trace_requests: usize,
-    /// Set-ups per run (`setup_s` is their median).
-    setups: usize,
-    /// Recoveries timed per run (`recovery_s` is their 10th percentile).
-    recoveries: usize,
 }
 
 fn params(w: Workload) -> Params {
     match w {
         Workload::HotReads => Params {
             rate: 2000.0,
-            window: 16,
+            windows: [16, 16],
             trace_requests: 4000,
-            setups: 25,
-            recoveries: 31,
         },
         Workload::ColdReasoning => Params {
             rate: 300.0,
-            window: 2,
+            windows: [8, 8],
             trace_requests: 1500,
-            setups: 11,
-            recoveries: 31,
         },
         Workload::DurableChurn => Params {
             rate: 200.0,
-            window: 4,
+            // Lane 0 alone: with lane 1's cached reads beside it, the
+            // count is mostly those reads, and the worker pool gives
+            // them either most of its time or, for seconds at a stretch,
+            // only the gaps between lane 0's writes (2x to 5x fewer).
+            windows: [4, 0],
             trace_requests: 1200,
-            setups: 15,
-            recoveries: 15,
         },
     }
 }
@@ -111,6 +128,9 @@ pub struct Config {
     pub trace: bool,
     /// Where scratch data and span files go.
     pub out_dir: PathBuf,
+    /// The benchmark executable, started with [`RECOVER_FLAG`] for each
+    /// timed recovery.
+    pub exe: PathBuf,
 }
 
 /// One reported metric.
@@ -413,6 +433,42 @@ fn phase(
     })
 }
 
+/// Drives both connections in closed loop for `secs`, each with its
+/// window.
+fn closed_phase(
+    conns: &mut [Conn; 2],
+    lanes: &mut [LaneStream; 2],
+    replies: &mut [Replies; 2],
+    windows: [usize; 2],
+    secs: f64,
+) -> [LaneLog; 2] {
+    let origin = Instant::now();
+    let until = origin + Duration::from_secs_f64(secs);
+    phase(
+        conns,
+        lanes,
+        replies,
+        |lane| Pacing::Closed {
+            window: windows[lane],
+            until,
+        },
+        origin,
+    )
+}
+
+/// Fails the requests of a phase that never got a reply.
+fn fail_unanswered(logs: &[LaneLog; 2], report: &mut Report) {
+    for (lane, log) in logs.iter().enumerate() {
+        if log.unanswered > 0 {
+            report.attempted += log.unanswered as u64;
+            report.fail_n(
+                log.unanswered as u64,
+                format!("lane {lane}: {} requests timed out", log.unanswered),
+            );
+        }
+    }
+}
+
 fn open_pacing(p: Params, secs: f64, origin: Instant) -> impl Fn(usize) -> Pacing + Sync {
     let interval = Duration::from_secs_f64(2.0 / p.rate);
     let count = (secs * p.rate / 2.0) as usize;
@@ -446,32 +502,41 @@ fn latency_note(xs: &[f64]) -> String {
     )
 }
 
-/// What a crash and recovery measured.
+/// What one recovery round measured.
 struct Recovery {
-    recovery_s: f64,
+    /// `Engine::open_durable` on the crash image, s.
+    secs: f64,
+    /// `Store::peek` (the storage scan alone) on the same image, s.
     load_s: f64,
     replayed_ops: u64,
 }
 
-/// Copies the live directory as a crash leaves it (no shutdown record,
-/// no final checkpoint), stops the live service, then recovers the copy
-/// `rounds` times. Recovery must land exactly on the last acknowledged
-/// epochs.
+/// Copies the live directory to the crash image, as a crash at this
+/// instant would leave it (no shutdown record, no final checkpoint).
+/// Waits for the background checkpoints first, so the image's WAL tail
+/// is the writes since the last checkpoint boundary. Returns the last
+/// acknowledged epochs, where every recovery of the image must land.
+fn crash_image(engine: &Engine, dirs: &Dirs) -> (u64, u64) {
+    await_checkpoints(engine);
+    let acked = engine.epochs();
+    copy_dir(&dirs.get("live"), &dirs.get("crash"));
+    acked
+}
+
+/// Takes the final crash image and stops the live service. Returns the
+/// last acknowledged epochs.
 ///
 /// With `flushed` set, a second copy also loses every WAL byte after the
 /// write known to be flushed; its recovery must reach at least that
 /// write and at most the last acknowledged one.
-fn crash_and_recover(
+fn crash(
     service: Service,
     dirs: &Dirs,
     flushed: Option<(u64, u64)>,
-    rounds: usize,
     report: &mut Report,
-) -> Recovery {
-    await_checkpoints(&service.engine);
-    let acked = service.engine.epochs();
+) -> (u64, u64) {
+    let acked = crash_image(&service.engine, dirs);
     let crash = dirs.get("crash");
-    copy_dir(&dirs.get("live"), &crash);
     service.server.stop();
     drop(service.engine);
     if let Some(flushed) = flushed {
@@ -490,38 +555,81 @@ fn crash_and_recover(
             )),
         }
     }
+    acked
+}
+
+/// The hidden command-line flag that runs [`recover_round`].
+pub const RECOVER_FLAG: &str = "--recover-round";
+
+/// One timed recovery of the data directory `dir`, as run by a child
+/// process: the storage scan alone (`Store::peek`), then
+/// `Engine::open_durable`. Returns the line the child prints: seconds
+/// of recovery, seconds of the scan, ops replayed, and the recovered
+/// epochs.
+pub fn recover_round(dir: &Path) -> String {
+    let (peek, load_s) = timed(|| Store::peek(dir));
+    peek.expect("the crash image scans");
+    let (opened, secs) = timed(|| Engine::open_durable(dir, durability(), Executor::Sequential));
+    let (engine, rec) = opened.expect("the crash image recovers");
+    let (tcs, data) = engine.epochs();
+    format!("{secs} {load_s} {} {tcs} {data}", rec.replayed_ops)
+}
+
+/// Recovers a fresh copy of the crash image once, timed, in a child
+/// process: a crashed service recovers in a new process, with none of
+/// this one's allocations to reuse, and the recovered engine does not
+/// count in this process's memory high-water mark. Each round starts
+/// from the same files (recovery adds a WAL segment to the directory it
+/// opens) and from a clean page cache. Returns `None` when the round
+/// failed.
+fn recover_once(
+    exe: &Path,
+    dirs: &Dirs,
+    acked: (u64, u64),
+    report: &mut Report,
+) -> Option<Recovery> {
+    let dir = dirs.get("recovering");
+    copy_dir(&dirs.get("crash"), &dir);
     flush_file_system();
-    let mut loads = Vec::new();
-    let mut times = Vec::new();
-    let mut replayed = 0;
-    for round in 0..rounds {
-        if round > 0 {
-            std::thread::sleep(ROUND_GAP);
-        }
-        let (peek, secs) = timed(|| Store::peek(&crash));
-        peek.expect("the crash image scans");
-        loads.push(secs);
-        let (opened, secs) =
-            timed(|| Engine::open_durable(&crash, durability(), Executor::Sequential));
-        let (engine, rec) = opened.expect("the crash image recovers");
-        times.push(secs);
-        replayed = rec.replayed_ops;
-        if engine.epochs() != acked {
+    let out = match std::process::Command::new(exe)
+        .arg(RECOVER_FLAG)
+        .arg(&dir)
+        .output()
+    {
+        Ok(out) if out.status.success() => out,
+        Ok(out) => {
             report.fail(format!(
-                "recovered epochs {:?} differ from the last acknowledged {acked:?}",
-                engine.epochs()
+                "recovery round failed ({}): {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr).trim()
             ));
+            return None;
         }
+        Err(e) => {
+            report.fail(format!("recovery round did not start: {e}"));
+            return None;
+        }
+    };
+    let line = String::from_utf8_lossy(&out.stdout);
+    let f: Vec<f64> = line
+        .split_whitespace()
+        .filter_map(|x| x.parse().ok())
+        .collect();
+    let [secs, load_s, replayed, tcs, data] = f[..] else {
+        report.fail(format!("recovery round printed `{}`", line.trim()));
+        return None;
+    };
+    if (tcs as u64, data as u64) != acked {
+        report.fail(format!(
+            "recovered epochs {:?} differ from the last acknowledged {acked:?}",
+            (tcs, data)
+        ));
     }
-    // A low quantile rather than the median: the host's vCPUs switch
-    // between two speeds about 1.7x apart for seconds at a time, so the
-    // median of one run lands in either mode. Not the fastest either:
-    // a millisecond-long recovery's fsyncs spread it widely.
-    Recovery {
-        recovery_s: quantile(&times, RECOVERY_QUANTILE),
-        load_s: quantile(&loads, RECOVERY_QUANTILE),
-        replayed_ops: replayed,
-    }
+    Some(Recovery {
+        secs,
+        load_s,
+        replayed_ops: replayed as u64,
+    })
 }
 
 /// Truncates the copy's newest WAL segment right after the record at
@@ -591,6 +699,28 @@ fn barrier_and_tail(
         }
     }
     flushed.expect("set before the loop ends")
+}
+
+/// On `durable_churn`, [`barrier_and_tail`] on lane 0: returns the
+/// flushed write's epochs. Other workloads log no writes and need no
+/// tail.
+fn tail(
+    workload: Workload,
+    conns: &mut [Conn; 2],
+    lanes: &mut [LaneStream; 2],
+    engine: &Engine,
+    replies: &mut [Replies; 2],
+    report: &mut Report,
+) -> Option<(u64, u64)> {
+    (workload == Workload::DurableChurn).then(|| {
+        barrier_and_tail(
+            &mut conns[0],
+            &mut lanes[0],
+            engine,
+            &mut replies[0],
+            report,
+        )
+    })
 }
 
 /// Checks every recorded reply against a sequential replay of the same
@@ -664,102 +794,111 @@ pub fn run(cfg: &Config) -> Report {
     let mut lanes = [spec.lane(0), spec.lane(1)];
     let mut replies = [Replies::default(), Replies::default()];
 
-    // Closed loop: throughput at a fixed pipelining window.
-    let closed_secs = cfg.seconds * 0.4;
-    let origin = Instant::now();
-    let until = origin + Duration::from_secs_f64(closed_secs);
-    let closed = phase(
-        &mut conns,
-        &mut lanes,
-        &mut replies,
-        |_| Pacing::Closed {
-            window: p.window,
-            until,
-        },
-        origin,
-    );
-    // Whole windows before `until` only: the drain after it is not
-    // counted.
+    // The load: cycles of a closed-loop slice (throughput at a fixed
+    // pipelining window) and an open-loop slice (latency at the
+    // workload's fixed rate, from due time).
+    let load_secs = cfg.seconds * LOAD_SHARE;
+    let cycles = ((load_secs / CYCLE_SECS).round() as usize).max(1);
+    let closed_secs = load_secs / cycles as f64 * CLOSED_SHARE;
+    let open_secs = load_secs / cycles as f64 - closed_secs;
     let window_secs = WINDOW_SECS.min(closed_secs);
-    let rates: Vec<f64> = (0..((closed_secs / window_secs) as usize).max(1))
-        .map(|w| {
+    let mut rates = Vec::new();
+    let mut completed = 0u64;
+    let mut reads = Vec::new();
+    let mut writes = Vec::new();
+    let mut lags = Vec::new();
+    let mut recoveries = Vec::new();
+    // One closed-loop slice first, not counted: the warm-up requests do
+    // no writes, so the first checkpoint and the write path's first
+    // allocations would otherwise fall in the first measured slice.
+    let warm = closed_phase(&mut conns, &mut lanes, &mut replies, p.windows, closed_secs);
+    fail_unanswered(&warm, &mut report);
+    for cycle in 0..cycles {
+        let closed = closed_phase(&mut conns, &mut lanes, &mut replies, p.windows, closed_secs);
+        fail_unanswered(&closed, &mut report);
+        // Whole windows before the slice's end only: the drain after it
+        // is not counted.
+        rates.extend((0..((closed_secs / window_secs) as usize).max(1)).map(|w| {
             let n: u32 = closed
                 .iter()
                 .map(|l| l.completed.get(w).copied().unwrap_or(0))
                 .sum();
             f64::from(n) / window_secs
-        })
-        .collect();
-    let completed: u64 = closed
-        .iter()
-        .flat_map(|l| &l.completed)
-        .map(|&n| u64::from(n))
-        .sum();
+        }));
+        completed += closed
+            .iter()
+            .flat_map(|l| &l.completed)
+            .map(|&n| u64::from(n))
+            .sum::<u64>();
 
-    // Open loop: latency at the workload's fixed rate, from due time.
-    let open_secs = cfg.seconds * 0.6;
-    let origin = Instant::now();
-    let open = phase(
-        &mut conns,
-        &mut lanes,
-        &mut replies,
-        open_pacing(p, open_secs, origin),
-        origin,
-    );
-    let mut reads = Vec::new();
-    let mut writes = Vec::new();
-    let lags: Vec<f64> = open
-        .iter()
-        .flat_map(|l| l.samples.iter().map(Sample::lag_us))
-        .collect();
-    for log in &open {
-        for s in &log.samples {
-            let lat = if s.outcome.is_sound() {
-                s.latency_us()
-            } else {
-                f64::INFINITY
-            };
-            let kind = if s.verb.is_write() {
-                &mut writes
-            } else {
-                &mut reads
-            };
-            kind.push((s.due_secs(), lat));
+        let origin = Instant::now();
+        let open = phase(
+            &mut conns,
+            &mut lanes,
+            &mut replies,
+            open_pacing(p, open_secs, origin),
+            origin,
+        );
+        fail_unanswered(&open, &mut report);
+        // Due times on one clock over every open-loop slice.
+        let offset = cycle as f64 * open_secs;
+        for log in &open {
+            for s in &log.samples {
+                lags.push(s.lag_us());
+                let lat = if s.outcome.is_sound() {
+                    s.latency_us()
+                } else {
+                    f64::INFINITY
+                };
+                let kind = if s.verb.is_write() {
+                    &mut writes
+                } else {
+                    &mut reads
+                };
+                kind.push((offset + s.due_secs(), lat));
+            }
+            reads.extend(std::iter::repeat_n(
+                (offset + open_secs, f64::INFINITY),
+                log.unanswered,
+            ));
         }
-        reads.extend(std::iter::repeat_n(
-            (open_secs, f64::INFINITY),
-            log.unanswered,
-        ));
+
+        // Crash images of the running service, recovered in between
+        // slices, so the recoveries also spread over the whole run.
+        tail(
+            cfg.workload,
+            &mut conns,
+            &mut lanes,
+            &service.engine,
+            &mut replies,
+            &mut report,
+        );
+        let acked = crash_image(&service.engine, &dirs);
+        for _ in 0..RECOVERIES_PER_CYCLE {
+            std::thread::sleep(ROUND_GAP);
+            recoveries.extend(recover_once(&cfg.exe, &dirs, acked, &mut report));
+        }
     }
     let rss = peak_rss_mb();
 
-    for (lane, log) in closed.iter().chain(&open).enumerate() {
-        if log.unanswered > 0 {
-            report.attempted += log.unanswered as u64;
-            report.fail_n(
-                log.unanswered as u64,
-                format!("lane {}: {} requests timed out", lane % 2, log.unanswered),
-            );
-        }
-    }
-
-    let mut flushed = None;
-    if cfg.workload == Workload::DurableChurn {
-        let [conn0, _] = &mut conns;
-        let [lane0, _] = &mut lanes;
-        let [replies0, _] = &mut replies;
-        flushed = Some(barrier_and_tail(
-            conn0,
-            lane0,
-            &service.engine,
-            replies0,
-            &mut report,
-        ));
-    }
+    let flushed = tail(
+        cfg.workload,
+        &mut conns,
+        &mut lanes,
+        &service.engine,
+        &mut replies,
+        &mut report,
+    );
     drop(conns);
     let applied = applied_writes(&service.engine);
-    let rec = crash_and_recover(service, &dirs, flushed, p.recoveries, &mut report);
-    for _ in 1..p.setups {
+    let acked = crash(service, &dirs, flushed, &mut report);
+
+    // Set-up rounds, each with one more recovery of the final crash
+    // image, over the rest of the run.
+    let deadline = Instant::now() + Duration::from_secs_f64(cfg.seconds * (1.0 - LOAD_SHARE));
+    while setups.len() <= MIN_ROUNDS || Instant::now() < deadline {
+        std::thread::sleep(ROUND_GAP);
+        recoveries.extend(recover_once(&cfg.exe, &dirs, acked, &mut report));
         std::thread::sleep(ROUND_GAP);
         let (s, secs) = set_up(&spec, &dirs, &mut report);
         setups.push(secs);
@@ -770,6 +909,7 @@ pub fn run(cfg: &Config) -> Report {
     let session = Spec::generate(cfg.workload, cfg.seed).session;
     verify(&spec, &session, &replies, &mut report);
 
+    let rec_secs: Vec<f64> = recoveries.iter().map(|r| r.secs).collect();
     let n_setup = setups.len();
     report.metric(
         "setup_s",
@@ -786,13 +926,14 @@ pub fn run(cfg: &Config) -> Report {
         median(&rates),
         "req/s",
         format!(
-            "(median of {} windows; {completed} replies, window {} x 2 connections)",
+            "(median of {} windows over {cycles} slices; {completed} replies, windows {:?})",
             rates.len(),
-            p.window
+            p.windows
         ),
     );
+    let open_total = open_secs * cycles as f64;
     for (kind, xs) in [("read", &reads), ("write", &writes)] {
-        let per_window = windows(xs, open_secs);
+        let per_window = windows(xs, open_total);
         let p50s: Vec<f64> = per_window.iter().map(|w| quantile(w, 0.5)).collect();
         let p99s: Vec<f64> = per_window.iter().map(|w| quantile(w, 0.99)).collect();
         let all: Vec<f64> = xs.iter().map(|&(_, l)| l).collect();
@@ -823,11 +964,14 @@ pub fn run(cfg: &Config) -> Report {
     ));
     report.metric(
         "recovery_s",
-        rec.recovery_s,
+        quantile(&rec_secs, RECOVERY_QUANTILE),
         "s",
         format!(
-            "(10th percentile of {}, {} ops replayed)",
-            p.recoveries, rec.replayed_ops
+            "(5th percentile of {}, quartiles {:.4} to {:.4} s; {} ops replayed)",
+            rec_secs.len(),
+            quantile(&rec_secs, 0.25),
+            quantile(&rec_secs, 0.75),
+            recoveries.last().map_or(0, |r| r.replayed_ops)
         ),
     );
     report.metric("peak_rss_mb", rss, "MB", String::new());
@@ -938,7 +1082,16 @@ pub fn run_traced(cfg: &Config) -> Report {
         fail_unsound("open-loop", replies, log.unanswered, &mut report);
     }
     drop(conns);
-    let rec = crash_and_recover(service, &dirs, None, p.recoveries, &mut report);
+    let acked = crash(service, &dirs, None, &mut report);
+    let rounds: Vec<Recovery> = (0..TRACE_RECOVERIES)
+        .filter_map(|_| {
+            std::thread::sleep(ROUND_GAP);
+            recover_once(&cfg.exe, &dirs, acked, &mut report)
+        })
+        .collect();
+    let recovery_s = median(&rounds.iter().map(|r| r.secs).collect::<Vec<_>>());
+    let load_s = median(&rounds.iter().map(|r| r.load_s).collect::<Vec<_>>());
+    let replayed_ops = rounds.last().map_or(0, |r| r.replayed_ops);
 
     // The same sequence in-process, untraced and traced, each on a
     // fresh engine and shadow.
@@ -1166,21 +1319,21 @@ pub fn run_traced(cfg: &Config) -> Report {
     );
     report.metric(
         "storage.load_s",
-        rec.load_s,
+        load_s,
         "s",
-        format!("(10th percentile of {})", p.recoveries),
+        format!("(median of {TRACE_RECOVERIES})"),
     );
     report.metric(
         "storage.replayed_ops",
-        rec.replayed_ops as f64,
+        replayed_ops as f64,
         "count",
         String::new(),
     );
     report.metric(
         "engine.replay_s",
-        rec.recovery_s - rec.load_s,
+        recovery_s - load_s,
         "s",
-        format!("(recovery {:.4} s minus load)", rec.recovery_s),
+        format!("(recovery {recovery_s:.4} s minus load, medians)"),
     );
     report.metric(
         "trace.overhead_pct",

@@ -77,6 +77,7 @@ fn traced_run_writes_consistent_spans_and_layer_summary() {
         seconds: 1.0,
         trace: true,
         out_dir: out_dir.clone(),
+        exe: PathBuf::from(env!("CARGO_BIN_EXE_perfbench")),
     });
     assert_eq!(report.failed, 0, "{:?}", report.problems);
     let metrics: BTreeMap<&str, f64> = report
