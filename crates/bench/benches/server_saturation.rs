@@ -1,5 +1,6 @@
 //! Connection saturation (experiment A15, extends A8): how many
-//! concurrent connections each front end sustains at bounded latency.
+//! concurrent connections the event-loop front end sustains at bounded
+//! latency.
 //!
 //! A8 measures peak throughput with one saturating connection per
 //! worker. This experiment holds the worker pool fixed (4) and grows the
@@ -11,16 +12,13 @@
 //! records per-request latency plus the time from connect to its first
 //! reply (admission latency).
 //!
-//! The thread-per-connection (blocking) front end can only admit
-//! `workers` connections at once: connection `workers + 1` sits in the
-//! pool queue until an earlier client *disconnects*, so its first-reply
-//! latency is the tail of someone else's whole session, and grows
-//! without bound as the fleet grows. The event loop multiplexes every
-//! connection over the same pool, so admission stays flat and p99 only
-//! reflects honest queueing (requests in flight / pool capacity).
+//! The event loop multiplexes every connection over the same pool, so
+//! admission stays flat and p99 only reflects honest queueing (requests
+//! in flight / pool capacity). `EXPERIMENTS.md` (experiment A15) keeps
+//! the last comparison against the retired thread-per-connection front
+//! end, which could admit only `workers` connections at once.
 //!
-//! Run with `cargo bench -p magik-bench --bench server_saturation`;
-//! numbers are recorded in `EXPERIMENTS.md` (experiment A15).
+//! Run with `cargo bench -p magik-bench --bench server_saturation`.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -43,8 +41,8 @@ const REQS_PER_CONN: usize = 50;
 /// here, and what grows is contention, not saturation.
 const THINK: Duration = Duration::from_millis(10);
 
-/// Concurrent-connection fleet sizes. The largest is 32× the blocking
-/// front end's admission ceiling (= `WORKERS`).
+/// Concurrent-connection fleet sizes. The largest is 32× the worker
+/// count.
 const FLEETS: [usize; 4] = [4, 16, 64, 128];
 
 const TCS: [&str; 2] = [
@@ -138,7 +136,7 @@ fn micros(d: Duration) -> f64 {
     d.as_secs_f64() * 1e6
 }
 
-fn report(front_end: &str, conns: usize, samples: &[Sample]) {
+fn report(conns: usize, samples: &[Sample]) {
     let mut all: Vec<Duration> = samples.iter().flat_map(|s| s.latencies.clone()).collect();
     all.sort_unstable();
     let admit_worst = samples
@@ -147,7 +145,7 @@ fn report(front_end: &str, conns: usize, samples: &[Sample]) {
         .max()
         .expect("nonempty fleet");
     println!(
-        "{front_end:<10} conns={conns:<4} p50={:>8.1}us p99={:>9.1}us max={:>9.1}us admit_worst={:>10.1}us",
+        "event_loop conns={conns:<4} p50={:>8.1}us p99={:>9.1}us max={:>9.1}us admit_worst={:>10.1}us",
         micros(quantile(&all, 0.50)),
         micros(quantile(&all, 0.99)),
         micros(*all.last().expect("nonempty")),
@@ -167,17 +165,10 @@ fn main() {
         "A15 server saturation: {WORKERS} workers, {reqs} cached checks per \
          connection, {THINK:?} think time"
     );
-    for front_end in ["event_loop", "blocking"] {
-        for &conns in fleets {
-            let server = if front_end == "event_loop" {
-                Server::start(Arc::clone(&engine), "127.0.0.1:0", WORKERS)
-            } else {
-                Server::start_blocking(Arc::clone(&engine), "127.0.0.1:0", WORKERS)
-            }
-            .expect("bind");
-            let samples = drive(server.local_addr(), conns, reqs);
-            report(front_end, conns, &samples);
-            server.stop();
-        }
+    for &conns in fleets {
+        let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", WORKERS).expect("bind");
+        let samples = drive(server.local_addr(), conns, reqs);
+        report(conns, &samples);
+        server.stop();
     }
 }

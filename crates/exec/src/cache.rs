@@ -1,61 +1,62 @@
-//! An LRU cache of compiled plans.
+//! A small, exact LRU cache with hit/miss counters.
 //!
-//! Compiling a plan is cheap but not free (greedy ordering is quadratic in
-//! the body size), and on hot paths — the server answering the same
-//! canonical query under churning data epochs, fixpoints re-entered per
-//! increment — the same body is compiled over and over. The cache stores
-//! [`CompiledQuery`]s behind [`Arc`] so hits share one allocation, and
-//! counts hits/misses so the server can export a plan-cache hit rate next
-//! to its verdict- and answer-cache rates.
+//! One type backs every cache of the system: the server engine's verdict,
+//! answer, `why`, state-analysis and plan caches. Capacities are small
+//! (hundreds to thousands of entries), so eviction does a linear
+//! minimum-stamp scan — O(capacity), branch-free, and with no linked-list
+//! bookkeeping to get wrong. At these capacities the scan is far cheaper
+//! than the completeness check or plan compilation a hit saves.
 //!
-//! # Invalidation
+//! # Plans
 //!
-//! A cached plan stays *correct* under data changes — statistics drive
-//! only atom ordering — so data-epoch bumps do not clear the cache; the
-//! entry ages out through normal LRU pressure. Keys must capture
-//! everything answer-relevant (the server keys on the canonical query
-//! form, whose equality implies query equivalence), and the owner must
-//! [`clear`](PlanCache::clear) on events that remap interned ids, e.g. the
-//! server's TCS/vocabulary epoch bumps.
+//! [`PlanCache`] stores [`CompiledQuery`]s behind [`Arc`] so hits share
+//! one allocation. A cached plan stays *correct* under data changes —
+//! statistics drive only atom ordering — so data-epoch bumps do not clear
+//! the cache; the entry ages out through normal LRU pressure. Keys must
+//! capture everything answer-relevant (the server keys on the canonical
+//! query form, whose equality implies query equivalence), and the owner
+//! must [`clear`](LruCache::clear) on events that remap interned ids,
+//! e.g. the server's TCS/vocabulary epoch bumps.
 
+use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::compiled::CompiledQuery;
 
-/// An exact LRU cache of shared compiled queries, with hit/miss counters.
-///
-/// Eviction scans for the minimum recency stamp — O(capacity), the same
-/// trade the server's verdict caches make: at a few hundred entries the
-/// scan is far cheaper than one plan compilation it saves.
+/// An exact least-recently-used cache with a fixed capacity and lifetime
+/// hit/miss counters.
 #[derive(Debug, Clone)]
-pub struct PlanCache<K> {
+pub struct LruCache<K, V> {
     cap: usize,
     tick: u64,
-    map: std::collections::HashMap<K, (Arc<CompiledQuery>, u64)>,
+    map: HashMap<K, (V, u64)>,
     hits: u64,
     misses: u64,
 }
 
-impl<K: Eq + Hash + Clone> PlanCache<K> {
-    /// Creates a cache holding at most `cap` plans (`cap >= 1`).
+/// An LRU cache of shared compiled queries.
+pub type PlanCache<K> = LruCache<K, Arc<CompiledQuery>>;
+
+impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
+    /// Creates a cache holding at most `cap` entries (`cap >= 1`).
     pub fn new(cap: usize) -> Self {
-        PlanCache {
+        LruCache {
             cap: cap.max(1),
             tick: 0,
-            map: std::collections::HashMap::new(),
+            map: HashMap::new(),
             hits: 0,
             misses: 0,
         }
     }
 
     /// Looks up `key`, refreshing its recency and counting a hit or miss.
-    pub fn get(&mut self, key: &K) -> Option<Arc<CompiledQuery>> {
+    pub fn get(&mut self, key: &K) -> Option<V> {
         self.tick += 1;
         let tick = self.tick;
         let found = self.map.get_mut(key).map(|(v, stamp)| {
             *stamp = tick;
-            Arc::clone(v)
+            v.clone()
         });
         if found.is_some() {
             self.hits += 1;
@@ -65,9 +66,9 @@ impl<K: Eq + Hash + Clone> PlanCache<K> {
         found
     }
 
-    /// Inserts `key → plan`, evicting the least recently used entry if the
-    /// cache is full.
-    pub fn insert(&mut self, key: K, plan: Arc<CompiledQuery>) {
+    /// Inserts `key → value`, evicting the least recently used entry if
+    /// the cache is full.
+    pub fn insert(&mut self, key: K, value: V) {
         self.tick += 1;
         if !self.map.contains_key(&key) && self.map.len() >= self.cap {
             if let Some(oldest) = self
@@ -79,17 +80,17 @@ impl<K: Eq + Hash + Clone> PlanCache<K> {
                 self.map.remove(&oldest);
             }
         }
-        self.map.insert(key, (plan, self.tick));
+        self.map.insert(key, (value, self.tick));
     }
 
     /// Iterates the cached entries (unspecified order) without touching
     /// recency or the hit/miss counters — the server's plan-introspection
-    /// endpoint walks this to report each entry's operator choices.
-    pub fn entries(&self) -> impl Iterator<Item = (&K, &Arc<CompiledQuery>)> {
+    /// endpoint walks this to report each plan's operator choices.
+    pub fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
         self.map.iter().map(|(k, (v, _))| (k, v))
     }
 
-    /// The number of cached plans.
+    /// The number of cached entries.
     pub fn len(&self) -> usize {
         self.map.len()
     }
@@ -99,7 +100,7 @@ impl<K: Eq + Hash + Clone> PlanCache<K> {
         self.map.is_empty()
     }
 
-    /// Lifetime hit count (hits survive [`clear`](PlanCache::clear)).
+    /// Lifetime hit count (hits survive [`clear`](LruCache::clear)).
     pub fn hits(&self) -> u64 {
         self.hits
     }
@@ -109,8 +110,9 @@ impl<K: Eq + Hash + Clone> PlanCache<K> {
         self.misses
     }
 
-    /// Drops every cached plan, keeping the hit/miss counters. Call on
-    /// events that remap interned ids (vocabulary or TCS epoch bumps).
+    /// Drops every entry, keeping the hit/miss counters (e.g. on an epoch
+    /// bump, where stale keys can never be queried again and would only
+    /// occupy capacity).
     pub fn clear(&mut self) {
         self.map.clear();
     }
@@ -124,6 +126,39 @@ mod tests {
     fn trivial_plan(v: &mut Vocabulary, name: &str) -> Arc<CompiledQuery> {
         let q = Query::boolean(v.sym(name), vec![]);
         Arc::new(CompiledQuery::compile(&q, None).unwrap())
+    }
+
+    #[test]
+    fn evicts_least_recently_used() {
+        let mut c = LruCache::new(2);
+        c.insert("a", 1);
+        c.insert("b", 2);
+        assert_eq!(c.get(&"a"), Some(1)); // refresh "a"; "b" is now LRU
+        c.insert("c", 3);
+        assert_eq!(c.get(&"b"), None);
+        assert_eq!(c.get(&"a"), Some(1));
+        assert_eq!(c.get(&"c"), Some(3));
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn reinsert_updates_in_place() {
+        let mut c = LruCache::new(2);
+        c.insert("a", 1);
+        c.insert("a", 10);
+        c.insert("b", 2);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.get(&"a"), Some(10));
+    }
+
+    #[test]
+    fn clear_empties() {
+        let mut c = LruCache::new(4);
+        c.insert(1, 1);
+        c.insert(2, 2);
+        c.clear();
+        assert!(c.is_empty());
+        assert_eq!(c.get(&1), None);
     }
 
     #[test]

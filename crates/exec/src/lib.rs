@@ -16,9 +16,9 @@
 //!   delta-mode execution, the building block of the Datalog engine;
 //! * [`match_ground`] — pivot matching: unifies a ground fact with an atom
 //!   pattern to produce the seed bindings of a delta run;
-//! * [`PlanCache`] — a small LRU of shared [`CompiledQuery`]s with
-//!   hit/miss counters, used by the server engine keyed on canonical query
-//!   forms;
+//! * [`LruCache`] — a small exact LRU with hit/miss counters, behind
+//!   every cache of the server engine; [`PlanCache`] is the one holding
+//!   shared [`CompiledQuery`]s keyed on canonical query forms;
 //! * [`explain_text`] / [`explain_json`] — human- and machine-readable
 //!   renderings of a plan and its execution counters, backing the CLI's
 //!   `explain-plan` command;
@@ -36,7 +36,7 @@ mod executor;
 mod explain;
 pub mod reference;
 
-pub use cache::PlanCache;
+pub use cache::{LruCache, PlanCache};
 pub use compiled::{match_ground, CompiledBody, CompiledQuery};
 pub use executor::{available_parallelism, partition, Executor, PoolCounters, ThreadPool};
 pub use explain::{explain_json, explain_text};

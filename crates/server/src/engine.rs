@@ -21,7 +21,8 @@
 //!   briefly serializes on the vocabulary; it is released (or cloned, for
 //!   `specialize`) before any expensive reasoning. Acquired before
 //!   `writer` when both are needed.
-//! * per-cache `Mutex`es — held only for the probe/insert itself.
+//! * one `Mutex` per cache ([`Cache`]) — held only for the probe or
+//!   insert itself.
 //!
 //! # Epochs and caching
 //!
@@ -54,6 +55,7 @@
 //! search fan out over it when it is pooled ([`Engine::with_session_on`]).
 //! The default is sequential, which embeds cleanly in tests and tools.
 
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::Ordering;
 use std::sync::{Mutex, MutexGuard};
@@ -66,7 +68,7 @@ use magik_completeness::{
     ConstraintSet, KMcsOptions, TcSet,
 };
 use magik_datalog::Materialized;
-use magik_exec::{CompiledQuery, ExecStats, Executor, PlanCache};
+use magik_exec::{CompiledQuery, ExecStats, Executor, LruCache};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
 use magik_relalg::{Answer, DisplayWith, Fact, Instance, Pred, Snapshot, Vocabulary};
 use magik_storage::{
@@ -75,9 +77,8 @@ use magik_storage::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::cache::LruCache;
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
-use crate::metrics::{Metrics, Op};
+use crate::metrics::{CacheCounts, Metrics, Op};
 use crate::replication::ReplicationHub;
 
 /// Default capacity of the verdict cache.
@@ -93,12 +94,73 @@ const ANALYSIS_CACHE_CAP: usize = 8;
 /// Default capacity of the certified-verdict (`why`) cache.
 const WHY_CACHE_CAP: usize = 256;
 
-/// The state-analysis cache: the rendered `analyze state` reply, keyed
-/// by the `(tcs_epoch, data_epoch)` pair it was computed against. The
-/// live-session diagnostics (M018–M024) depend on the TCS set *and* the
-/// stored facts, so either epoch bump makes the old key unreachable —
-/// invalidation rides the existing writer-mutex mutation path for free.
-type AnalysisCache = LruCache<(u64, u64), String>;
+/// Locks `mutex`, recovering from poison instead of propagating it. A
+/// handler that panicked while holding a lock must not become a
+/// permanent denial of service — `Mutex::lock` returns `Err` forever
+/// after a poisoning panic, so propagating it would fail *every*
+/// subsequent request. `on_poison` repairs the guarded state where the
+/// abandoned value cannot be trusted (caches are cleared; see
+/// [`Cache`]); every recovery is counted in the `lock.poisoned` metric.
+fn lock_recovering<'a, T>(
+    mutex: &'a Mutex<T>,
+    metrics: &Metrics,
+    on_poison: fn(&mut T),
+) -> MutexGuard<'a, T> {
+    match mutex.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => {
+            mutex.clear_poison();
+            let mut guard = poisoned.into_inner();
+            on_poison(&mut guard);
+            metrics.record_lock_poisoned();
+            guard
+        }
+    }
+}
+
+/// One engine cache: an exact [`LruCache`] behind its own mutex, held
+/// only for a probe or an insert. A poisoned lock is recovered by
+/// **clearing** the cache — an entry half-inserted by a panicking thread
+/// must never be served, and a cold cache costs only recomputation. Hits
+/// and misses are the LRU's own counters, which survive the clear.
+#[derive(Debug)]
+struct Cache<K, V> {
+    lru: Mutex<LruCache<K, V>>,
+    /// Where poison recoveries are counted.
+    metrics: Arc<Metrics>,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
+    fn new(cap: usize, metrics: &Arc<Metrics>) -> Self {
+        Cache {
+            lru: Mutex::new(LruCache::new(cap)),
+            metrics: Arc::clone(metrics),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, LruCache<K, V>> {
+        lock_recovering(&self.lru, &self.metrics, LruCache::clear)
+    }
+
+    /// Probes `key`, counting a hit or a miss.
+    fn get(&self, key: &K) -> Option<V> {
+        self.lock().get(key)
+    }
+
+    fn insert(&self, key: K, value: V) {
+        self.lock().insert(key, value);
+    }
+
+    fn clear(&self) {
+        self.lock().clear();
+    }
+
+    /// Lifetime `(hits, misses)`.
+    fn counts(&self) -> (u64, u64) {
+        let lru = self.lock();
+        (lru.hits(), lru.misses())
+    }
+}
 
 /// The writer's mutable master state, guarded by the engine's writer
 /// mutex. Mutations edit it in place, then [`WriterState::publish`] a
@@ -184,21 +246,26 @@ pub struct Engine {
     /// only to clone the `Arc`; writers (holding the writer mutex)
     /// lock it only to store the next snapshot.
     current: Mutex<Arc<StateSnapshot>>,
-    verdicts: Mutex<LruCache<(CanonicalQuery, u64), bool>>,
-    answer_cache: Mutex<LruCache<(CanonicalQuery, u64), Vec<Answer>>>,
-    /// Cached `analyze state` replies; see [`AnalysisCache`].
-    analysis: Mutex<AnalysisCache>,
+    verdicts: Cache<(CanonicalQuery, u64), bool>,
+    answer_cache: Cache<(CanonicalQuery, u64), Vec<Answer>>,
+    /// Cached `analyze state` replies, keyed by the `(tcs_epoch,
+    /// data_epoch)` pair they were computed against. The live-session
+    /// diagnostics (M018–M024) depend on the TCS set *and* the stored
+    /// facts, so either epoch bump makes the old key unreachable —
+    /// invalidation rides the existing writer-mutex mutation path for
+    /// free.
+    analysis: Cache<(u64, u64), String>,
     /// Cached `why` replies (rendered, already-validated certificates).
     /// A certificate itself depends only on the query and the TCS set,
     /// but the key conservatively carries both epochs so any mutation
     /// makes the old entry unreachable, matching the protocol contract
     /// that `why` replies are stable per `(tcs_epoch, data_epoch)`.
-    why_cache: Mutex<LruCache<(CanonicalQuery, u64, u64), String>>,
+    why_cache: Cache<(CanonicalQuery, u64, u64), String>,
     /// Compiled plans keyed by canonical query form alone: canonical
     /// equality implies query equivalence, so a cached plan stays correct
     /// across data-epoch bumps (statistics drift affects only speed). The
     /// cache is cleared on TCS/vocabulary-shaping events (`compl`).
-    plans: Mutex<PlanCache<CanonicalQuery>>,
+    plans: Cache<CanonicalQuery, Arc<CompiledQuery>>,
     metrics: Arc<Metrics>,
     /// The optional durability layer ([`Engine::open_durable`]): WAL
     /// appended under the writer mutex before every applied mutation,
@@ -261,16 +328,17 @@ impl Engine {
         };
         writer.rebuild_tc(&mut vocab, &exec);
         let current = writer.publish();
+        let metrics = Arc::new(Metrics::new());
         Engine {
             vocab: Mutex::new(vocab),
             writer: Mutex::new(writer),
             current: Mutex::new(current),
-            verdicts: Mutex::new(LruCache::new(VERDICT_CACHE_CAP)),
-            answer_cache: Mutex::new(LruCache::new(ANSWER_CACHE_CAP)),
-            analysis: Mutex::new(AnalysisCache::new(ANALYSIS_CACHE_CAP)),
-            why_cache: Mutex::new(LruCache::new(WHY_CACHE_CAP)),
-            plans: Mutex::new(PlanCache::new(PLAN_CACHE_CAP)),
-            metrics: Arc::new(Metrics::new()),
+            verdicts: Cache::new(VERDICT_CACHE_CAP, &metrics),
+            answer_cache: Cache::new(ANSWER_CACHE_CAP, &metrics),
+            analysis: Cache::new(ANALYSIS_CACHE_CAP, &metrics),
+            why_cache: Cache::new(WHY_CACHE_CAP, &metrics),
+            plans: Cache::new(PLAN_CACHE_CAP, &metrics),
+            metrics,
             durability: None,
             checkpointer: None,
             exec,
@@ -359,37 +427,11 @@ impl Engine {
         Ok(engine)
     }
 
-    /// Locks an engine mutex, recovering from poison instead of
-    /// propagating it. A handler that panicked while holding a lock must
-    /// not become a permanent denial of service — `Mutex::lock` returns
-    /// `Err` forever after a poisoning panic, and the old `.expect(...)`
-    /// calls turned that into a panic on *every* subsequent request.
-    /// `on_poison` repairs the guarded state where the abandoned value
-    /// cannot be trusted (caches are cleared; see the per-lock
-    /// accessors); every recovery is counted in the `lock.poisoned`
-    /// metric.
-    fn lock_recovering<'a, T>(
-        &self,
-        mutex: &'a Mutex<T>,
-        on_poison: fn(&mut T),
-    ) -> MutexGuard<'a, T> {
-        match mutex.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                mutex.clear_poison();
-                let mut guard = poisoned.into_inner();
-                on_poison(&mut guard);
-                self.metrics.record_lock_poisoned();
-                guard
-            }
-        }
-    }
-
     /// The vocabulary, poison-recovering: interning is append-only, so
     /// state abandoned mid-parse is at worst a superset of the names any
     /// request needs — safe to keep.
     fn lock_vocab(&self) -> MutexGuard<'_, Vocabulary> {
-        self.lock_recovering(&self.vocab, |_| {})
+        lock_recovering(&self.vocab, &self.metrics, |_| {})
     }
 
     /// The writer state, poison-recovering. Mutations publish only at
@@ -397,42 +439,14 @@ impl Engine {
     /// the last *published* snapshot (what every reader sees) intact;
     /// keeping the master copy is the availability-preserving choice.
     fn lock_writer(&self) -> MutexGuard<'_, WriterState> {
-        self.lock_recovering(&self.writer, |_| {})
+        lock_recovering(&self.writer, &self.metrics, |_| {})
     }
 
     /// The snapshot swap point, poison-recovering: it only ever holds a
     /// fully published `Arc`, swapped atomically, so the value is valid
     /// no matter where a holder panicked.
     fn lock_current(&self) -> MutexGuard<'_, Arc<StateSnapshot>> {
-        self.lock_recovering(&self.current, |_| {})
-    }
-
-    /// The verdict cache, poison-recovering by **clearing**: an entry
-    /// half-inserted by a panicking thread must never be served, and a
-    /// cold cache costs only recomputation.
-    fn lock_verdicts(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64), bool>> {
-        self.lock_recovering(&self.verdicts, LruCache::clear)
-    }
-
-    /// The answer cache, poison-recovering by clearing (see
-    /// [`Engine::lock_verdicts`]).
-    fn lock_answers(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64), Vec<Answer>>> {
-        self.lock_recovering(&self.answer_cache, LruCache::clear)
-    }
-
-    /// The state-analysis cache, poison-recovering by clearing.
-    fn lock_analysis(&self) -> MutexGuard<'_, AnalysisCache> {
-        self.lock_recovering(&self.analysis, LruCache::clear)
-    }
-
-    /// The `why` cache, poison-recovering by clearing.
-    fn lock_why(&self) -> MutexGuard<'_, LruCache<(CanonicalQuery, u64, u64), String>> {
-        self.lock_recovering(&self.why_cache, LruCache::clear)
-    }
-
-    /// The plan cache, poison-recovering by clearing.
-    fn lock_plans(&self) -> MutexGuard<'_, PlanCache<CanonicalQuery>> {
-        self.lock_recovering(&self.plans, PlanCache::clear)
+        lock_recovering(&self.current, &self.metrics, |_| {})
     }
 
     /// Seeds the epoch counters from a recovered checkpoint and
@@ -652,11 +666,18 @@ impl Engine {
             "why" => (Op::Why, self.req_why(rest)),
             "metrics" => {
                 let c = self.exec.counters();
+                let caches = CacheCounts {
+                    verdict: self.verdicts.counts(),
+                    answer: self.answer_cache.counts(),
+                    plan: self.plans.counts(),
+                    analysis: self.analysis.counts(),
+                    cert: self.why_cache.counts(),
+                };
                 (
                     Op::Other,
                     Ok(format!(
                         "ok {} runtime.tasks={} runtime.steals={} pool.panics={}",
-                        self.metrics.render(),
+                        self.metrics.render(&caches),
                         c.tasks,
                         c.steals,
                         c.panics
@@ -668,7 +689,7 @@ impl Engine {
                 // per cached entry, recording the join operator the cost
                 // model chose for each join op of the plan.
                 let vocab = self.lock_vocab();
-                let plans = self.lock_plans();
+                let plans = self.plans.lock();
                 let mut items: Vec<String> = plans
                     .entries()
                     .map(|(_, p)| {
@@ -713,13 +734,11 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon, snap.tcs_epoch);
-        if let Some(verdict) = self.lock_verdicts().get(&key) {
-            self.metrics.verdict_probe(true);
+        if let Some(verdict) = self.verdicts.get(&key) {
             return Ok(render_verdict(verdict));
         }
-        self.metrics.verdict_probe(false);
         let verdict = is_complete(&q, &snap.tcs);
-        self.lock_verdicts().insert(key, verdict);
+        self.verdicts.insert(key, verdict);
         Ok(render_verdict(verdict))
     }
 
@@ -735,11 +754,9 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon, snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.lock_why().get(&key) {
-            self.metrics.cert_probe(true);
+        if let Some(reply) = self.why_cache.get(&key) {
             return Ok(reply);
         }
-        self.metrics.cert_probe(false);
         let cert = certify(&q, &snap.tcs);
         let statements = cert_statements(&snap.tcs);
         let valid = check_certificate(&q, &statements, &cert).is_ok();
@@ -773,7 +790,7 @@ impl Engine {
                 }
             }
         };
-        self.lock_why().insert(key, reply.clone());
+        self.why_cache.insert(key, reply.clone());
         Ok(reply)
     }
 
@@ -838,14 +855,10 @@ impl Engine {
         let canon = CanonicalQuery::of(&q);
         let snap = self.snapshot();
         let key = (canon.clone(), snap.data_epoch);
-        let cached = self.lock_answers().get(&key);
-        self.metrics.answer_probe(cached.is_some());
-        let answer_list = match cached {
+        let answer_list = match self.answer_cache.get(&key) {
             Some(list) => list,
             None => {
-                let plan = self.lock_plans().get(&canon);
-                self.metrics.plan_probe(plan.is_some());
-                let plan = match plan {
+                let plan = match self.plans.get(&canon) {
                     Some(plan) => plan,
                     None => {
                         // Failed compiles (unsafe queries) are not cached:
@@ -853,7 +866,7 @@ impl Engine {
                         let compiled = CompiledQuery::compile(&q, Some(&snap.db))
                             .map_err(|e| ("eval", format!("{e:?}")))?;
                         let plan = Arc::new(compiled);
-                        self.lock_plans().insert(canon, Arc::clone(&plan));
+                        self.plans.insert(canon, Arc::clone(&plan));
                         plan
                     }
                 };
@@ -867,7 +880,7 @@ impl Engine {
                     (stats.join_nested, stats.join_hash, stats.join_merge),
                 );
                 let list: Vec<Answer> = set.into_iter().collect();
-                self.lock_answers().insert(key, list.clone());
+                self.answer_cache.insert(key, list.clone());
                 list
             }
         };
@@ -950,8 +963,8 @@ impl Engine {
         // dropped too: `compl` is the one request that reshapes the
         // session's predicate landscape, and a cold plan cache costs only
         // one recompile per canonical query.
-        self.lock_verdicts().clear();
-        self.lock_plans().clear();
+        self.verdicts.clear();
+        self.plans.clear();
         let epoch = writer.tcs_epoch;
         drop(writer);
         drop(vocab);
@@ -978,8 +991,8 @@ impl Engine {
     /// * `analyze <query>` — the per-query diagnostics (M006–M010).
     /// * `analyze state` — the live-session diagnostics (M018–M024) over
     ///   the TCS set *and* the stored instance; cached per
-    ///   `(tcs_epoch, data_epoch)` (see [`AnalysisCache`]), so repeated
-    ///   requests at an unchanged epoch are cache hits.
+    ///   `(tcs_epoch, data_epoch)`, so repeated requests at an unchanged
+    ///   epoch are cache hits.
     /// * `analyze state <query>` — the trivially-incomplete check (M022)
     ///   for a concrete query against the live statement set.
     ///
@@ -1021,17 +1034,15 @@ impl Engine {
     fn analyze_state_cached(&self) -> Result<String, (&'static str, String)> {
         let snap = self.snapshot();
         let key = (snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.lock_analysis().get(&key) {
-            self.metrics.analysis_probe(true);
+        if let Some(reply) = self.analysis.get(&key) {
             return Ok(reply);
         }
-        self.metrics.analysis_probe(false);
         let facts: Vec<Fact> = snap.db.iter_facts().collect();
         let vocab = self.lock_vocab();
         let diags = analyze_state(&snap.tcs, &ConstraintSet::default(), &facts, &vocab);
         drop(vocab);
         let reply = render_diags(&diags);
-        self.lock_analysis().insert(key, reply.clone());
+        self.analysis.insert(key, reply.clone());
         Ok(reply)
     }
 
@@ -1409,49 +1420,153 @@ mod tests {
         e.handle("assert edge(a, b).");
         assert_eq!(e.handle("retract edge(a, b)."), "ok retracted");
         let metrics = e.handle("metrics");
-        let field = |name: &str| {
-            metrics
-                .split_whitespace()
-                .find_map(|kv| kv.strip_prefix(name))
-                .and_then(|v| v.strip_prefix('='))
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or_else(|| panic!("{name} missing in {metrics}"))
-        };
         // The ideal copy of edge(a,b) and everything it derived was
         // over-deleted; nothing else derives it, so nothing comes back.
-        assert!(field("dred.overdeleted") >= 1, "{metrics}");
-        assert_eq!(field("dred.rederived"), 0, "{metrics}");
+        assert!(field(&metrics, "dred.overdeleted") >= 1, "{metrics}");
+        assert_eq!(field(&metrics, "dred.rederived"), 0, "{metrics}");
+    }
+
+    /// Panics on another thread while holding `cache`'s lock, as a buggy
+    /// handler on another worker would.
+    fn poison<K: Send, V: Send>(cache: &Cache<K, V>) {
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _guard = cache.lru.lock().unwrap();
+                    panic!("die holding a cache lock");
+                })
+                .join();
+        });
+    }
+
+    /// The `name=<u64>` field of a `metrics` reply.
+    fn field(metrics: &str, name: &str) -> u64 {
+        metrics
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+            .unwrap_or_else(|| panic!("{name} missing in {metrics}"))
     }
 
     #[test]
     fn poisoned_cache_lock_is_recovered_not_fatal() {
-        let e = Arc::new(paper_engine());
-        let q = "check q(N) :- pupil(N, C, S), school(S, primary, merano).";
-        assert_eq!(e.handle(q), "ok complete");
-        // Panic while holding the verdict-cache lock, as a buggy handler
-        // on another worker would.
-        let holder = Arc::clone(&e);
-        let _ = std::thread::spawn(move || {
-            let _guard = holder.verdicts.lock().unwrap();
-            panic!("die holding the verdict cache lock");
-        })
-        .join();
-        // Pre-fix this panicked on `.expect("cache lock")` — every later
-        // request hitting the cache died, a permanent denial of service
-        // from one handler panic. Post-fix the lock is reclaimed, the
-        // cache cleared, and the request served.
-        assert_eq!(e.handle(q), "ok complete");
-        let metrics = e.handle("metrics");
-        assert!(metrics.contains("lock.poisoned=1"), "{metrics}");
-        // The recovered cache was cleared: the reply above was a miss,
-        // not a stale (possibly half-inserted) entry.
-        assert!(metrics.contains("verdict_cache.misses=2"), "{metrics}");
-        // Recovery is per-incident, not permanent degradation: the next
-        // probe hits again.
-        assert_eq!(e.handle(q), "ok complete");
-        let metrics = e.handle("metrics");
-        assert!(metrics.contains("verdict_cache.hits=1"), "{metrics}");
-        assert!(metrics.contains("lock.poisoned=1"), "{metrics}");
+        type Poison = fn(&Engine);
+        // Each cache in turn: its metrics prefix, the poisoning, and the
+        // requests that probe it. The plan case bumps the data epoch
+        // (leaving the data as it was) so its `eval` misses the answer
+        // cache and reaches the plan cache.
+        let cases: [(&str, Poison, &[&str]); 5] = [
+            (
+                "verdict_cache",
+                |e| poison(&e.verdicts),
+                &["check q(N) :- pupil(N, C, S), school(S, primary, merano)."],
+            ),
+            (
+                "answer_cache",
+                |e| poison(&e.answer_cache),
+                &["eval q(N) :- pupil(N, C, S)."],
+            ),
+            (
+                "cert.cache",
+                |e| poison(&e.why_cache),
+                &["why q(N) :- pupil(N, C, S), school(S, primary, merano)."],
+            ),
+            (
+                "analysis_cache",
+                |e| poison(&e.analysis),
+                &["analyze state"],
+            ),
+            (
+                "plan_cache",
+                |e| poison(&e.plans),
+                &[
+                    "assert pupil(zeno, c9, hofer).",
+                    "retract pupil(zeno, c9, hofer).",
+                    "eval q(N) :- pupil(N, C, S).",
+                ],
+            ),
+        ];
+        for (cache, poison, requests) in cases {
+            let e = paper_engine();
+            e.handle("assert pupil(anna, c1, hofer).");
+            let serve = || requests.iter().map(|r| e.handle(r)).last();
+            let reply = serve();
+            poison(&e);
+            // One handler panic must not deny service for good: the lock
+            // is reclaimed, the cache cleared, and the request served.
+            assert_eq!(serve(), reply, "{cache}");
+            let metrics = e.handle("metrics");
+            assert_eq!(field(&metrics, "lock.poisoned"), 1, "{cache}: {metrics}");
+            // The recovered cache was cleared: the reply above was a
+            // miss, not a stale (possibly half-inserted) entry.
+            assert_eq!(field(&metrics, &format!("{cache}.hits")), 0, "{metrics}");
+            assert_eq!(field(&metrics, &format!("{cache}.misses")), 2, "{metrics}");
+            // Recovery is per-incident, not permanent degradation: the
+            // next probe hits again.
+            assert_eq!(serve(), reply, "{cache}");
+            let metrics = e.handle("metrics");
+            assert_eq!(field(&metrics, &format!("{cache}.hits")), 1, "{metrics}");
+            assert_eq!(field(&metrics, "lock.poisoned"), 1, "{cache}: {metrics}");
+        }
+    }
+
+    #[test]
+    fn metrics_reply_field_layout_is_pinned() {
+        // Scrapers and the benchmark's traced run parse these names, so
+        // their set and order are part of the protocol.
+        let e = Engine::new();
+        let reply = e.handle("metrics");
+        let fields: Vec<&str> = reply
+            .strip_prefix("ok ")
+            .unwrap_or_else(|| panic!("{reply}"))
+            .split_whitespace()
+            .map(|kv| kv.split_once('=').map_or(kv, |(k, _)| k))
+            .collect();
+        assert_eq!(
+            fields,
+            [
+                "verdict_cache.hits",
+                "verdict_cache.misses",
+                "verdict_cache.rate",
+                "answer_cache.hits",
+                "answer_cache.misses",
+                "answer_cache.rate",
+                "plan_cache.hits",
+                "plan_cache.misses",
+                "plan_cache.rate",
+                "exec.probes",
+                "exec.scanned",
+                "exec.backtracks",
+                "exec.batch.count",
+                "exec.batch.rows",
+                "exec.join.nested",
+                "exec.join.hash",
+                "exec.join.merge",
+                "analysis_cache.hits",
+                "analysis_cache.misses",
+                "analysis_cache.rate",
+                "cert.cache.hits",
+                "cert.cache.misses",
+                "cert.cache.rate",
+                "cert.complete",
+                "cert.incomplete",
+                "dred.overdeleted",
+                "dred.rederived",
+                "wal.appends",
+                "wal.bytes",
+                "wal.fsyncs",
+                "checkpoint.count",
+                "checkpoint.duration_ms",
+                "recovery.replayed_ops",
+                "accept.errors",
+                "lock.poisoned",
+                "repl.shipped",
+                "repl.applied",
+                "repl.snapshots",
+                "runtime.tasks",
+                "runtime.steals",
+                "pool.panics",
+            ]
+        );
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //! clients may pipeline many requests and still match replies
 //! positionally.
 //!
-//! Compared to the blocking front end (`Server::start_blocking`), a
-//! connection here costs two buffers instead of a pool worker: thousands
-//! of idle or slow connections coexist with a handful of threads, and a
+//! A connection costs two buffers, not a pool worker: thousands of idle
+//! or slow connections coexist with a handful of threads, and a
 //! non-reading peer accumulates at most [`WBUF_GATE`] + one reply of
 //! bytes before its connection stops parsing (and, past
 //! [`WRITE_STALL_LIMIT`] without draining a byte, is dropped).
@@ -470,7 +469,7 @@ fn next_request(conn: &mut Conn) -> Parsed {
                 None if haystack.len() > MAX_LINE_BYTES => Parsed::Violation("err line too long"),
                 None if conn.read_closed && !haystack.is_empty() => {
                     // Unterminated final line before EOF counts as a
-                    // line, matching the blocking front end.
+                    // line.
                     let cmd = String::from_utf8_lossy(haystack).trim().to_string();
                     conn.rpos = conn.rbuf.len();
                     if cmd.is_empty() {

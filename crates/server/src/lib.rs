@@ -13,17 +13,15 @@
 //!   published as immutable snapshots behind a swap point, so read
 //!   requests evaluate without holding any lock — a slow `specialize`
 //!   never blocks a concurrent `check`, and writers proceed undisturbed.
-//! * [`Server`] — `std::net` front end: by default an event-loop reactor
-//!   (one thread multiplexes every connection over a non-blocking
-//!   poller, requests may be pipelined, and a length-prefixed binary
-//!   framing can be negotiated in-band), with the original
-//!   thread-per-connection path kept as [`Server::start_blocking`].
-//!   Grammar in `PROTOCOL.md`.
+//! * [`Server`] — `std::net` front end: an event-loop reactor (one
+//!   thread multiplexes every connection over a non-blocking poller,
+//!   requests may be pipelined, and a length-prefixed binary framing can
+//!   be negotiated in-band). Grammar in `PROTOCOL.md`.
 //! * [`ThreadPool`] — the shared `magik-runtime` work-stealing pool the
 //!   request handlers run on. The engine's *compute* pool (its
-//!   [`Executor`](magik_exec::Executor)) is a separate instance: blocking
-//!   connection handlers must never occupy the workers that reasoning
-//!   fan-outs need, and vice versa.
+//!   [`Executor`](magik_exec::Executor)) is a separate instance: request
+//!   handlers must never occupy the workers that reasoning fan-outs
+//!   need, and vice versa.
 //! * [`ServerConfig`] / [`ReplicaStatus`] / [`initial_sync`] /
 //!   [`run_replica`] — WAL log-shipping replication: a primary streams
 //!   its write-ahead log to read-only replicas from a snapshot-consistent
@@ -33,7 +31,8 @@
 //!   latency quantiles, reported by the `metrics` request (together with
 //!   the compute pool's `runtime.tasks`/`runtime.steals`/`pool.panics`
 //!   counters).
-//! * [`LruCache`] — the exact LRU underlying both caches.
+//! * [`LruCache`] — the exact LRU (from `magik-exec`) behind each of the
+//!   engine's caches, which report their own hits and misses.
 //! * [`Engine::open_durable`] / [`DurabilityOptions`] — the optional
 //!   durability layer (`magik-storage`): mutations are written ahead to a
 //!   CRC-framed WAL before they are applied, a background worker writes
@@ -62,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod cache;
 mod durability;
 mod engine;
 mod event_loop;
@@ -70,9 +68,9 @@ mod metrics;
 mod net;
 mod replication;
 
-pub use cache::LruCache;
 pub use durability::{DurabilityOptions, RecoveryReport};
 pub use engine::Engine;
+pub use magik_exec::LruCache;
 pub use magik_runtime::ThreadPool;
 pub use metrics::{Histogram, Metrics, Op};
 pub use net::{Server, ServerConfig};

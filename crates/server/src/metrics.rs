@@ -125,19 +125,20 @@ struct OpStats {
     hist: Histogram,
 }
 
+/// `(hits, misses)` of each engine cache, as [`Metrics::render`]
+/// reports them. The caches count these themselves.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct CacheCounts {
+    pub(crate) verdict: (u64, u64),
+    pub(crate) answer: (u64, u64),
+    pub(crate) plan: (u64, u64),
+    pub(crate) analysis: (u64, u64),
+    pub(crate) cert: (u64, u64),
+}
+
 #[derive(Debug, Default)]
 struct Inner {
     ops: [OpStats; OPS.len()],
-    verdict_hits: u64,
-    verdict_misses: u64,
-    answer_hits: u64,
-    answer_misses: u64,
-    plan_hits: u64,
-    plan_misses: u64,
-    analysis_hits: u64,
-    analysis_misses: u64,
-    cert_hits: u64,
-    cert_misses: u64,
     cert_complete: u64,
     cert_incomplete: u64,
     exec_probes: u64,
@@ -192,58 +193,6 @@ impl Metrics {
         stats.count += 1;
         stats.errors += u64::from(is_error);
         stats.hist.record(latency);
-    }
-
-    /// Records a verdict-cache probe outcome.
-    pub fn verdict_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.verdict_hits += 1;
-        } else {
-            inner.verdict_misses += 1;
-        }
-    }
-
-    /// Records an answer-cache probe outcome.
-    pub fn answer_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.answer_hits += 1;
-        } else {
-            inner.answer_misses += 1;
-        }
-    }
-
-    /// Records a plan-cache probe outcome.
-    pub fn plan_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.plan_hits += 1;
-        } else {
-            inner.plan_misses += 1;
-        }
-    }
-
-    /// Records a state-analysis-cache probe outcome (`analyze state` at
-    /// an unchanged epoch pair hits).
-    pub fn analysis_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.analysis_hits += 1;
-        } else {
-            inner.analysis_misses += 1;
-        }
-    }
-
-    /// Records a certificate-cache probe outcome (`why` at an unchanged
-    /// `(tcs_epoch, data_epoch)` pair hits).
-    pub fn cert_probe(&self, hit: bool) {
-        let mut inner = self.inner();
-        if hit {
-            inner.cert_hits += 1;
-        } else {
-            inner.cert_misses += 1;
-        }
     }
 
     /// Records the polarity of one freshly emitted (and validated)
@@ -337,9 +286,9 @@ impl Metrics {
 
     /// Renders all metrics as one line of `key=value` fields: per-op
     /// `<op>.count/.err/.p50us/.p90us/.p99us/.maxus` (ops with zero
-    /// requests are omitted) plus cache hit/miss counters and hit rates
-    /// (verdict, answer, and plan caches) and aggregate executor counters.
-    pub fn render(&self) -> String {
+    /// requests are omitted) plus the `caches`' hit/miss counters and hit
+    /// rates and aggregate executor counters.
+    pub(crate) fn render(&self, caches: &CacheCounts) -> String {
         let inner = self.inner();
         let mut out = String::new();
         for (i, (_, name)) in OPS.iter().enumerate() {
@@ -359,7 +308,7 @@ impl Metrics {
                 s.hist.max_us(),
             );
         }
-        let rate = |hits: u64, misses: u64| {
+        let rate = |(hits, misses): (u64, u64)| {
             let total = hits + misses;
             if total == 0 {
                 0.0
@@ -371,20 +320,20 @@ impl Metrics {
             out,
             "verdict_cache.hits={} verdict_cache.misses={} verdict_cache.rate={:.3} \
              answer_cache.hits={} answer_cache.misses={} answer_cache.rate={:.3}",
-            inner.verdict_hits,
-            inner.verdict_misses,
-            rate(inner.verdict_hits, inner.verdict_misses),
-            inner.answer_hits,
-            inner.answer_misses,
-            rate(inner.answer_hits, inner.answer_misses),
+            caches.verdict.0,
+            caches.verdict.1,
+            rate(caches.verdict),
+            caches.answer.0,
+            caches.answer.1,
+            rate(caches.answer),
         );
         let _ = write!(
             out,
             " plan_cache.hits={} plan_cache.misses={} plan_cache.rate={:.3} \
              exec.probes={} exec.scanned={} exec.backtracks={}",
-            inner.plan_hits,
-            inner.plan_misses,
-            rate(inner.plan_hits, inner.plan_misses),
+            caches.plan.0,
+            caches.plan.1,
+            rate(caches.plan),
             inner.exec_probes,
             inner.exec_scanned,
             inner.exec_backtracks,
@@ -402,17 +351,17 @@ impl Metrics {
         let _ = write!(
             out,
             " analysis_cache.hits={} analysis_cache.misses={} analysis_cache.rate={:.3}",
-            inner.analysis_hits,
-            inner.analysis_misses,
-            rate(inner.analysis_hits, inner.analysis_misses),
+            caches.analysis.0,
+            caches.analysis.1,
+            rate(caches.analysis),
         );
         let _ = write!(
             out,
             " cert.cache.hits={} cert.cache.misses={} cert.cache.rate={:.3} \
              cert.complete={} cert.incomplete={}",
-            inner.cert_hits,
-            inner.cert_misses,
-            rate(inner.cert_hits, inner.cert_misses),
+            caches.cert.0,
+            caches.cert.1,
+            rate(caches.cert),
             inner.cert_complete,
             inner.cert_incomplete,
         );
@@ -477,9 +426,10 @@ mod tests {
         let m = Metrics::new();
         m.record(Op::Check, Duration::from_micros(50), false);
         m.record(Op::Check, Duration::from_micros(70), true);
-        m.verdict_probe(true);
-        m.verdict_probe(false);
-        let text = m.render();
+        let text = m.render(&CacheCounts {
+            verdict: (1, 1),
+            ..CacheCounts::default()
+        });
         assert!(text.contains("check.count=2"));
         assert!(text.contains("check.err=1"));
         assert!(text.contains("verdict_cache.rate=0.500"));
@@ -490,11 +440,12 @@ mod tests {
     #[test]
     fn render_includes_plan_cache_and_exec_counters() {
         let m = Metrics::new();
-        m.plan_probe(false);
-        m.plan_probe(true);
         m.record_exec(5, 40, 12);
         m.record_exec(1, 2, 0);
-        let text = m.render();
+        let text = m.render(&CacheCounts {
+            plan: (1, 1),
+            ..CacheCounts::default()
+        });
         assert!(
             text.contains("plan_cache.hits=1 plan_cache.misses=1"),
             "{text}"
@@ -511,14 +462,14 @@ mod tests {
         let m = Metrics::new();
         // Batch counters are always rendered, even at zero, so scrapers
         // can rely on their presence.
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(
             text.contains("exec.batch.count=0 exec.batch.rows=0"),
             "{text}"
         );
         m.record_batch_exec(3, 120, (2, 1, 0));
         m.record_batch_exec(1, 30, (0, 0, 1));
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(
             text.contains("exec.batch.count=4 exec.batch.rows=150"),
             "{text}"
@@ -534,7 +485,7 @@ mod tests {
         let m = Metrics::new();
         // The durability fields are always rendered, even at zero, so a
         // scraper can rely on their presence.
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(
             text.contains("wal.appends=0 wal.bytes=0 wal.fsyncs=0"),
             "{text}"
@@ -547,7 +498,7 @@ mod tests {
         m.record_wal(40, false);
         m.record_checkpoint(Duration::from_millis(7));
         m.set_replayed(5);
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(
             text.contains("wal.appends=2 wal.bytes=72 wal.fsyncs=1"),
             "{text}"
@@ -562,19 +513,19 @@ mod tests {
     fn render_includes_cert_counters() {
         let m = Metrics::new();
         // Certificate fields are always rendered, even at zero.
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(
             text.contains("cert.cache.hits=0 cert.cache.misses=0"),
             "{text}"
         );
         assert!(text.contains("cert.complete=0 cert.incomplete=0"), "{text}");
-        m.cert_probe(true);
-        m.cert_probe(false);
-        m.cert_probe(false);
         m.record_cert(true);
         m.record_cert(false);
         m.record_cert(false);
-        let text = m.render();
+        let text = m.render(&CacheCounts {
+            cert: (1, 2),
+            ..CacheCounts::default()
+        });
         assert!(
             text.contains("cert.cache.hits=1 cert.cache.misses=2"),
             "{text}"
@@ -587,7 +538,7 @@ mod tests {
     fn render_includes_accept_lock_and_replication_counters() {
         let m = Metrics::new();
         // Always rendered, even at zero, so scrapers can rely on them.
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(text.contains("accept.errors=0 lock.poisoned=0"), "{text}");
         assert!(
             text.contains("repl.shipped=0 repl.applied=0 repl.snapshots=0"),
@@ -599,7 +550,7 @@ mod tests {
         m.record_repl_shipped(5);
         m.record_repl_applied();
         m.record_repl_snapshot();
-        let text = m.render();
+        let text = m.render(&CacheCounts::default());
         assert!(text.contains("accept.errors=2 lock.poisoned=1"), "{text}");
         assert!(
             text.contains("repl.shipped=5 repl.applied=1 repl.snapshots=1"),
@@ -619,15 +570,21 @@ mod tests {
         })
         .join();
         m.record_accept_error();
-        assert!(m.render().contains("accept.errors=1"));
+        assert!(m
+            .render(&CacheCounts::default())
+            .contains("accept.errors=1"));
     }
 
     #[test]
     fn render_includes_dred_counters() {
         let m = Metrics::new();
-        assert!(m.render().contains("dred.overdeleted=0 dred.rederived=0"));
+        assert!(m
+            .render(&CacheCounts::default())
+            .contains("dred.overdeleted=0 dred.rederived=0"));
         m.record_dred(7, 3);
         m.record_dred(1, 0);
-        assert!(m.render().contains("dred.overdeleted=8 dred.rederived=3"));
+        assert!(m
+            .render(&CacheCounts::default())
+            .contains("dred.overdeleted=8 dred.rederived=3"));
     }
 }

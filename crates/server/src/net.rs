@@ -1,39 +1,31 @@
-//! The TCP front end: an event-loop reactor by default, with the legacy
-//! thread-per-connection path kept for comparison.
+//! The TCP front end: an event-loop reactor.
 //!
 //! [`Server::start`] runs the reactor in [`crate::event_loop`]: one
 //! thread multiplexes every connection over a non-blocking
-//! [`Poller`](magik_runtime::poller::Poller) and dispatches parsed
-//! requests to a fixed [`ThreadPool`], so thousands of idle or slow
-//! connections cost buffers, not threads. [`Server::start_blocking`] is
-//! the original front end — one pooled worker owns each connection for
-//! its lifetime — retained as the saturation baseline (bench A15) and
-//! for platforms where a readiness loop is not wanted.
+//! [`Poller`] and dispatches parsed requests to a fixed
+//! [`ThreadPool`](magik_runtime::ThreadPool), so thousands of idle or
+//! slow connections cost buffers, not threads. Outside Linux the poller
+//! falls back to a timed tick, so this one front end serves on every
+//! Unix.
 //!
-//! Both paths speak the same protocol (grammar in `PROTOCOL.md`):
-//! requests in, replies out, in order. The reactor additionally supports
-//! request *pipelining* (many requests in flight per connection, replies
-//! strictly in request order) and a length-prefixed *binary framing*
-//! negotiated in-band with `frames binary`. Command handling shared by
-//! both paths lives in [`intercept`], so `quit`, `replication`, framing
-//! negotiation, read-only enforcement and the `replicate` handoff cannot
-//! drift between front ends.
+//! The protocol (grammar in `PROTOCOL.md`) is requests in, replies out,
+//! in order, with request *pipelining* (many requests in flight per
+//! connection, replies strictly in request order) and a length-prefixed
+//! *binary framing* negotiated in-band with `frames binary`.
+//! Connection-level commands — `quit`, `replication`, framing
+//! negotiation, read-only enforcement and the `replicate` handoff — are
+//! classified by [`intercept`].
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use magik_runtime::poller::Poller;
-use magik_runtime::ThreadPool;
 
 use crate::engine::Engine;
-use crate::replication::{self, ReplicaStatus};
-
-/// How often an idle connection handler wakes up to check the stop flag.
-pub(crate) const STOP_POLL_INTERVAL: Duration = Duration::from_millis(50);
+use crate::replication::ReplicaStatus;
 
 /// The most bytes one request may hold — the line before its newline, or
 /// a binary frame payload. A client streaming bytes with no terminator
@@ -41,13 +33,6 @@ pub(crate) const STOP_POLL_INTERVAL: Duration = Duration::from_millis(50);
 /// replies `err line too long` (or `err proto frame exceeds the size
 /// cap`) and drops the connection (see `PROTOCOL.md`).
 pub(crate) const MAX_LINE_BYTES: usize = 1 << 20;
-
-/// How long one blocking reply write may go without transferring a
-/// single byte before the peer is declared a non-reader and dropped.
-/// Without it, a client that stops draining its socket pins a pool
-/// worker in `write` forever — with a small pool that is a trivial
-/// denial of service (the slow-reader bug this release fixes).
-pub(crate) const WRITE_DEADLINE: Duration = Duration::from_secs(2);
 
 /// How request and reply bytes are framed on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,11 +95,10 @@ pub(crate) enum Action {
     Replicate((u64, u64)),
 }
 
-/// Classifies one request line for a front end. Everything that is not a
-/// connection-level command (`quit`, `frames`, `replication`,
+/// Classifies one request line for the front end. Everything that is
+/// not a connection-level command (`quit`, `frames`, `replication`,
 /// `replicate`, read-only enforcement) is [`Action::Dispatch`]ed to the
-/// engine. Shared by the reactor and the blocking path so their
-/// protocol behaviour cannot diverge.
+/// engine.
 pub(crate) fn intercept(cmd: &str, cfg: &ServerConfig, current: Framing) -> Action {
     let (verb, rest) = match cmd.split_once(char::is_whitespace) {
         Some((v, r)) => (v, r.trim()),
@@ -218,10 +202,8 @@ pub struct Server {
     /// Kept so shutdown can flush the engine's durability layer after
     /// the last in-flight request has finished.
     engine: Arc<Engine>,
-    /// The reactor's poller, when running the event-loop front end;
-    /// `stop` wakes the loop through it. The blocking front end has no
-    /// poller and is unblocked with a throwaway connection instead.
-    poller: Option<Arc<Poller>>,
+    /// The reactor's poller; `stop` wakes the loop through it.
+    poller: Arc<Poller>,
 }
 
 impl Server {
@@ -268,67 +250,7 @@ impl Server {
             stop,
             accept_thread: Some(accept_thread),
             engine,
-            poller: Some(poller),
-        })
-    }
-
-    /// Starts the legacy blocking front end: one accept loop hands each
-    /// connection to a worker from a fixed pool, and the worker owns the
-    /// connection for its lifetime (connections beyond the pool queue
-    /// until a worker frees up). No pipelining, no binary framing. Kept
-    /// as the A15 saturation baseline.
-    pub fn start_blocking(
-        engine: Arc<Engine>,
-        addr: impl ToSocketAddrs,
-        workers: usize,
-    ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let accept_engine = Arc::clone(&engine);
-        let cfg = Arc::new(ServerConfig {
-            workers,
-            ..ServerConfig::default()
-        });
-        let accept_thread = std::thread::Builder::new()
-            .name("magik-accept".to_string())
-            .spawn(move || {
-                let pool = ThreadPool::new(workers);
-                let mut backoff = AcceptBackoff::new();
-                for conn in listener.incoming() {
-                    if stop_flag.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let stream = match conn {
-                        Ok(stream) => {
-                            backoff.on_success();
-                            stream
-                        }
-                        Err(_) => {
-                            // Persistent failures (EMFILE/ENFILE) fail
-                            // again immediately — back off instead of
-                            // spinning the accept thread at 100%.
-                            accept_engine.metrics().record_accept_error();
-                            std::thread::sleep(backoff.on_error());
-                            continue;
-                        }
-                    };
-                    let engine = Arc::clone(&accept_engine);
-                    let stop = Arc::clone(&stop_flag);
-                    let cfg = Arc::clone(&cfg);
-                    pool.execute(move || {
-                        let _ = serve_connection(stream, &engine, &stop, &cfg);
-                    });
-                }
-                // `pool` drops here: all in-flight connections finish.
-            })?;
-        Ok(Server {
-            local_addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            engine,
-            poller: None,
+            poller,
         })
     }
 
@@ -348,34 +270,13 @@ impl Server {
         if self.stop.swap(true, Ordering::SeqCst) {
             return; // already stopped
         }
-        match &self.poller {
-            // The reactor blocks in `Poller::wait`; the waker interrupts
-            // it from here.
-            Some(poller) => {
-                let _ = poller.wake();
-            }
-            // Unblock the blocking accept loop with a throwaway
-            // connection. Under a wildcard bind `local_addr` is the
-            // unspecified address (`0.0.0.0` / `::`), which is not
-            // connectable everywhere — rewrite it to the loopback of the
-            // same family, which always reaches a listener bound to the
-            // wildcard.
-            None => {
-                let ip = if self.local_addr.ip().is_unspecified() {
-                    match self.local_addr {
-                        SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
-                        SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
-                    }
-                } else {
-                    self.local_addr.ip()
-                };
-                let _ = TcpStream::connect(SocketAddr::new(ip, self.local_addr.port()));
-            }
-        }
+        // The reactor blocks in `Poller::wait`; the waker interrupts it
+        // from here.
+        let _ = self.poller.wake();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        // Every in-flight request has finished (the accept thread joins
+        // Every in-flight request has finished (the reactor thread joins
         // its worker pool), so the engine state is final: flush the WAL
         // and write the shutdown checkpoint. A clean stop therefore
         // leaves zero records for the next open to replay. Failures are
@@ -388,183 +289,6 @@ impl Server {
 impl Drop for Server {
     fn drop(&mut self) {
         self.shutdown();
-    }
-}
-
-/// What [`read_bounded_line`] found.
-enum LineRead {
-    /// A line is complete in the caller's buffer (newline stripped).
-    Line,
-    /// Clean end of stream with no pending bytes.
-    Eof,
-    /// The line exceeded the byte cap before its newline arrived.
-    TooLong,
-}
-
-/// Reads one `\n`-terminated line into `buf` (newline excluded), refusing
-/// to buffer more than `max` bytes of it. Timeout errors from the
-/// underlying read propagate with the partial line preserved in `buf`, so
-/// the caller can poll its stop flag and resume. An unterminated final
-/// line before EOF is returned as a [`LineRead::Line`].
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    max: usize,
-) -> std::io::Result<LineRead> {
-    loop {
-        let (consumed, done) = {
-            let available = reader.fill_buf()?;
-            if available.is_empty() {
-                return Ok(if buf.is_empty() {
-                    LineRead::Eof
-                } else {
-                    LineRead::Line
-                });
-            }
-            match available.iter().position(|&b| b == b'\n') {
-                Some(pos) if buf.len() + pos > max => (pos + 1, Some(LineRead::TooLong)),
-                Some(pos) => {
-                    buf.extend_from_slice(&available[..pos]);
-                    (pos + 1, Some(LineRead::Line))
-                }
-                None if buf.len() + available.len() > max => {
-                    (available.len(), Some(LineRead::TooLong))
-                }
-                None => {
-                    buf.extend_from_slice(available);
-                    (available.len(), None)
-                }
-            }
-        };
-        reader.consume(consumed);
-        if let Some(result) = done {
-            return Ok(result);
-        }
-    }
-}
-
-/// Writes all of `buf`, tolerating slow-but-draining peers: each
-/// [`WRITE_DEADLINE`] window must transfer at least one byte (the socket
-/// carries a write timeout), or the peer is declared a non-reader and
-/// the write fails with `TimedOut`. Checks `stop` between windows so a
-/// server shutdown is not held up by a stalled peer.
-fn write_all_deadline(
-    stream: &mut TcpStream,
-    mut buf: &[u8],
-    stop: &AtomicBool,
-) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        if stop.load(Ordering::SeqCst) {
-            return Err(std::io::Error::new(
-                ErrorKind::Interrupted,
-                "server stopping",
-            ));
-        }
-        match stream.write(buf) {
-            Ok(0) => return Err(ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // A full deadline window passed with zero bytes moved:
-                // the peer has stopped draining replies.
-                return Err(std::io::Error::new(
-                    ErrorKind::TimedOut,
-                    "peer stopped draining replies",
-                ));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
-}
-
-/// Writes one reply line under the write deadline.
-fn write_reply(writer: &mut TcpStream, reply: &str, stop: &AtomicBool) -> std::io::Result<()> {
-    let mut framed = Vec::with_capacity(reply.len() + 1);
-    framed.extend_from_slice(reply.as_bytes());
-    framed.push(b'\n');
-    write_all_deadline(writer, &framed, stop)
-}
-
-/// Serves one connection on the blocking path: read request lines, write
-/// response lines, until `quit`, EOF, server shutdown, an oversized
-/// line, or an I/O error.
-///
-/// Reads use a short timeout so an idle connection notices `stop`
-/// instead of pinning its worker in a blocking read forever; a partially
-/// received line survives the poll and is completed on a later
-/// iteration. Writes run under [`WRITE_DEADLINE`] so a non-reading peer
-/// is dropped rather than pinning the worker (see
-/// [`write_all_deadline`]). Request lines are capped at
-/// [`MAX_LINE_BYTES`] — past the cap the handler replies `err line too
-/// long` and drops the connection, so a client streaming an endless
-/// unterminated line cannot grow server memory.
-fn serve_connection(
-    stream: TcpStream,
-    engine: &Arc<Engine>,
-    stop: &AtomicBool,
-    cfg: &ServerConfig,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(STOP_POLL_INTERVAL))?;
-    stream.set_write_timeout(Some(WRITE_DEADLINE))?;
-    // Replies are single small lines; without TCP_NODELAY every round
-    // trip stalls on Nagle + delayed-ACK (~40 ms).
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut line = Vec::new();
-    loop {
-        match read_bounded_line(&mut reader, &mut line, MAX_LINE_BYTES) {
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::Line) => {}
-            Ok(LineRead::TooLong) => {
-                write_reply(&mut writer, "err line too long", stop)?;
-                return Ok(());
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        let trimmed = String::from_utf8_lossy(&line);
-        let trimmed = trimmed.trim();
-        if !trimmed.is_empty() {
-            match intercept(trimmed, cfg, Framing::Line) {
-                Action::Reply(reply) => write_reply(&mut writer, &reply, stop)?,
-                // Requests execute strictly in arrival order here, so
-                // "at its execution turn" is simply now.
-                Action::Status => {
-                    write_reply(&mut writer, &replication_status(engine, cfg), stop)?;
-                }
-                Action::Dispatch => {
-                    let reply = engine.handle(trimmed);
-                    write_reply(&mut writer, &reply, stop)?;
-                }
-                Action::Close(reply) => {
-                    write_reply(&mut writer, &reply, stop)?;
-                    return Ok(());
-                }
-                Action::Switch(..) => write_reply(
-                    &mut writer,
-                    "err proto binary framing requires the event-loop front end",
-                    stop,
-                )?,
-                Action::Replicate(from) => {
-                    // The streamer writes the handshake itself and owns
-                    // the socket from here; drop the read timeout so its
-                    // blocking writes are governed only by the streamer's
-                    // own deadlines.
-                    drop(writer);
-                    let stream = reader.into_inner();
-                    stream.set_read_timeout(None)?;
-                    return replication::serve_replica(stream, engine, stop, from);
-                }
-            }
-        }
-        line.clear();
     }
 }
 

@@ -174,13 +174,14 @@ fn stop_returns_promptly_under_wildcard_bind() {
     let server = Server::start(Arc::new(Engine::new()), "0.0.0.0:0", 1).expect("bind");
     let port = server.local_addr().port();
     // Sanity: the wildcard listener is reachable via loopback, and an
-    // idle connection pins the only worker.
+    // idle connection stays open across the stop.
     let mut c = Client::connect(std::net::SocketAddr::from(([127, 0, 0, 1], port)));
     assert_eq!(c.request("ping"), "ok pong");
     // `local_addr()` reports `0.0.0.0:port`, which is not a connectable
-    // destination everywhere — shutdown must aim its unblocking probe at
-    // loopback instead. Guard with a watchdog so a regression fails fast
-    // instead of hanging the suite on the accept-loop join.
+    // destination everywhere, so shutdown must not connect to it: it
+    // wakes the reactor through its poller. Guard with a watchdog so a
+    // regression fails fast instead of hanging the suite on the reactor
+    // join.
     let (tx, rx) = std::sync::mpsc::channel();
     let stopper = std::thread::spawn(move || {
         server.stop();

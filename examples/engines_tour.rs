@@ -1,20 +1,15 @@
-//! A tour of the two inference substrates the paper's implementation
-//! delegated to external systems — here implemented from scratch.
+//! A tour of the inference substrate the paper's implementation
+//! delegated to an external system — here implemented from scratch.
 //!
-//! * **Forward chaining** (the dlv role): the Datalog engine runs the
-//!   Section 5 `Rⁱ`/`Rᵃ` encoding of the statements, plus a stratified
-//!   negation query computing which parts of the frozen query are *not*
-//!   guaranteed.
-//! * **Backward chaining** (the SWI-Prolog role): the SLD engine proves
-//!   the same completeness goal top-down, and uses negation as failure
-//!   to name the missing atoms.
-//!
-//! Both agree with the relational implementation of Theorem 3.
+//! **Forward chaining** (the dlv role): the Datalog engine runs the
+//! Section 5 `Rⁱ`/`Rᵃ` encoding of the statements, plus a stratified
+//! negation query computing which parts of the frozen query are *not*
+//! guaranteed. Its diagnosis agrees with the relational implementation
+//! of Theorem 3.
 //!
 //! Run with: `cargo run --example engines_tour`
 
 use magik::datalog::{Program, Rule};
-use magik::prolog::KnowledgeBase;
 use magik::workload::paper::school;
 use magik::{
     canonical_database, is_complete, tc_encoding, Atom, DisplayWith, Fact, Instance, Term,
@@ -81,71 +76,5 @@ fn main() {
                 );
             }
         }
-    }
-
-    // ---------- Backward chaining on the Prolog engine ----------
-    // The same statements as Horn clauses over _i/_a relations; the
-    // completeness goal is the frozen body over the _a relations.
-    let mut src = String::new();
-    for fact in frozen.iter_facts() {
-        let args: Vec<String> = fact
-            .args
-            .iter()
-            .map(|c| format!("k_{}", c.display(&vocab).to_string().replace('\'', "f")))
-            .collect();
-        src.push_str(&format!(
-            "{}_i({}).\n",
-            vocab.pred_name(fact.pred),
-            args.join(", ")
-        ));
-    }
-    for c in w.tcs.statements() {
-        let atom_str = |a: &Atom, suffix: &str| {
-            let args: Vec<String> = a
-                .args
-                .iter()
-                .map(|&t| match t {
-                    Term::Var(v) => format!("V{}", v.index()),
-                    Term::Cst(cst) => format!("k_{}", cst.display(&vocab)),
-                })
-                .collect();
-            format!("{}{suffix}({})", vocab.pred_name(a.pred), args.join(", "))
-        };
-        let mut rule = format!("{} :- {}", atom_str(&c.head, "_a"), atom_str(&c.head, "_i"));
-        for g in &c.condition {
-            rule.push_str(&format!(", {}", atom_str(g, "_i")));
-        }
-        src.push_str(&rule);
-        src.push_str(".\n");
-    }
-    let mut kb = KnowledgeBase::new();
-    kb.consult(&src).expect("generated program parses");
-    // Per-atom diagnosis with negation as failure.
-    println!("\nBackward chaining diagnosis (negation as failure):");
-    for atom in &q.body {
-        let frozen_atom: Vec<String> = atom
-            .args
-            .iter()
-            .map(|&t| {
-                format!(
-                    "k_{}",
-                    magik::relalg::freeze_term(t)
-                        .display(&vocab)
-                        .to_string()
-                        .replace('\'', "f")
-                )
-            })
-            .collect();
-        let goal = format!(
-            "{}_a({}).",
-            vocab.pred_name(atom.pred),
-            frozen_atom.join(", ")
-        );
-        let provable = !kb.query(&goal).unwrap().solutions.is_empty();
-        println!(
-            "  {} {}",
-            if provable { "+" } else { "-" },
-            atom.display(&vocab)
-        );
     }
 }

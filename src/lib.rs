@@ -27,7 +27,6 @@
 //! | [`exec`] | compiled query-execution layer: plan IR, compiled queries/rule bodies, plan cache, pluggable executor, explain output |
 //! | [`unify`] | unification, MGUs, renaming apart |
 //! | [`datalog`] | forward-chaining Datalog engine (naive + semi-naive) |
-//! | [`prolog`] | SLD resolution engine over compound terms |
 //! | [`completeness`] | TCSs, `T_C`/`G_C`, completeness check, MCG, MCI, k-MCS; finite-domain + key constraints, answering with guarantees, explanations, lints; certificate emission |
 //! | [`cert`] | trusted certificate checker: validates completeness verdicts, repairs and derivation trees by direct definition-checking, sharing no reasoning code with the engine |
 //! | [`parser`] | text syntax for queries, statements and facts, with byte-span tracking |
@@ -75,7 +74,6 @@ pub use magik_completeness as completeness;
 pub use magik_datalog as datalog;
 pub use magik_exec as exec;
 pub use magik_parser as parser;
-pub use magik_prolog as prolog;
 pub use magik_relalg as relalg;
 pub use magik_runtime as runtime;
 pub use magik_server as server;
