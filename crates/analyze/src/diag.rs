@@ -14,6 +14,7 @@
 use std::fmt;
 
 use magik_parser::{LineIndex, Span};
+use magik_relalg::json_escape;
 
 /// How serious a diagnostic is. Ordered: `Info < Warning < Error`, so a
 /// deny threshold is a simple comparison.
@@ -534,23 +535,6 @@ pub fn summary_line(diags: &[Diagnostic]) -> String {
         count(Severity::Warning),
         count(Severity::Info)
     )
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn json_location(loc: &Location) -> String {

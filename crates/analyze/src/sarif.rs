@@ -11,6 +11,8 @@
 
 use std::collections::BTreeMap;
 
+use magik_relalg::json_escape;
+
 use crate::diag::{Code, Diagnostic, Severity, SourceFile};
 
 /// The diagnostics of one analyzed file, paired with its source for
@@ -23,22 +25,6 @@ pub struct SarifFile<'a> {
     pub source: Option<&'a SourceFile<'a>>,
     /// The diagnostics reported for this file.
     pub diags: &'a [Diagnostic],
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn level(s: Severity) -> &'static str {
@@ -66,7 +52,7 @@ pub fn render_sarif(files: &[SarifFile<'_>], tool_version: &str) -> String {
             format!(
                 r#"{{"id":"{}","shortDescription":{{"text":"{}"}},"defaultConfiguration":{{"level":"{}"}}}}"#,
                 c.as_str(),
-                escape(c.title()),
+                json_escape(c.title()),
                 level(c.severity())
             )
         })
@@ -85,11 +71,11 @@ pub fn render_sarif(files: &[SarifFile<'_>], tool_version: &str) -> String {
                 }
                 _ => String::new(),
             };
-            let mut message = escape(&d.message);
+            let mut message = json_escape(&d.message);
             for note in &d.notes {
                 message.push_str("\\n");
                 message.push_str("note: ");
-                message.push_str(&escape(note));
+                message.push_str(&json_escape(note));
             }
             results.push(format!(
                 r#"{{"ruleId":"{}","ruleIndex":{},"level":"{}","message":{{"text":"{}"}},"locations":[{{"physicalLocation":{{"artifactLocation":{{"uri":"{}"}}{}}}}}]}}"#,
@@ -97,7 +83,7 @@ pub fn render_sarif(files: &[SarifFile<'_>], tool_version: &str) -> String {
                 rule_index[&d.code],
                 level(d.severity),
                 message,
-                escape(f.name),
+                json_escape(f.name),
                 region
             ));
         }
@@ -113,7 +99,7 @@ pub fn render_sarif(files: &[SarifFile<'_>], tool_version: &str) -> String {
             "\"rules\":[{}]}}}},",
             "\"results\":[{}]}}]}}\n"
         ),
-        escape(tool_version),
+        json_escape(tool_version),
         rules.join(","),
         results.join(",")
     )

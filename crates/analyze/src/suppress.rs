@@ -25,6 +25,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use magik_parser::{Comment, LineIndex};
+use magik_relalg::json_escape;
 
 use crate::diag::{Code, Diagnostic};
 
@@ -183,10 +184,10 @@ impl Baseline {
             .map(|f| {
                 format!(
                     r#"{{"file":"{}","code":"{}","location":"{}","message":"{}"}}"#,
-                    escape(&f.file),
-                    escape(&f.code),
-                    escape(&f.location),
-                    escape(&f.message)
+                    json_escape(&f.file),
+                    json_escape(&f.code),
+                    json_escape(&f.location),
+                    json_escape(&f.message)
                 )
             })
             .collect();
@@ -210,22 +211,6 @@ impl Baseline {
         }
         Ok(Baseline { entries })
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Minimal JSON reader for the exact shape baselines use: a top-level

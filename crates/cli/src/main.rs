@@ -31,6 +31,7 @@ use std::process::ExitCode;
 
 mod repl;
 
+use magik::relalg::json_escape;
 use magik::{
     allow_directives, analyze_document, answers, cert_statements, certify, check_certificate,
     classify_answers, count_bounds, counterexample, explain_check, explain_code, explain_json,
@@ -39,8 +40,8 @@ use magik::{
     render_counterexample, render_explanation_with_locations, render_json, render_report,
     render_sarif, run_replica, semantics::IncompleteDatabase, tc_apply, Baseline, Certificate,
     Code, CompiledQuery, Diagnostic, DisplayWith, Document, DurabilityOptions, Engine, ExecStats,
-    FsyncPolicy, KMcsEngine, KMcsOptions, LineIndex, RecoveryReport, ReplicaStatus, SarifFile,
-    Server, ServerConfig, Severity, SourceFile, TcStatement, Vocabulary,
+    FsyncPolicy, KMcsEngine, KMcsOptions, LineIndex, RecoveryReport, SarifFile, Server, Severity,
+    SourceFile, TcStatement, Vocabulary,
 };
 
 const USAGE: &str = "usage: magik <check|generalize|specialize|eval|explain> <file> [options]
@@ -244,7 +245,7 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
         let _ = write!(
             out,
             "\n  {{\"query\":\"{}\",\"verdict\":\"{verdict}\",\"certificate_valid\":{valid},\"atoms\":[",
-            cli_json_escape(&q.display(vocab).to_string())
+            json_escape(&q.display(vocab).to_string())
         );
         for (ai, (atom, witness)) in e.atoms.iter().enumerate() {
             if ai > 0 {
@@ -253,13 +254,13 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
             let _ = write!(
                 out,
                 "{{\"atom\":\"{}\"",
-                cli_json_escape(&atom.display(vocab).to_string())
+                json_escape(&atom.display(vocab).to_string())
             );
             match witness {
                 Some(w) => {
                     let _ = write!(out, ",\"guaranteed\":true,\"statement\":{}", w.statement);
                     if let Some(loc) = statement_location(doc, index, w.statement) {
-                        let _ = write!(out, ",\"location\":\"{}\"", cli_json_escape(&loc));
+                        let _ = write!(out, ",\"location\":\"{}\"", json_escape(&loc));
                     }
                 }
                 None => out.push_str(",\"guaranteed\":false"),
@@ -277,8 +278,8 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
                     let _ = write!(
                         out,
                         "{{\"var\":\"{}\",\"value\":\"{}\"}}",
-                        cli_json_escape(&var.display(vocab).to_string()),
-                        cli_json_escape(&cst.display(vocab).to_string())
+                        json_escape(&var.display(vocab).to_string()),
+                        json_escape(&cst.display(vocab).to_string())
                     );
                 }
                 out.push(']');
@@ -292,7 +293,7 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
                         .map(|f| {
                             format!(
                                 "\"{}\"",
-                                cli_json_escape(
+                                json_escape(
                                     &magik::relalg::unfreeze_fact(&f).display(vocab).to_string()
                                 )
                             )
@@ -306,7 +307,7 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
                     ",\"counterexample\":{{\"ideal\":[{}],\"available\":[{}],\"lost\":\"{}\"}}",
                     facts(&mut ideal.iter_facts()),
                     facts(&mut ce.available.iter().cloned()),
-                    cli_json_escape(&ce.target.display(vocab).to_string())
+                    json_escape(&ce.target.display(vocab).to_string())
                 );
                 if let Some(r) = repair {
                     out.push_str(",\"repair\":[");
@@ -317,7 +318,7 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
                         let _ = write!(
                             out,
                             "\"{}\"",
-                            cli_json_escape(
+                            json_escape(
                                 &TcStatement::new(a.clone(), vec![])
                                     .display(vocab)
                                     .to_string()
@@ -822,27 +823,6 @@ fn cmd_analyze(args: &[String]) -> ExitCode {
     ExitCode::from(exit)
 }
 
-/// Escapes a string for inclusion in a JSON string literal (for the
-/// hand-rolled error objects of `explain-plan --format json`; plan
-/// objects themselves are rendered by [`explain_json`]).
-fn cli_json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// `magik explain-plan <file> [--format text|json]` — compile each query
 /// against the document's `fact` items, execute it, and render the
 /// chosen plan (atom order, access paths, estimates) together with the
@@ -900,8 +880,8 @@ fn cmd_explain_plan(args: &[String]) -> ExitCode {
                 if json {
                     objects.push(format!(
                         r#"{{"query":"{}","error":"{}"}}"#,
-                        cli_json_escape(&q.display(&vocab).to_string()),
-                        cli_json_escape(&e.to_string())
+                        json_escape(&q.display(&vocab).to_string()),
+                        json_escape(&e.to_string())
                     ));
                 } else {
                     if i > 0 {
@@ -971,6 +951,86 @@ fn print_recovery(dir: &str, report: &RecoveryReport) {
     );
 }
 
+/// The flags `serve` and `replicate` share, with their defaults.
+struct ServeFlags {
+    addr: String,
+    workers: usize,
+    threads: usize,
+    data_dir: Option<String>,
+    durability: DurabilityOptions,
+}
+
+/// Parses `args` for `serve` or `replicate`: the shared flags, then
+/// `extra` for the command's own arguments (it returns whether it took
+/// `opt`, or the exit code of a bad value). `addr` is the command's
+/// default address. `--threads` defaults to the `MAGIK_THREADS`
+/// environment variable, and failing that to the machine's available
+/// parallelism.
+fn parse_serve_flags(
+    args: &[String],
+    addr: &str,
+    mut extra: impl FnMut(&str, &mut std::slice::Iter<'_, String>) -> Result<bool, ExitCode>,
+) -> Result<ServeFlags, ExitCode> {
+    let mut flags = ServeFlags {
+        addr: addr.to_string(),
+        workers: 4,
+        threads: std::env::var("MAGIK_THREADS")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .filter(|&n| n >= 1)
+            .unwrap_or_else(magik::available_parallelism),
+        data_dir: None,
+        durability: DurabilityOptions::default(),
+    };
+    let fail = |msg: &str| {
+        eprintln!("magik: {msg}");
+        ExitCode::from(1)
+    };
+    let mut rest = args.iter();
+    while let Some(opt) = rest.next() {
+        match opt.as_str() {
+            "--addr" => match rest.next() {
+                Some(a) => flags.addr = a.clone(),
+                None => return Err(fail("--addr requires HOST:PORT")),
+            },
+            "--workers" => match rest.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => flags.workers = n,
+                _ => return Err(fail("--workers requires a positive integer")),
+            },
+            "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => flags.threads = n,
+                _ => return Err(fail("--threads requires a positive integer")),
+            },
+            "--data-dir" => match rest.next() {
+                Some(d) => flags.data_dir = Some(d.clone()),
+                None => return Err(fail("--data-dir requires a directory path")),
+            },
+            "--fsync" => match rest.next().and_then(|v| FsyncPolicy::parse(v)) {
+                Some(policy) => flags.durability.fsync = policy,
+                None => {
+                    return Err(fail(
+                        "--fsync requires `always`, `never` or `interval[:MILLIS]`",
+                    ))
+                }
+            },
+            "--checkpoint-every" => match rest.next().and_then(|v| v.parse().ok()) {
+                Some(n) => flags.durability.checkpoint_every = n,
+                None => return Err(fail("--checkpoint-every requires a non-negative integer")),
+            },
+            "--segment-bytes" => match rest.next().and_then(|v| v.parse().ok()) {
+                Some(n) if n >= 1 => flags.durability.segment_bytes = n,
+                _ => return Err(fail("--segment-bytes requires a positive integer")),
+            },
+            other => {
+                if !extra(other, &mut rest)? {
+                    return Err(fail(&format!("unknown option `{other}`\n{USAGE}")));
+                }
+            }
+        }
+    }
+    Ok(flags)
+}
+
 /// `magik serve [--addr HOST:PORT] [--workers N] [--threads N]
 /// [--data-dir DIR] [--fsync MODE] [--checkpoint-every N]
 /// [--segment-bytes N] [file]` — run the TCP completeness service (see
@@ -979,8 +1039,7 @@ fn print_recovery(dir: &str, report: &RecoveryReport) {
 ///
 /// `--workers` sizes the connection pool (one handler per live
 /// connection); `--threads` sizes the *reasoning* pool the engine fans
-/// parallel work out over, defaulting to the `MAGIK_THREADS` environment
-/// variable, and failing that to the machine's available parallelism.
+/// parallel work out over (see [`parse_serve_flags`] for its default).
 /// `--threads 1` reasons sequentially.
 ///
 /// `--data-dir` turns on the durability layer: the directory is
@@ -989,75 +1048,23 @@ fn print_recovery(dir: &str, report: &RecoveryReport) {
 /// file is only applied to a *virgin* directory — recovered state wins
 /// over the file otherwise.
 fn cmd_serve(args: &[String]) -> ExitCode {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut workers = 4usize;
-    let mut threads = std::env::var("MAGIK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(magik::available_parallelism);
     let mut file = None;
-    let mut data_dir: Option<String> = None;
-    let mut durability = DurabilityOptions::default();
-    let mut rest = args.iter();
-    while let Some(opt) = rest.next() {
-        match opt.as_str() {
-            "--addr" => match rest.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("magik: --addr requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--workers" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => {
-                    eprintln!("magik: --workers requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("magik: --threads requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--data-dir" => match rest.next() {
-                Some(d) => data_dir = Some(d.clone()),
-                None => {
-                    eprintln!("magik: --data-dir requires a directory path");
-                    return ExitCode::from(1);
-                }
-            },
-            "--fsync" => match rest.next().and_then(|v| FsyncPolicy::parse(v)) {
-                Some(policy) => durability.fsync = policy,
-                None => {
-                    eprintln!("magik: --fsync requires `always`, `never` or `interval[:MILLIS]`");
-                    return ExitCode::from(1);
-                }
-            },
-            "--checkpoint-every" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) => durability.checkpoint_every = n,
-                None => {
-                    eprintln!("magik: --checkpoint-every requires a non-negative integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--segment-bytes" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => durability.segment_bytes = n,
-                _ => {
-                    eprintln!("magik: --segment-bytes requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            other if !other.starts_with('-') && file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("magik: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(1);
-            }
+    let ServeFlags {
+        addr,
+        workers,
+        threads,
+        data_dir,
+        durability,
+    } = match parse_serve_flags(args, "127.0.0.1:7171", |opt, _| {
+        let take = !opt.starts_with('-') && file.is_none();
+        if take {
+            file = Some(opt.to_string());
         }
-    }
+        Ok(take)
+    }) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let exec = magik::Executor::with_threads(threads);
     let preload = match &file {
         Some(path) => {
@@ -1138,88 +1145,37 @@ fn cmd_serve(args: &[String]) -> ExitCode {
 /// Before serving, the replica compares its local position with the
 /// primary: if the primary's retained WAL no longer covers that
 /// position, the primary's newest checkpoint is downloaded and installed
-/// first (`initial sync`). The local directory is then recovered through
-/// the exact same code path as a primary restart, and a follower thread
-/// streams the primary's WAL, replaying each op and verifying it
-/// re-derives the epochs the primary logged. Mutations over the wire are
-/// refused with `err readonly …`; the `replication` request reports
-/// connection state and epoch lag.
+/// first (`initial sync`). The local directory is then opened as a
+/// replica engine, recovered through the exact same code path as a
+/// primary restart, and a follower thread streams the primary's WAL,
+/// applying each op and verifying it re-derives the epochs the primary
+/// logged. The replica engine refuses mutations over the wire with
+/// `err readonly …`; its `replication` request reports connection state
+/// and epoch lag.
 fn cmd_replicate(args: &[String]) -> ExitCode {
     let mut from: Option<String> = None;
-    let mut addr = "127.0.0.1:7172".to_string();
-    let mut workers = 4usize;
-    let mut threads = std::env::var("MAGIK_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(magik::available_parallelism);
-    let mut data_dir: Option<String> = None;
-    let mut durability = DurabilityOptions::default();
-    let mut rest = args.iter();
-    while let Some(opt) = rest.next() {
-        match opt.as_str() {
-            "--from" => match rest.next() {
-                Some(a) => from = Some(a.clone()),
-                None => {
-                    eprintln!("magik: --from requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--addr" => match rest.next() {
-                Some(a) => addr = a.clone(),
-                None => {
-                    eprintln!("magik: --addr requires HOST:PORT");
-                    return ExitCode::from(1);
-                }
-            },
-            "--workers" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => workers = n,
-                _ => {
-                    eprintln!("magik: --workers requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--threads" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => threads = n,
-                _ => {
-                    eprintln!("magik: --threads requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--data-dir" => match rest.next() {
-                Some(d) => data_dir = Some(d.clone()),
-                None => {
-                    eprintln!("magik: --data-dir requires a directory path");
-                    return ExitCode::from(1);
-                }
-            },
-            "--fsync" => match rest.next().and_then(|v| FsyncPolicy::parse(v)) {
-                Some(policy) => durability.fsync = policy,
-                None => {
-                    eprintln!("magik: --fsync requires `always`, `never` or `interval[:MILLIS]`");
-                    return ExitCode::from(1);
-                }
-            },
-            "--checkpoint-every" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) => durability.checkpoint_every = n,
-                None => {
-                    eprintln!("magik: --checkpoint-every requires a non-negative integer");
-                    return ExitCode::from(1);
-                }
-            },
-            "--segment-bytes" => match rest.next().and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => durability.segment_bytes = n,
-                _ => {
-                    eprintln!("magik: --segment-bytes requires a positive integer");
-                    return ExitCode::from(1);
-                }
-            },
-            other => {
-                eprintln!("magik: unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(1);
+    let ServeFlags {
+        addr,
+        workers,
+        threads,
+        data_dir,
+        durability,
+    } = match parse_serve_flags(args, "127.0.0.1:7172", |opt, rest| {
+        if opt != "--from" {
+            return Ok(false);
+        }
+        match rest.next() {
+            Some(a) => from = Some(a.clone()),
+            None => {
+                eprintln!("magik: --from requires HOST:PORT");
+                return Err(ExitCode::from(1));
             }
         }
-    }
+        Ok(true)
+    }) {
+        Ok(flags) => flags,
+        Err(code) => return code,
+    };
     let Some(from) = from else {
         eprintln!("magik: replicate requires --from HOST:PORT\n{USAGE}");
         return ExitCode::from(1);
@@ -1241,7 +1197,7 @@ fn cmd_replicate(args: &[String]) -> ExitCode {
         }
     }
     let exec = magik::Executor::with_threads(threads);
-    let (engine, report) = match Engine::open_durable(std::path::Path::new(&dir), durability, exec)
+    let (engine, report) = match Engine::open_replica(std::path::Path::new(&dir), durability, exec)
     {
         Ok(x) => x,
         Err(e) => {
@@ -1251,16 +1207,7 @@ fn cmd_replicate(args: &[String]) -> ExitCode {
     };
     print_recovery(&dir, &report);
     let engine = std::sync::Arc::new(engine);
-    let status = std::sync::Arc::new(ReplicaStatus::new());
-    let server = match Server::start_with(
-        std::sync::Arc::clone(&engine),
-        addr.as_str(),
-        ServerConfig {
-            workers,
-            read_only: true,
-            replica_status: Some(std::sync::Arc::clone(&status)),
-        },
-    ) {
+    let server = match Server::start(std::sync::Arc::clone(&engine), addr.as_str(), workers) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("magik: cannot bind `{addr}`: {e}");
@@ -1268,13 +1215,11 @@ fn cmd_replicate(args: &[String]) -> ExitCode {
         }
     };
     let bound = server.local_addr();
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     {
-        let engine = std::sync::Arc::clone(&engine);
         let primary = from.clone();
-        let status = std::sync::Arc::clone(&status);
-        let stop = std::sync::Arc::clone(&stop);
-        std::thread::spawn(move || run_replica(&engine, &primary, &status, &stop));
+        // Never raised: the replica runs until killed.
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        std::thread::spawn(move || run_replica(&engine, &primary, &stop));
     }
     println!(
         "magik: replica of {from} serving read-only on {bound} with {workers} workers and \

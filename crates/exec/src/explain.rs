@@ -8,7 +8,7 @@
 use std::fmt::Write as _;
 
 use magik_relalg::exec::{Access, ColAction, ExecStats, Key};
-use magik_relalg::{DisplayWith, Vocabulary};
+use magik_relalg::{json_escape, DisplayWith, Vocabulary};
 
 use crate::compiled::CompiledQuery;
 
@@ -101,25 +101,6 @@ pub fn explain_text(cq: &CompiledQuery, stats: Option<&ExecStats>, vocab: &Vocab
             "batch: batches={} rows={} joins nested={} hash={} merge={}",
             s.batches, s.batch_rows, s.join_nested, s.join_hash, s.join_merge
         );
-    }
-    out
-}
-
-/// Escapes a string for inclusion in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
     }
     out
 }

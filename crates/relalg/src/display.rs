@@ -14,6 +14,24 @@ use crate::subst::Substitution;
 use crate::term::{Cst, Term, Var};
 use crate::vocab::Vocabulary;
 
+/// Escapes `s` for inclusion in a JSON string literal: quotes and
+/// backslashes, and control characters as `\n`, `\r`, `\t` or `\u00XX`.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
 /// Render a value given the vocabulary that interned its symbols.
 pub trait DisplayWith {
     /// Writes the value using `vocab` to resolve names.

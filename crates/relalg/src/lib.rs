@@ -64,7 +64,7 @@ mod vocab;
 pub use atom::{Atom, Fact, Pred};
 pub use batch::{Batch, BatchPlan, JoinStrategy};
 pub use containment::{are_equivalent, is_contained_in, is_strictly_contained_in};
-pub use display::{DisplayWith, WithVocab};
+pub use display::{json_escape, DisplayWith, WithVocab};
 pub use eval::{
     answers, has_answer, has_answer_witness, homomorphisms, Answer, AnswerSet, EvalError, Witness,
     WitnessStep,

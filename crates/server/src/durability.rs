@@ -13,6 +13,12 @@
 //! rather than silently diverging from the log. Read requests never
 //! touch the layer at all.
 //!
+//! # Recovery
+//!
+//! Opening loads the newest valid checkpoint, then applies the WAL tail
+//! through `Engine::apply_logged`, as a replica applies shipped records.
+//! Replayed ops count in `recovery.replayed_ops`, not as requests.
+//!
 //! # Checkpointer
 //!
 //! Every logged op ticks a counter; when it reaches
@@ -20,10 +26,11 @@
 //! the freshly published snapshot (plus a vocabulary clone — taken
 //! *after* the snapshot, so it is a superset of the names the snapshot
 //! uses) and hands it to a one-worker background pool. The worker
-//! serializes and fsyncs the checkpoint while the engine keeps serving;
-//! it serializes against shutdown's final checkpoint on the store mutex.
-//! Old checkpoint generations and fully covered WAL segments are pruned
-//! by [`magik_storage::Store::checkpoint`] itself.
+//! builds the image from the snapshot, serializes and fsyncs it while
+//! the engine keeps serving; it serializes against shutdown's final
+//! checkpoint on the store mutex. Old checkpoint generations and fully
+//! covered WAL segments are pruned by
+//! [`magik_storage::Store::checkpoint`] itself.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

@@ -49,6 +49,13 @@
 //! "is this fact certain to be in the available database?" in constant
 //! time without touching the writer.
 //!
+//! # Logged ops and the replica role
+//!
+//! Crash recovery and replica apply share one function for logged ops,
+//! [`Engine::apply_logged`]. A replica ([`Engine::open_replica`])
+//! changes state only through it, refuses client mutations, and answers
+//! `replication` from its [`ReplicaStatus`].
+//!
 //! # Parallelism
 //!
 //! The engine owns an [`Executor`]; the T_C fixpoint and the `specialize`
@@ -79,7 +86,7 @@ use std::sync::Arc;
 
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
 use crate::metrics::{CacheCounts, Metrics, Op};
-use crate::replication::ReplicationHub;
+use crate::replication::{ReplicaStatus, ReplicationHub};
 
 /// Default capacity of the verdict cache.
 const VERDICT_CACHE_CAP: usize = 1024;
@@ -162,6 +169,9 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
     }
 }
 
+/// A request handler: the reply, or an `(error code, message)` pair.
+type Handler = fn(&Engine, &str) -> Result<String, (&'static str, String)>;
+
 /// The writer's mutable master state, guarded by the engine's writer
 /// mutex. Mutations edit it in place, then [`WriterState::publish`] a
 /// fresh immutable snapshot.
@@ -200,6 +210,20 @@ struct StateSnapshot {
     tc_model: Snapshot,
     /// Original predicate → its `R^a` variant in the encoding.
     avail: Arc<BTreeMap<Pred, Pred>>,
+}
+
+impl StateSnapshot {
+    /// The checkpoint image of this snapshot. `vocab` must be taken
+    /// *after* the snapshot, so it is a superset of the names it uses.
+    fn checkpoint_image(&self, vocab: Vocabulary) -> CheckpointImage {
+        CheckpointImage {
+            vocab,
+            tcs: (*self.tcs).clone(),
+            db: self.db.to_instance(),
+            tcs_epoch: self.tcs_epoch,
+            data_epoch: self.data_epoch,
+        }
+    }
 }
 
 impl WriterState {
@@ -284,6 +308,9 @@ pub struct Engine {
     /// WAL-appended record is published here under the writer mutex (so
     /// feed order is log order). Streamers subscribe per replica.
     repl: Arc<ReplicationHub>,
+    /// `Some` on a replica ([`Engine::open_replica`]): what it knows of
+    /// its primary.
+    replica: Option<ReplicaStatus>,
 }
 
 impl Default for Engine {
@@ -343,13 +370,14 @@ impl Engine {
             checkpointer: None,
             exec,
             repl: Arc::new(ReplicationHub::default()),
+            replica: None,
         }
     }
 
     /// Opens (or creates) a **durable** engine over the data directory
     /// `dir`: recovers the newest valid checkpoint, replays the WAL tail
-    /// through the normal request path (verifying every replayed op
-    /// re-derives exactly the epochs the log recorded), then attaches the
+    /// through `Engine::apply_logged` (every replayed op must re-derive
+    /// exactly the epochs the log recorded), then attaches the
     /// write-ahead logging and checkpointing layer so subsequent
     /// mutations are logged before they are applied.
     pub fn open_durable(
@@ -375,6 +403,19 @@ impl Engine {
         Ok((engine, report))
     }
 
+    /// Opens a replica over `dir`: [`Engine::open_durable`] plus the
+    /// replica role. Client mutations are refused; [`crate::run_replica`]
+    /// applies the primary's log.
+    pub fn open_replica(
+        dir: &Path,
+        opts: DurabilityOptions,
+        exec: Executor,
+    ) -> Result<(Engine, RecoveryReport), StorageError> {
+        let (mut engine, report) = Engine::open_durable(dir, opts, exec)?;
+        engine.replica = Some(ReplicaStatus::default());
+        Ok((engine, report))
+    }
+
     /// Verifies that the data under `dir` recovers cleanly — same
     /// checkpoint load and verified replay as [`Engine::open_durable`],
     /// but against a throwaway engine and **without** mutating the
@@ -388,11 +429,9 @@ impl Engine {
     }
 
     /// Builds an engine from recovered state: the checkpoint image (if
-    /// any) seeds the session, then the WAL tail replays through
-    /// [`Engine::handle`] — the exact same parse/apply path live traffic
-    /// takes. Every replayed op must succeed *and* land the engine on the
-    /// epochs the log recorded for it; any disagreement is reported as
-    /// corruption, never silently absorbed.
+    /// any) seeds the session, then every WAL-tail record goes through
+    /// [`Engine::apply_logged`]. A record it rejects is reported as
+    /// corruption naming the record's logged epochs.
     fn replay(recovery: Recovery, exec: Executor, dir: &Path) -> Result<Engine, StorageError> {
         let engine = match recovery.checkpoint {
             Some(image) => {
@@ -408,23 +447,37 @@ impl Engine {
             ),
         };
         for rec in &recovery.tail {
-            let diverged = |got: String| StorageError::Corrupt {
-                path: dir.to_path_buf(),
-                detail: format!("replay diverged at logged epochs {:?}: {got}", rec.epochs()),
-            };
-            if let WalRecord::Op { kind, text, .. } = rec {
-                let reply = engine.handle(&format!("{} {text}", kind.verb()));
-                if !reply.starts_with("ok") {
-                    return Err(diverged(format!("engine replied `{reply}`")));
-                }
-            }
-            // Marks assert the current epochs; ops must have advanced to
-            // exactly the epochs the record carries.
-            if engine.epochs() != rec.epochs() {
-                return Err(diverged(format!("engine is at {:?}", engine.epochs())));
-            }
+            engine
+                .apply_logged(rec)
+                .map_err(|got| StorageError::Corrupt {
+                    path: dir.to_path_buf(),
+                    detail: format!("replay diverged at logged epochs {:?}: {got}", rec.epochs()),
+                })?;
         }
         Ok(engine)
+    }
+
+    /// Applies one logged record (a WAL-tail record at recovery, or one a
+    /// primary shipped): an op runs its own mutation code on the logged
+    /// text, then the engine must stand at the record's epochs (a mark
+    /// asserts the current ones). A refused op or an epoch mismatch is an
+    /// error. Not a client request, so `<op>.*` does not count it.
+    pub(crate) fn apply_logged(&self, rec: &WalRecord) -> Result<(), String> {
+        if let WalRecord::Op { kind, text, .. } = rec {
+            let applied = match kind {
+                OpKind::Assert => self.req_assert(text),
+                OpKind::Retract => self.req_retract(text),
+                OpKind::Compl => self.req_compl(text),
+            };
+            if let Err((code, msg)) = applied {
+                return Err(format!("engine replied `err {code} {msg}`"));
+            }
+        }
+        let epochs = self.epochs();
+        if epochs != rec.epochs() {
+            return Err(format!("engine is at {epochs:?}"));
+        }
+        Ok(())
     }
 
     /// The vocabulary, poison-recovering: interning is append-only, so
@@ -484,13 +537,7 @@ impl Engine {
         })?;
         store.flush()?;
         let start = Instant::now();
-        let outcome = store.checkpoint(&CheckpointImage {
-            vocab,
-            tcs: (*snap.tcs).clone(),
-            db: snap.db.to_instance(),
-            tcs_epoch: snap.tcs_epoch,
-            data_epoch: snap.data_epoch,
-        })?;
+        let outcome = store.checkpoint(&snap.checkpoint_image(vocab))?;
         if outcome.written {
             self.metrics.record_checkpoint(start.elapsed());
         }
@@ -553,13 +600,7 @@ impl Engine {
         let worker = Arc::clone(d);
         let metrics = Arc::clone(&self.metrics);
         pool.execute(move || {
-            let image = CheckpointImage {
-                vocab,
-                tcs: (*snap.tcs).clone(),
-                db: snap.db.to_instance(),
-                tcs_epoch: snap.tcs_epoch,
-                data_epoch: snap.data_epoch,
-            };
+            let image = snap.checkpoint_image(vocab);
             let start = Instant::now();
             match worker.store().checkpoint(&image) {
                 Ok(outcome) => {
@@ -597,6 +638,12 @@ impl Engine {
     /// The live replication feed; streamers subscribe one per replica.
     pub(crate) fn replication_hub(&self) -> &Arc<ReplicationHub> {
         &self.repl
+    }
+
+    /// What this replica knows of its primary; `None` unless the engine
+    /// was opened with [`Engine::open_replica`].
+    pub fn replica_status(&self) -> Option<&ReplicaStatus> {
+        self.replica.as_ref()
     }
 
     /// The retained WAL ops strictly past history position `from_sum`
@@ -658,9 +705,9 @@ impl Engine {
             "generalize" => (Op::Generalize, self.req_generalize(rest)),
             "specialize" => (Op::Specialize, self.req_specialize(rest)),
             "eval" => (Op::Eval, self.req_eval(rest)),
-            "assert" => (Op::Assert, self.req_assert(rest)),
-            "retract" => (Op::Retract, self.req_retract(rest)),
-            "compl" => (Op::Compl, self.req_compl(rest)),
+            "assert" => (Op::Assert, self.client_write(rest, Engine::req_assert)),
+            "retract" => (Op::Retract, self.client_write(rest, Engine::req_retract)),
+            "compl" => (Op::Compl, self.client_write(rest, Engine::req_compl)),
             "guaranteed" => (Op::Guaranteed, self.req_guaranteed(rest)),
             "analyze" => (Op::Analyze, self.req_analyze(rest)),
             "why" => (Op::Why, self.req_why(rest)),
@@ -710,6 +757,7 @@ impl Engine {
                 let (te, de) = self.epochs();
                 (Op::Other, Ok(format!("ok tcs={te} data={de}")))
             }
+            "replication" => (Op::Other, Ok(self.req_replication())),
             "ping" => (Op::Other, Ok("ok pong".to_string())),
             "" => (Op::Other, Err(("proto", "empty request".to_string()))),
             other => (
@@ -722,6 +770,39 @@ impl Engine {
         match result {
             Ok(reply) => reply,
             Err((code, msg)) => format!("err {code} {}", msg.replace('\n', " ")),
+        }
+    }
+
+    /// Runs the client mutation `apply` on `src`. A replica refuses it:
+    /// its state changes only by applying its primary's log.
+    fn client_write(&self, src: &str, apply: Handler) -> Result<String, (&'static str, String)> {
+        if self.replica.is_some() {
+            return Err((
+                "readonly",
+                "this replica serves reads only; send writes to the primary".to_string(),
+            ));
+        }
+        apply(self, src)
+    }
+
+    /// `replication` — this node's role, epochs, and lag or subscribers.
+    fn req_replication(&self) -> String {
+        let (te, de) = self.epochs();
+        match &self.replica {
+            Some(status) => {
+                let (pte, pde) = status.primary_epochs();
+                let lag = (pte + pde).saturating_sub(te + de);
+                format!(
+                    "ok role=replica connected={} primary_tcs={pte} primary_data={pde} \
+                     tcs={te} data={de} lag={lag}",
+                    status.is_connected()
+                )
+            }
+            None => format!(
+                "ok role=primary durable={} tcs={te} data={de} subscribers={}",
+                self.is_durable(),
+                self.repl.subscribers()
+            ),
         }
     }
 

@@ -44,9 +44,7 @@ use magik_runtime::poller::{Interest, Poller};
 use magik_runtime::ThreadPool;
 
 use crate::engine::Engine;
-use crate::net::{
-    intercept, replication_status, AcceptBackoff, Action, Framing, ServerConfig, MAX_LINE_BYTES,
-};
+use crate::net::{intercept, AcceptBackoff, Action, Framing, MAX_LINE_BYTES};
 use crate::replication;
 
 /// The registration token reserved for the listener.
@@ -72,16 +70,6 @@ const READ_CHUNK: usize = 16 * 1024;
 /// A completed reply routed back to the reactor: connection token,
 /// per-connection sequence number, and the reply itself.
 type DoneMsg = (usize, u64, Done);
-
-/// A request waiting in [`Conn::exec_queue`] for its execution turn.
-enum Exec {
-    /// Run through `Engine::handle` on a pool worker.
-    Engine(String),
-    /// Render this node's replication status. Cheap (a snapshot clone
-    /// plus atomic loads), so it runs on the reactor thread — but only
-    /// at its turn, after every request ahead of it has executed.
-    Status,
-}
 
 /// A finished reply travelling back from a worker (or produced inline).
 struct Done {
@@ -137,7 +125,7 @@ struct Conn {
     /// connection runs at a time ([`Conn::executing`]), so a pipelined
     /// `compl` + `check` pair behaves exactly as it would back-to-back —
     /// pipelining reorders nothing, it only removes round trips.
-    exec_queue: VecDeque<(u64, Exec)>,
+    exec_queue: VecDeque<(u64, String)>,
     /// The sequence number currently running on a worker, if any.
     executing: Option<u64>,
     /// Peer half-closed its write side (EOF seen).
@@ -197,7 +185,6 @@ impl Conn {
 /// Everything a pump pass needs besides the connection itself.
 struct Ctx<'a> {
     engine: &'a Arc<Engine>,
-    cfg: &'a ServerConfig,
     pool: &'a ThreadPool,
     poller: &'a Arc<Poller>,
     done_tx: &'a Sender<(usize, u64, Done)>,
@@ -210,22 +197,22 @@ pub(crate) fn run(
     listener: TcpListener,
     poller: Arc<Poller>,
     engine: Arc<Engine>,
-    cfg: ServerConfig,
+    workers: usize,
     stop: Arc<AtomicBool>,
 ) {
-    let _ = serve(&listener, &poller, &engine, &cfg, &stop);
+    let _ = serve(&listener, &poller, &engine, workers, &stop);
 }
 
 fn serve(
     listener: &TcpListener,
     poller: &Arc<Poller>,
     engine: &Arc<Engine>,
-    cfg: &ServerConfig,
+    workers: usize,
     stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     poller.register(listener, LISTENER_TOKEN, Interest::READ)?;
-    let pool = ThreadPool::new(cfg.workers.max(1));
+    let pool = ThreadPool::new(workers.max(1));
     let (done_tx, done_rx): (Sender<DoneMsg>, Receiver<DoneMsg>) = channel();
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_token = LISTENER_TOKEN + 1;
@@ -283,7 +270,6 @@ fn serve(
         // re-openings all funnel through the same pump.
         let ctx = Ctx {
             engine,
-            cfg,
             pool: &pool,
             poller,
             done_tx: &done_tx,
@@ -379,7 +365,7 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
         }
     }
 
-    parse_and_dispatch(conn, ctx);
+    parse_and_dispatch(conn);
     advance_exec(conn, token, ctx);
 
     flush_ready(conn);
@@ -513,7 +499,7 @@ fn next_request(conn: &mut Conn) -> Parsed {
 /// Parses as many complete requests as the gates allow, completing
 /// connection-level commands inline and queueing the rest for
 /// sequential execution ([`advance_exec`]).
-fn parse_and_dispatch(conn: &mut Conn, ctx: &Ctx<'_>) {
+fn parse_and_dispatch(conn: &mut Conn) {
     while !conn.closing
         && conn.replicate_from.is_none()
         && conn.inflight() < MAX_INFLIGHT
@@ -540,7 +526,7 @@ fn parse_and_dispatch(conn: &mut Conn, ctx: &Ctx<'_>) {
         };
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        match intercept(&cmd, ctx.cfg, conn.parse_framing) {
+        match intercept(&cmd, conn.parse_framing) {
             Action::Reply(reply) => {
                 conn.done.insert(
                     seq,
@@ -595,11 +581,8 @@ fn parse_and_dispatch(conn: &mut Conn, ctx: &Ctx<'_>) {
                     conn.replicate_from = Some(from);
                 }
             }
-            Action::Status => {
-                conn.exec_queue.push_back((seq, Exec::Status));
-            }
             Action::Dispatch => {
-                conn.exec_queue.push_back((seq, Exec::Engine(cmd)));
+                conn.exec_queue.push_back((seq, cmd));
             }
         }
     }
@@ -621,42 +604,29 @@ fn advance_exec(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
             conn.executing = None;
         }
     }
-    while conn.executing.is_none() {
-        let Some((seq, exec)) = conn.exec_queue.pop_front() else {
-            break;
-        };
-        match exec {
-            Exec::Status => {
-                conn.done.insert(
-                    seq,
-                    Done {
-                        reply: replication_status(ctx.engine, ctx.cfg),
-                        switch_to: None,
-                        close: false,
-                    },
-                );
-            }
-            Exec::Engine(cmd) => {
-                conn.executing = Some(seq);
-                let engine = Arc::clone(ctx.engine);
-                let tx = ctx.done_tx.clone();
-                let poller = Arc::clone(ctx.poller);
-                ctx.pool.execute(move || {
-                    let reply = engine.handle(&cmd);
-                    let _ = tx.send((
-                        token,
-                        seq,
-                        Done {
-                            reply,
-                            switch_to: None,
-                            close: false,
-                        },
-                    ));
-                    let _ = poller.wake();
-                });
-            }
-        }
+    if conn.executing.is_some() {
+        return;
     }
+    let Some((seq, cmd)) = conn.exec_queue.pop_front() else {
+        return;
+    };
+    conn.executing = Some(seq);
+    let engine = Arc::clone(ctx.engine);
+    let tx = ctx.done_tx.clone();
+    let poller = Arc::clone(ctx.poller);
+    ctx.pool.execute(move || {
+        let reply = engine.handle(&cmd);
+        let _ = tx.send((
+            token,
+            seq,
+            Done {
+                reply,
+                switch_to: None,
+                close: false,
+            },
+        ));
+        let _ = poller.wake();
+    });
 }
 
 /// Moves every reply whose turn has come from the reorder map into the

@@ -22,11 +22,13 @@
 //!   [`Executor`](magik_exec::Executor)) is a separate instance: request
 //!   handlers must never occupy the workers that reasoning fan-outs
 //!   need, and vice versa.
-//! * [`ServerConfig`] / [`ReplicaStatus`] / [`initial_sync`] /
+//! * [`Engine::open_replica`] / [`ReplicaStatus`] / [`initial_sync`] /
 //!   [`run_replica`] — WAL log-shipping replication: a primary streams
 //!   its write-ahead log to read-only replicas from a snapshot-consistent
-//!   position; replicas replay through the normal recovery path and
-//!   report their epoch lag via the `replication` command.
+//!   position. A replica engine applies each shipped op through the
+//!   function crash recovery uses (`Engine::apply_logged`), refuses
+//!   client writes itself, and reports its epoch lag via the
+//!   `replication` request.
 //! * [`Metrics`] / [`Histogram`] — per-op counters and fixed-bucket
 //!   latency quantiles, reported by the `metrics` request (together with
 //!   the compute pool's `runtime.tasks`/`runtime.steals`/`pool.panics`
@@ -73,5 +75,5 @@ pub use engine::Engine;
 pub use magik_exec::LruCache;
 pub use magik_runtime::ThreadPool;
 pub use metrics::{Histogram, Metrics, Op};
-pub use net::{Server, ServerConfig};
+pub use net::Server;
 pub use replication::{initial_sync, run_replica, ReplicaStatus};

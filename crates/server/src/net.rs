@@ -11,10 +11,11 @@
 //! The protocol (grammar in `PROTOCOL.md`) is requests in, replies out,
 //! in order, with request *pipelining* (many requests in flight per
 //! connection, replies strictly in request order) and a length-prefixed
-//! *binary framing* negotiated in-band with `frames binary`.
-//! Connection-level commands — `quit`, `replication`, framing
-//! negotiation, read-only enforcement and the `replicate` handoff — are
-//! classified by [`intercept`].
+//! *binary framing* negotiated in-band with `frames binary`. The front
+//! end keeps only framing and the connection-level commands — `quit`,
+//! `frames` and the `replicate` handoff — classified by [`intercept`];
+//! every other request, `replication` and a replica's refused writes
+//! included, is the engine's.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -25,7 +26,6 @@ use std::time::Duration;
 use magik_runtime::poller::Poller;
 
 use crate::engine::Engine;
-use crate::replication::ReplicaStatus;
 
 /// The most bytes one request may hold — the line before its newline, or
 /// a binary frame payload. A client streaming bytes with no terminator
@@ -53,39 +53,12 @@ impl Framing {
     }
 }
 
-/// Configuration for [`Server::start_with`].
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// Worker threads executing engine requests (min 1).
-    pub workers: usize,
-    /// Refuse mutations (`assert`, `retract`, `compl`) with
-    /// `err readonly …`. Replicas serve with this set.
-    pub read_only: bool,
-    /// When serving as a replica, the shared status handle the
-    /// `replication` command reports from.
-    pub replica_status: Option<Arc<ReplicaStatus>>,
-}
-
-impl Default for ServerConfig {
-    fn default() -> ServerConfig {
-        ServerConfig {
-            workers: 4,
-            read_only: false,
-            replica_status: None,
-        }
-    }
-}
-
 /// What the front end should do with one parsed request.
 pub(crate) enum Action {
     /// Reply immediately without touching the engine.
     Reply(String),
     /// Hand the request to `Engine::handle` on a worker.
     Dispatch,
-    /// Answer with [`replication_status`] at the request's execution
-    /// turn, not at parse time — a pipelined status must reflect every
-    /// request ahead of it.
-    Status,
     /// Reply, then close the connection.
     Close(String),
     /// Ack in the current framing, then parse and reply with the new one.
@@ -96,10 +69,9 @@ pub(crate) enum Action {
 }
 
 /// Classifies one request line for the front end. Everything that is
-/// not a connection-level command (`quit`, `frames`, `replication`,
-/// `replicate`, read-only enforcement) is [`Action::Dispatch`]ed to the
-/// engine.
-pub(crate) fn intercept(cmd: &str, cfg: &ServerConfig, current: Framing) -> Action {
+/// not a connection-level command (`quit`, `frames`, `replicate`) is
+/// [`Action::Dispatch`]ed to the engine.
+pub(crate) fn intercept(cmd: &str, current: Framing) -> Action {
     let (verb, rest) = match cmd.split_once(char::is_whitespace) {
         Some((v, r)) => (v, r.trim()),
         None => (cmd, ""),
@@ -112,7 +84,6 @@ pub(crate) fn intercept(cmd: &str, cfg: &ServerConfig, current: Framing) -> Acti
             "line" => Action::Switch(Framing::Line, "ok frames=line".to_string()),
             other => Action::Reply(format!("err proto unknown framing `{other}`")),
         },
-        "replication" => Action::Status,
         "replicate" => {
             let mut parts = rest.split_whitespace();
             match (
@@ -126,31 +97,7 @@ pub(crate) fn intercept(cmd: &str, cfg: &ServerConfig, current: Framing) -> Acti
                 }
             }
         }
-        "assert" | "retract" | "compl" if cfg.read_only => Action::Reply(
-            "err readonly this replica serves reads only; send writes to the primary".to_string(),
-        ),
         _ => Action::Dispatch,
-    }
-}
-
-/// Renders the `replication` status line for this node's role.
-pub(crate) fn replication_status(engine: &Engine, cfg: &ServerConfig) -> String {
-    let (te, de) = engine.epochs();
-    match &cfg.replica_status {
-        Some(status) => {
-            let (pte, pde) = status.primary_epochs();
-            let lag = (pte + pde).saturating_sub(te + de);
-            format!(
-                "ok role=replica connected={} primary_tcs={pte} primary_data={pde} \
-                 tcs={te} data={de} lag={lag}",
-                status.is_connected()
-            )
-        }
-        None => format!(
-            "ok role=primary durable={} tcs={te} data={de} subscribers={}",
-            engine.is_durable(),
-            engine.replication_hub().subscribers()
-        ),
     }
 }
 
@@ -209,29 +156,14 @@ pub struct Server {
 impl Server {
     /// Binds `addr` (e.g. `127.0.0.1:7171`, or port `0` for an ephemeral
     /// port) and starts the event-loop front end with `workers` request
-    /// workers: connections are multiplexed on one reactor thread,
-    /// requests may be pipelined, and binary framing can be negotiated.
+    /// workers (min 1): connections are multiplexed on one reactor
+    /// thread, requests may be pipelined, and binary framing can be
+    /// negotiated. A replica engine ([`Engine::open_replica`]) serves
+    /// read-only through the same call.
     pub fn start(
         engine: Arc<Engine>,
         addr: impl ToSocketAddrs,
         workers: usize,
-    ) -> std::io::Result<Server> {
-        Server::start_with(
-            engine,
-            addr,
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-        )
-    }
-
-    /// [`Server::start`] with full [`ServerConfig`] control (read-only
-    /// replicas, replication status reporting).
-    pub fn start_with(
-        engine: Arc<Engine>,
-        addr: impl ToSocketAddrs,
-        cfg: ServerConfig,
     ) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
@@ -243,7 +175,7 @@ impl Server {
         let accept_thread = std::thread::Builder::new()
             .name("magik-reactor".to_string())
             .spawn(move || {
-                crate::event_loop::run(listener, loop_poller, loop_engine, cfg, loop_stop);
+                crate::event_loop::run(listener, loop_poller, loop_engine, workers, loop_stop);
             })?;
         Ok(Server {
             local_addr,
@@ -324,73 +256,36 @@ mod tests {
 
     #[test]
     fn intercept_classifies_connection_commands() {
-        let engine = Engine::new();
-        let cfg = ServerConfig::default();
         assert!(matches!(
-            intercept("quit", &cfg, Framing::Line),
+            intercept("quit", Framing::Line),
             Action::Close(r) if r == "ok bye"
         ));
         assert!(matches!(
-            intercept("frames binary", &cfg, Framing::Line),
+            intercept("frames binary", Framing::Line),
             Action::Switch(Framing::Binary, r) if r == "ok frames=binary"
         ));
         assert!(matches!(
-            intercept("frames", &cfg, Framing::Binary),
+            intercept("frames", Framing::Binary),
             Action::Reply(r) if r == "ok frames=binary"
         ));
         assert!(matches!(
-            intercept("replicate 3 7", &cfg, Framing::Line),
+            intercept("replicate 3 7", Framing::Line),
             Action::Replicate((3, 7))
         ));
         assert!(matches!(
-            intercept("replicate x", &cfg, Framing::Line),
+            intercept("replicate x", Framing::Line),
             Action::Reply(r) if r.starts_with("err proto usage")
         ));
         assert!(matches!(
-            intercept("check q() :- p().", &cfg, Framing::Line),
+            intercept("check q() :- p().", Framing::Line),
             Action::Dispatch
         ));
-        assert!(matches!(
-            intercept("replication", &cfg, Framing::Line),
-            Action::Status
-        ));
-        let status = replication_status(&engine, &cfg);
-        assert!(
-            status.starts_with("ok role=primary durable=false tcs=0 data=0"),
-            "unexpected status: {status}"
-        );
-    }
-
-    #[test]
-    fn intercept_enforces_read_only() {
-        let engine = Engine::new();
-        let cfg = ServerConfig {
-            read_only: true,
-            replica_status: Some(Arc::new(ReplicaStatus::new())),
-            ..ServerConfig::default()
-        };
-        for cmd in ["assert p(a).", "retract p(a).", "compl p(X) ; true."] {
+        // The engine answers `replication` and refuses a replica's writes.
+        for cmd in ["replication", "assert p(a)."] {
             assert!(
-                matches!(
-                    intercept(cmd, &cfg, Framing::Line),
-                    Action::Reply(r) if r.starts_with("err readonly")
-                ),
-                "{cmd} should be refused"
+                matches!(intercept(cmd, Framing::Line), Action::Dispatch),
+                "{cmd}"
             );
         }
-        // Reads still dispatch.
-        assert!(matches!(
-            intercept("check q() :- p().", &cfg, Framing::Line),
-            Action::Dispatch
-        ));
-        assert!(matches!(
-            intercept("replication", &cfg, Framing::Line),
-            Action::Status
-        ));
-        let status = replication_status(&engine, &cfg);
-        assert!(
-            status.starts_with("ok role=replica connected=false"),
-            "unexpected status: {status}"
-        );
     }
 }

@@ -4,9 +4,12 @@
 //! mutation is already serialized through one writer mutex and appended
 //! to the WAL (with its **post-op epochs**) before it is applied, so the
 //! log *is* a complete, totally ordered description of the session. A
-//! replica is simply a second engine that replays that log through the
-//! normal request path — the same path crash recovery uses — and serves
-//! the resulting epoch-tagged snapshots read-only.
+//! replica is simply a second engine, opened with
+//! [`Engine::open_replica`], that applies that log through
+//! [`Engine::apply_logged`] — the function crash recovery uses — and
+//! serves the resulting epoch-tagged snapshots read-only. The replica
+//! engine itself refuses client writes and answers `replication` from
+//! its [`ReplicaStatus`].
 //!
 //! # Protocol
 //!
@@ -120,8 +123,10 @@ impl ReplicationHub {
     }
 }
 
-/// What a replica knows about its primary, shared between the apply
-/// loop and the read-only server's `replication` status request.
+/// What a replica knows about its primary. Owned by the replica's
+/// engine ([`Engine::replica_status`]): [`run_replica`] updates it, and
+/// the engine's `replication` request reports it. Starts disconnected,
+/// with the primary's epochs unknown.
 #[derive(Debug, Default)]
 pub struct ReplicaStatus {
     connected: AtomicBool,
@@ -130,11 +135,6 @@ pub struct ReplicaStatus {
 }
 
 impl ReplicaStatus {
-    /// Creates a status handle (disconnected, primary epochs unknown).
-    pub fn new() -> ReplicaStatus {
-        ReplicaStatus::default()
-    }
-
     /// Whether the apply loop currently holds a replication stream.
     pub fn is_connected(&self) -> bool {
         self.connected.load(Ordering::SeqCst)
@@ -295,22 +295,20 @@ fn local_position(dir: &Path) -> Result<(u64, u64), String> {
     Ok(recovery.final_epochs())
 }
 
-/// Pre-flight bootstrap for a replica, run **before** its engine opens:
-/// asks the primary whether the replica's on-disk position can still be
-/// served from the retained log and, if not, downloads and installs the
-/// primary's newest checkpoint image (fully validated before it is
-/// renamed into place). Either way the connection is then closed; the
-/// caller opens the engine through normal crash recovery — which seeds
-/// from the installed image — and starts [`run_replica`].
-///
-/// Returns the `(tcs_epoch, data_epoch)` of the installed image, or
-/// `None` when the log covers the local position and no image was
-/// needed.
-pub fn initial_sync(primary: &str, dir: &Path) -> Result<Option<(u64, u64)>, String> {
-    let (te, de) = local_position(dir)?;
+/// Opens a replication connection: connects to `primary`, sends our
+/// position `replicate <te> <de>`, and reads the primary's one-line
+/// answer (trimmed). Reads time out after [`REPLICA_READ_TIMEOUT`] of
+/// silence.
+fn handshake(
+    primary: &str,
+    (te, de): (u64, u64),
+) -> Result<(BufReader<TcpStream>, String), String> {
     let stream = TcpStream::connect(primary)
         .map_err(|e| format!("cannot reach primary `{primary}`: {e}"))?;
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    stream
+        .set_read_timeout(Some(REPLICA_READ_TIMEOUT))
+        .map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
     reader
         .get_mut()
@@ -318,7 +316,23 @@ pub fn initial_sync(primary: &str, dir: &Path) -> Result<Option<(u64, u64)>, Str
         .map_err(|e| e.to_string())?;
     let mut line = String::new();
     reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    let line = line.trim();
+    let line = line.trim().to_string();
+    Ok((reader, line))
+}
+
+/// Pre-flight bootstrap for a replica, run **before** its engine opens:
+/// asks the primary whether the replica's on-disk position can still be
+/// served from the retained log and, if not, downloads and installs the
+/// primary's newest checkpoint image (fully validated before it is
+/// renamed into place). Either way the connection is then closed; the
+/// caller opens the engine with [`Engine::open_replica`] — whose crash
+/// recovery seeds from the installed image — and starts [`run_replica`].
+///
+/// Returns the `(tcs_epoch, data_epoch)` of the installed image, or
+/// `None` when the log covers the local position and no image was
+/// needed.
+pub fn initial_sync(primary: &str, dir: &Path) -> Result<Option<(u64, u64)>, String> {
+    let (mut reader, line) = handshake(primary, local_position(dir)?)?;
     if line.starts_with("ok replicate stream") {
         return Ok(None);
     }
@@ -339,32 +353,18 @@ pub fn initial_sync(primary: &str, dir: &Path) -> Result<Option<(u64, u64)>, Str
 }
 
 /// One replication session: connect, hand the primary our position,
-/// apply every shipped op through the normal request path (verifying it
-/// re-derives the logged epochs), until an error or `stop`. Counts the
-/// frames it handled into `processed` as it goes, so the caller can
-/// reset its backoff after a productive session even when the session
-/// ends in an error.
+/// apply every shipped op through [`Engine::apply_logged`], until an
+/// error or `stop`. Counts the frames it handled into `processed` as it
+/// goes, so the caller can reset its backoff after a productive session
+/// even when the session ends in an error.
 fn replicate_once(
-    engine: &Arc<Engine>,
+    engine: &Engine,
     primary: &str,
     status: &ReplicaStatus,
     stop: &AtomicBool,
     processed: &mut u64,
 ) -> Result<(), String> {
-    let stream = TcpStream::connect(primary).map_err(|e| e.to_string())?;
-    stream.set_nodelay(true).map_err(|e| e.to_string())?;
-    stream
-        .set_read_timeout(Some(REPLICA_READ_TIMEOUT))
-        .map_err(|e| e.to_string())?;
-    let (te, de) = engine.epochs();
-    let mut reader = BufReader::new(stream);
-    reader
-        .get_mut()
-        .write_all(format!("replicate {te} {de}\n").as_bytes())
-        .map_err(|e| e.to_string())?;
-    let mut line = String::new();
-    reader.read_line(&mut line).map_err(|e| e.to_string())?;
-    let line = line.trim().to_string();
+    let (mut reader, line) = handshake(primary, engine.epochs())?;
     if line.starts_with("ok replicate snapshot") {
         // The primary pruned our position away while we were running.
         // A live engine cannot swallow a checkpoint image; the replica
@@ -393,10 +393,9 @@ fn replicate_once(
                 data_epoch,
             } => status.observe(tcs_epoch, data_epoch),
             WalRecord::Op {
-                kind,
-                ref text,
                 tcs_epoch,
                 data_epoch,
+                ..
             } => {
                 let sum = tcs_epoch + data_epoch;
                 let (ete, ede) = engine.epochs();
@@ -411,17 +410,11 @@ fn replicate_once(
                          next op is ({tcs_epoch}, {data_epoch})"
                     ));
                 }
-                let reply = engine.handle(&format!("{} {text}", kind.verb()));
-                if !reply.starts_with("ok") {
-                    return Err(format!("replicated op rejected: `{reply}`"));
-                }
-                if engine.epochs() != (tcs_epoch, data_epoch) {
-                    return Err(format!(
-                        "replicated op diverged: logged ({tcs_epoch}, {data_epoch}), \
-                         applied to {:?}",
-                        engine.epochs()
-                    ));
-                }
+                engine.apply_logged(&rec).map_err(|e| {
+                    format!(
+                        "replicated op diverged at logged epochs ({tcs_epoch}, {data_epoch}): {e}"
+                    )
+                })?;
                 engine.metrics().record_repl_applied();
                 status.observe(tcs_epoch, data_epoch);
             }
@@ -431,14 +424,16 @@ fn replicate_once(
 
 /// The replica's apply loop: replication sessions with exponential
 /// reconnect backoff, until `stop`. Meant for a dedicated thread next to
-/// the replica's read-only server; `status` is shared with that server's
-/// `replication` request.
-pub fn run_replica(
-    engine: &Arc<Engine>,
-    primary: &str,
-    status: &Arc<ReplicaStatus>,
-    stop: &Arc<AtomicBool>,
-) {
+/// the server of a replica engine; it keeps that engine's
+/// [`ReplicaStatus`] current.
+///
+/// # Panics
+///
+/// If `engine` was not opened with [`Engine::open_replica`].
+pub fn run_replica(engine: &Engine, primary: &str, stop: &AtomicBool) {
+    let status = engine
+        .replica_status()
+        .expect("run_replica needs an engine opened with Engine::open_replica");
     let mut backoff = RECONNECT_START;
     while !stop.load(Ordering::SeqCst) {
         let mut processed = 0u64;

@@ -14,7 +14,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use magik_server::{DurabilityOptions, Engine, Server};
-use magik_storage::FsyncPolicy;
+use magik_storage::{FsyncPolicy, OpKind, StorageError, Store, StoreOptions, WalRecord};
 
 /// A fresh scratch directory per call (process id + counter keyed, so
 /// parallel test binaries never collide).
@@ -241,6 +241,92 @@ fn duplicate_asserts_and_absent_retracts_are_not_logged() {
     }
     let (_, report) = open(&dir, FsyncPolicy::Always, 0);
     assert_eq!(report.replayed_ops, 1);
+}
+
+/// Writes `tail` as the WAL of a fresh data directory.
+fn dir_with_tail(name: &str, tail: &[WalRecord]) -> PathBuf {
+    let dir = data_dir(name);
+    let (mut store, _) = Store::open(&dir, StoreOptions::default()).expect("store opens");
+    for rec in tail {
+        store.append(rec).expect("append");
+    }
+    dir
+}
+
+fn op(kind: OpKind, text: &str, tcs_epoch: u64, data_epoch: u64) -> WalRecord {
+    WalRecord::Op {
+        kind,
+        text: text.to_string(),
+        tcs_epoch,
+        data_epoch,
+    }
+}
+
+/// Both recovery entry points refuse `dir` as corrupt, naming `epochs`.
+fn assert_replay_refused(dir: &Path, epochs: &str) {
+    let opened = Engine::open_durable(
+        dir,
+        opts(FsyncPolicy::Never, 0),
+        magik_exec::Executor::Sequential,
+    );
+    let verified = Engine::verify_recovery(dir, magik_exec::Executor::Sequential);
+    for err in [opened.err(), verified.err()] {
+        match err {
+            Some(StorageError::Corrupt { detail, .. }) => assert!(
+                detail.contains(&format!("replay diverged at logged epochs {epochs}")),
+                "{detail}"
+            ),
+            other => panic!("expected a corrupt-storage error, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn replaying_a_repeated_assert_is_corruption() {
+    // The second record logs an assert the first already applied: the
+    // replay answers `ok duplicate`, so the epochs stay at (0, 1)
+    // instead of reaching the logged (0, 2).
+    let dir = dir_with_tail(
+        "repeated",
+        &[
+            op(OpKind::Assert, "edge(a, b).", 0, 1),
+            op(OpKind::Assert, "edge(a, b).", 0, 2),
+        ],
+    );
+    assert_replay_refused(&dir, "(0, 2): engine is at (0, 1)");
+}
+
+#[test]
+fn replaying_an_unparsable_compl_is_corruption() {
+    let dir = dir_with_tail(
+        "unparsable",
+        &[
+            op(OpKind::Assert, "edge(a, b).", 0, 1),
+            op(OpKind::Compl, "edge(X, Y) ;", 1, 1),
+        ],
+    );
+    assert_replay_refused(&dir, "(1, 1): engine replied `err parse");
+}
+
+#[test]
+fn replayed_ops_count_as_recovery_not_as_client_requests() {
+    let dir = data_dir("replayed-metrics");
+    {
+        let (engine, _) = open(&dir, FsyncPolicy::Always, 0);
+        engine.handle("compl edge(X, Y) ; true.");
+        engine.handle("assert edge(a, b).");
+        engine.handle("assert edge(b, c).");
+        engine.handle("retract edge(a, b).");
+        // Unclean drop: the reopen replays all four ops.
+    }
+    let (engine, report) = open(&dir, FsyncPolicy::Always, 0);
+    assert_eq!(report.replayed_ops, 4);
+    let metrics = engine.handle("metrics");
+    assert!(metrics.contains("recovery.replayed_ops=4"), "{metrics}");
+    // `<op>.*` counts client requests only, and none has been sent.
+    for op in ["compl", "assert", "retract"] {
+        assert!(!metrics.contains(&format!("{op}.count")), "{metrics}");
+    }
 }
 
 // ---------------------------------------------------------------------

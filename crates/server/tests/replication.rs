@@ -10,9 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use magik_server::{
-    initial_sync, run_replica, DurabilityOptions, Engine, ReplicaStatus, Server, ServerConfig,
-};
+use magik_server::{initial_sync, run_replica, DurabilityOptions, Engine, Server};
 use magik_storage::FsyncPolicy;
 
 fn data_dir(name: &str) -> PathBuf {
@@ -26,17 +24,27 @@ fn data_dir(name: &str) -> PathBuf {
     dir
 }
 
+fn options(checkpoint_every: u64) -> DurabilityOptions {
+    DurabilityOptions {
+        fsync: FsyncPolicy::Always,
+        segment_bytes: 1 << 12,
+        checkpoint_every,
+    }
+}
+
 fn open(dir: &std::path::Path, checkpoint_every: u64) -> Engine {
     let (engine, _) = Engine::open_durable(
         dir,
-        DurabilityOptions {
-            fsync: FsyncPolicy::Always,
-            segment_bytes: 1 << 12,
-            checkpoint_every,
-        },
+        options(checkpoint_every),
         magik_exec::Executor::Sequential,
     )
     .expect("durable open");
+    engine
+}
+
+fn open_replica(dir: &std::path::Path) -> Engine {
+    let (engine, _) = Engine::open_replica(dir, options(0), magik_exec::Executor::Sequential)
+        .expect("replica open");
     engine
 }
 
@@ -100,11 +108,10 @@ impl Client {
     }
 }
 
-/// A replica running in this process: durable engine, follower thread,
-/// and a read-only server.
+/// A replica running in this process: replica engine, follower thread,
+/// and its server.
 struct Replica {
     engine: Arc<Engine>,
-    status: Arc<ReplicaStatus>,
     stop: Arc<AtomicBool>,
     server: Server,
     follower: Option<std::thread::JoinHandle<()>>,
@@ -113,29 +120,17 @@ struct Replica {
 impl Replica {
     fn start(dir: &std::path::Path, primary: &str) -> Replica {
         initial_sync(primary, dir).expect("initial sync");
-        let engine = Arc::new(open(dir, 0));
-        let status = Arc::new(ReplicaStatus::new());
+        let engine = Arc::new(open_replica(dir));
         let stop = Arc::new(AtomicBool::new(false));
-        let server = Server::start_with(
-            Arc::clone(&engine),
-            "127.0.0.1:0",
-            ServerConfig {
-                workers: 2,
-                read_only: true,
-                replica_status: Some(Arc::clone(&status)),
-            },
-        )
-        .expect("bind replica");
+        let server = Server::start(Arc::clone(&engine), "127.0.0.1:0", 2).expect("bind replica");
         let follower = {
             let engine = Arc::clone(&engine);
-            let status = Arc::clone(&status);
             let stop = Arc::clone(&stop);
             let primary = primary.to_string();
-            std::thread::spawn(move || run_replica(&engine, &primary, &status, &stop))
+            std::thread::spawn(move || run_replica(&engine, &primary, &stop))
         };
         Replica {
             engine,
-            status,
             stop,
             server,
             follower: Some(follower),
@@ -193,7 +188,11 @@ fn replica_follows_a_live_primary_and_serves_identical_verdicts() {
         replica.engine.epochs() == primary_engine.epochs()
     });
     assert!(
-        replica.status.is_connected(),
+        replica
+            .engine
+            .replica_status()
+            .expect("replica")
+            .is_connected(),
         "follower should be connected"
     );
 
@@ -277,6 +276,81 @@ fn replica_bootstraps_from_a_checkpoint_when_the_log_is_pruned() {
     let q = "eval q(S) :- school(S, primary, bz).";
     assert_eq!(p.request(q), r.request(q));
 
+    replica.shutdown();
+    primary.stop();
+}
+
+/// The `name=<u64>` field of a `metrics` reply.
+fn field(metrics: &str, name: &str) -> u64 {
+    metrics
+        .split_whitespace()
+        .find_map(|kv| kv.strip_prefix(name)?.strip_prefix('=')?.parse().ok())
+        .unwrap_or_else(|| panic!("{name} missing in {metrics}"))
+}
+
+#[test]
+fn replica_engine_refuses_writes_serves_reads_and_reports_its_role() {
+    let dir = data_dir("role");
+    {
+        let engine = open(&dir, 0);
+        engine.handle("compl edge(X, Y) ; true.");
+        engine.handle("assert edge(a, b).");
+        // Unclean drop: the replica below recovers both ops.
+    }
+    let replica = open_replica(&dir);
+    assert_eq!(replica.epochs(), (1, 1));
+    for write in [
+        "assert edge(b, c).",
+        "retract edge(a, b).",
+        "compl edge(X, c) ; true.",
+    ] {
+        assert_eq!(
+            replica.handle(write),
+            "err readonly this replica serves reads only; send writes to the primary",
+            "{write}"
+        );
+    }
+    assert_eq!(replica.epochs(), (1, 1));
+    assert_eq!(replica.handle("eval q(X, Y) :- edge(X, Y)."), "ok 1 (a, b)");
+    assert_eq!(
+        replica.handle("check q(X, Y) :- edge(X, Y)."),
+        "ok complete"
+    );
+    assert_eq!(
+        replica.handle("replication"),
+        "ok role=replica connected=false primary_tcs=0 primary_data=0 tcs=1 data=1 lag=0"
+    );
+    // Refused writes are client requests that failed; `replication` is
+    // counted with the other requests; replayed ops are neither.
+    let metrics = replica.handle("metrics");
+    for op in ["assert", "retract", "compl"] {
+        assert_eq!(field(&metrics, &format!("{op}.count")), 1, "{metrics}");
+        assert_eq!(field(&metrics, &format!("{op}.err")), 1, "{metrics}");
+    }
+    assert_eq!(field(&metrics, "other.count"), 1, "{metrics}");
+    assert_eq!(field(&metrics, "recovery.replayed_ops"), 2, "{metrics}");
+}
+
+#[test]
+fn ops_applied_from_the_primary_count_as_repl_applied_only() {
+    let primary_dir = data_dir("applied-primary");
+    let primary_engine = Arc::new(open(&primary_dir, 0));
+    let primary = Server::start(Arc::clone(&primary_engine), "127.0.0.1:0", 2).expect("bind");
+    primary_engine.handle("compl edge(X, Y) ; true.");
+    primary_engine.handle("assert edge(a, b).");
+    primary_engine.handle("assert edge(b, c).");
+    let replica_dir = data_dir("applied-replica");
+    let replica = Replica::start(&replica_dir, &primary.local_addr().to_string());
+    // `repl.applied` ticks after an op's snapshot is published, so wait
+    // on the counter rather than on the epochs.
+    wait_until("catch-up", Duration::from_secs(10), || {
+        field(&replica.engine.handle("metrics"), "repl.applied") == 3
+    });
+    assert_eq!(replica.engine.epochs(), primary_engine.epochs());
+    let metrics = replica.engine.handle("metrics");
+    for op in ["compl", "assert"] {
+        assert!(!metrics.contains(&format!("{op}.count")), "{metrics}");
+    }
     replica.shutdown();
     primary.stop();
 }

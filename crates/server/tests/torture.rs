@@ -139,9 +139,9 @@ fn pipelined_batch_replies_in_request_order() {
 
 #[test]
 fn pipelined_status_reflects_the_requests_ahead_of_it() {
-    // `replication` is connection-level, but it still takes its turn in
-    // the pipeline: a status sent behind mutations must report the
-    // epochs those mutations produced, not the parse-time state.
+    // `replication` is an engine request, so it takes its turn in the
+    // pipeline: a status sent behind mutations must report the epochs
+    // those mutations produced, not the parse-time state.
     let (server, addr) = start();
     let mut stream = connect(addr);
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));

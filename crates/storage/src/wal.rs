@@ -101,15 +101,6 @@ impl OpKind {
             _ => None,
         }
     }
-
-    /// The protocol verb this kind replays as.
-    pub fn verb(self) -> &'static str {
-        match self {
-            OpKind::Assert => "assert",
-            OpKind::Retract => "retract",
-            OpKind::Compl => "compl",
-        }
-    }
 }
 
 /// One logged record.
@@ -120,8 +111,8 @@ pub enum WalRecord {
     Op {
         /// Which mutation verb.
         kind: OpKind,
-        /// The textual request remainder, replayed through the engine's
-        /// normal parse/apply path.
+        /// The textual request remainder, parsed again by the op's own
+        /// mutation code when the record is applied from the log.
         text: String,
         /// TCS epoch after this op.
         tcs_epoch: u64,

@@ -123,7 +123,6 @@ pub use magik_relalg::{
 };
 pub use magik_server::{
     initial_sync, run_replica, DurabilityOptions, Engine, RecoveryReport, ReplicaStatus, Server,
-    ServerConfig,
 };
 pub use magik_storage::{
     CheckpointImage, FsyncPolicy, StorageError, Store, StoreOptions, WalRecord,
