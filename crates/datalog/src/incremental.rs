@@ -226,11 +226,12 @@ impl Materialized {
         let removed = seeds.len();
 
         // Phase 1 — over-deletion, against the model frozen before any
-        // removal. Everything marked leaves the model. The snapshot must
-        // die before the removal loop: mutating the model while a
-        // snapshot still shares its relations forces a copy-on-write deep
-        // copy of every touched relation — O(model), the exact cost DRed
-        // exists to avoid.
+        // removal. Everything marked leaves the model. The snapshot dies
+        // before the removal loop, so a model nothing else shares takes
+        // its removals in place. One that is still shared (a server's
+        // published snapshot) is no costlier to mutate: a write to a
+        // shared relation copies only the relation's small delta, never
+        // the relation (see `magik_relalg::Relation`).
         let frozen = self.model.snapshot();
         let marked = self.compiled.overdelete_on(&frozen, seeds, &self.exec);
         drop(frozen);
@@ -245,7 +246,7 @@ impl Materialized {
         // the rest need one surviving rule derivation over the pruned
         // model. The rescued facts then re-enter through the ordinary
         // insertion delta machinery, which restores their consequences.
-        // (Same snapshot discipline: drop before re-inserting.)
+        // (Same discipline: drop before re-inserting.)
         let survivors = self.model.snapshot();
         let (kept_edb, candidates): (Vec<Fact>, Vec<Fact>) =
             marked.into_iter().partition(|f| self.edb.contains(f));

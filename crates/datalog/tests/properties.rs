@@ -364,4 +364,47 @@ proptest! {
             }
         }
     }
+
+    /// [`materialized_model_matches_scratch`] with a snapshot of the
+    /// model held across every write, as the server holds its published
+    /// one: delta propagation and DRed then write into shared relations.
+    /// The model must still equal the from-scratch fixpoint, and the held
+    /// snapshot the model it was taken from.
+    #[test]
+    fn materialized_model_matches_scratch_under_a_held_snapshot(
+        rules in proptest::collection::vec(arule(), 0..4),
+        initial in afacts(),
+        updates in proptest::collection::vec((afacts(), 0..4usize), 0..4),
+    ) {
+        let mut v = Vocabulary::new();
+        let program = materialize(&mut v, &rules);
+        let edb = materialize_edb(&mut v, &initial);
+        let mut m = magik_datalog::Materialized::new(program.clone(), edb).unwrap();
+        let mut held = m.model().snapshot();
+        let mut was: BTreeSet<Fact> = m.model().iter_facts().collect();
+        let mut writes = Vec::new();
+        for (batch, retract_ix) in updates {
+            writes.extend(materialize_edb(&mut v, &batch).iter_facts().map(Ok));
+            writes.push(Err(retract_ix));
+        }
+        for write in writes {
+            match write {
+                Ok(fact) => {
+                    m.insert(fact);
+                }
+                Err(retract_ix) => {
+                    // Retract an arbitrary existing EDB fact, if any.
+                    let Some(victim) = m.edb().iter_facts().nth(retract_ix) else {
+                        continue;
+                    };
+                    m.retract(&victim);
+                }
+            }
+            prop_assert_eq!(m.model(), &program.eval_semi_naive(m.edb()).model);
+            prop_assert_eq!(held.len(), was.len());
+            prop_assert_eq!(held.iter_facts().collect::<BTreeSet<Fact>>(), was);
+            held = m.model().snapshot();
+            was = m.model().iter_facts().collect();
+        }
+    }
 }

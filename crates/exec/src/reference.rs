@@ -60,7 +60,7 @@ fn plan_atom(atom: &Atom, db: &Instance, bind: &Bindings) -> (usize, Option<(usi
             Term::Var(v) => bind.get(&v).copied(),
         };
         if let Some(c) = value {
-            let n = rel.matches(col, c).map_or(0, <[u32]>::len);
+            let n = rel.matches(col, c).len();
             if n < best.0 {
                 best = (n, Some((col, c)));
             }
@@ -111,8 +111,7 @@ fn search(
         };
     match best.1 {
         Some((col, c)) => {
-            let positions = rel.matches(col, c).unwrap_or(&[]);
-            for &pos in positions {
+            for pos in rel.matches(col, c) {
                 if !try_tuple(rel.row(pos), remaining, bind) {
                     keep_going = false;
                     break;

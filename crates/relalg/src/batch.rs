@@ -378,7 +378,7 @@ fn choice_for(
     // most selective filter (the planner's trick, reused).
     let n_cand = const_filters
         .iter()
-        .map(|&(col, v)| rel.matches(col, v).map_or(0, <[u32]>::len))
+        .map(|&(col, v)| rel.matches(col, v).len())
         .min()
         .unwrap_or(n);
     if join_keys.is_empty() {
@@ -431,18 +431,19 @@ impl BatchOp {
         let best = self
             .const_filters
             .iter()
-            .map(|&(col, v)| (rel.matches(col, v).unwrap_or(&[]), v, col))
-            .min_by_key(|(bucket, _, _)| bucket.len());
+            .map(|&(col, v)| rel.matches(col, v))
+            .min_by_key(ExactSizeIterator::len);
         match best {
-            Some((bucket, _, _)) => {
+            Some(bucket) => {
                 stats.probes += 1;
                 stats.per_op[i].probes += 1;
-                bucket.iter().copied().filter(|&p| verify(p)).collect()
+                bucket.filter(|&p| verify(p)).collect()
             }
-            None => {
-                let n = u32::try_from(rel.len()).expect("relation overflow");
-                (0..n).filter(|&p| verify(p)).collect()
-            }
+            None => rel
+                .iter()
+                .map(|row| row.pos())
+                .filter(|&p| verify(p))
+                .collect(),
         }
     }
 
@@ -522,14 +523,14 @@ impl BatchOp {
         let mut out = Vec::with_capacity(batch.len());
         let mut scanned = 0u64;
         for (r, &key) in keys.iter().enumerate() {
-            let bucket = rel.matches(self.probe_col, key).unwrap_or(&[]);
+            let bucket = rel.matches(self.probe_col, key);
             scanned += bucket.len() as u64;
             let r = u32::try_from(r).expect("batch overflow");
             if exact {
-                out.extend(bucket.iter().map(|&pos| (r, pos)));
+                out.extend(bucket.map(|pos| (r, pos)));
                 continue;
             }
-            for &pos in bucket {
+            for pos in bucket {
                 let ok = self
                     .const_filters
                     .iter()
@@ -689,11 +690,10 @@ impl BatchOp {
             }
         }
         for &(src_col, slot) in &self.binds {
-            let src = rel.col(src_col);
             let col = &mut cols[slot];
             col.reserve(matches.len());
             for &(_, p) in matches {
-                col.push(src[p as usize]);
+                col.push(rel.value(src_col, p));
             }
         }
         Batch {

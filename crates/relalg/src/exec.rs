@@ -277,7 +277,7 @@ fn estimate(
     for (col, &t) in atom.args.iter().enumerate() {
         let candidate = match t {
             // Constants have exact bucket sizes at plan time.
-            Term::Cst(c) => Some((rel.matches(col, c).map_or(0, <[u32]>::len), Key::Const(c))),
+            Term::Cst(c) => Some((rel.matches(col, c).len(), Key::Const(c))),
             // Bound variables get the uniform selectivity estimate
             // |R| / distinct(col).
             Term::Var(v) => slot_of.get(&v).map(|&s| {
@@ -464,7 +464,7 @@ impl Plan {
                     Key::Const(c) => c,
                     Key::Slot(s) => regs[s].expect("probe slots are bound before the op runs"),
                 };
-                for &pos in rel.matches(col, value).unwrap_or(&[]) {
+                for pos in rel.matches(col, value) {
                     if !self.try_row(i, op, rel.row(pos), db, regs, stats, visit) {
                         keep_going = false;
                         break;

@@ -14,7 +14,9 @@
 //!   [`freeze_atom`], [`canonical_database`]);
 //! * database **instances** with per-column indexes and cheap
 //!   copy-on-write **snapshots** ([`Instance`], [`Relation`],
-//!   [`Snapshot`], [`StoreView`]);
+//!   [`Snapshot`], [`StoreView`]): each relation is a shared base plus a
+//!   small delta, so a write after a snapshot copies O(change), not the
+//!   relation ([`cow_cells_copied`] counts the copies);
 //! * conjunctive-query **evaluation** by compiled register plans (the
 //!   [`exec`] plan IR: atom order, access paths and slot layout fixed at
 //!   compile time; [`answers`], [`has_answer`], [`homomorphisms`]);
@@ -69,7 +71,7 @@ pub use eval::{
     answers, has_answer, has_answer_witness, homomorphisms, Answer, AnswerSet, EvalError, Witness,
     WitnessStep,
 };
-pub use instance::{Instance, Relation, RowRef, Snapshot, StoreView};
+pub use instance::{cow_cells_copied, Instance, Relation, RowRef, Snapshot, StoreView, DELTA_ROWS};
 pub use minimize::{is_minimal, minimize, minimize_in_place};
 pub use query::Query;
 pub use subst::{

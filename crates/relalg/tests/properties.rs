@@ -5,10 +5,12 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeSet;
+
 use magik_relalg::{
     answers, are_equivalent, canonical_database, freeze_atom, has_answer, is_contained_in,
-    is_minimal, minimize, unfreeze_fact, Atom, Fact, Instance, Query, Substitution, Term,
-    Vocabulary,
+    is_minimal, minimize, unfreeze_fact, Atom, Cst, Fact, Instance, Pred, Query, Relation,
+    StoreView, Substitution, Term, Vocabulary, DELTA_ROWS,
 };
 
 /// Abstract term: materialized against a vocabulary later.
@@ -253,5 +255,171 @@ proptest! {
             prop_assert!(!db.insert(f.clone()));
         }
         prop_assert_eq!(db.len(), len);
+    }
+}
+
+/// One step of a differential-relation workload: writes to one of three
+/// relations (arity 1, 2 and 3), or a change to the set of held shares.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(usize, [u8; 3]),
+    Remove(usize, [u8; 3]),
+    /// Hold a snapshot of the live instance.
+    Snapshot,
+    /// Drop the held share at this index (modulo the number held).
+    Drop(u8),
+    /// Hold a clone of the live instance.
+    Clone,
+}
+
+const STEP_DOMAIN: u8 = 6;
+
+fn step() -> impl Strategy<Value = Step> {
+    // Most writes go to the arity-3 relation, the only one whose domain
+    // (216 tuples) lets its delta reach the fold bound.
+    let write = || {
+        (
+            prop_oneof![1 => Just(0usize), 1 => Just(1usize), 4 => Just(2usize)],
+            0..STEP_DOMAIN,
+            0..STEP_DOMAIN,
+            0..STEP_DOMAIN,
+        )
+    };
+    prop_oneof![
+        10 => write().prop_map(|(r, a, b, c)| Step::Insert(r, [a, b, c])),
+        7 => write().prop_map(|(r, a, b, c)| Step::Remove(r, [a, b, c])),
+        2 => Just(Step::Snapshot),
+        2 => (0..8u8).prop_map(Step::Drop),
+        1 => Just(Step::Clone),
+    ]
+}
+
+/// The vocabulary of a step run: three relations and the constant domain.
+struct Schema {
+    preds: [Pred; 3],
+    csts: Vec<Cst>,
+}
+
+impl Schema {
+    fn new() -> Schema {
+        let mut v = Vocabulary::new();
+        let preds = [v.pred("r1", 1), v.pred("r2", 2), v.pred("r3", 3)];
+        let csts = (0..STEP_DOMAIN).map(|i| v.cst(&format!("c{i}"))).collect();
+        Schema { preds, csts }
+    }
+
+    fn tuple(&self, rel: usize, args: [u8; 3]) -> Vec<Cst> {
+        args[..=rel]
+            .iter()
+            .map(|&a| self.csts[a as usize])
+            .collect()
+    }
+}
+
+/// The oracle: each relation's facts.
+type Oracle = [BTreeSet<Vec<Cst>>; 3];
+
+/// Rows of `rel` at `positions`, sorted.
+fn rows_at(rel: &Relation, positions: impl Iterator<Item = u32>) -> Vec<Vec<Cst>> {
+    let mut rows: Vec<Vec<Cst>> = positions.map(|pos| rel.row(pos).to_vec()).collect();
+    rows.sort();
+    rows
+}
+
+/// Checks `store` against the oracle: the same facts, and every
+/// statistic equal to that of a relation rebuilt from them.
+fn check_store(store: &dyn StoreView, schema: &Schema, oracle: &Oracle) {
+    for (r, &pred) in schema.preds.iter().enumerate() {
+        let rebuilt: Instance = oracle[r]
+            .iter()
+            .map(|t| Fact::new(pred, t.clone()))
+            .collect();
+        let (Some(rel), Some(fresh)) = (store.relation(pred), rebuilt.relation(pred)) else {
+            assert!(store.relation(pred).is_none_or(Relation::is_empty));
+            assert!(oracle[r].is_empty());
+            continue;
+        };
+        assert_eq!(rel.len(), oracle[r].len());
+        let rows: Vec<Vec<Cst>> = rel.iter().map(|row| row.to_vec()).collect();
+        assert_eq!(rows.len(), oracle[r].len(), "iteration repeats a row");
+        assert_eq!(rows.into_iter().collect::<BTreeSet<_>>(), oracle[r]);
+        for col in 0..=r {
+            assert_eq!(rel.distinct_in_col(col), fresh.distinct_in_col(col));
+            for &value in &schema.csts {
+                let found = rel.matches(col, value);
+                assert_eq!(found.len(), fresh.matches(col, value).len());
+                assert_eq!(
+                    rows_at(rel, found),
+                    rows_at(fresh, fresh.matches(col, value))
+                );
+            }
+        }
+    }
+}
+
+/// A share held while the live instance keeps changing, with the oracle
+/// state it must keep showing.
+enum Held {
+    Snapshot(magik_relalg::Snapshot),
+    Clone(Instance),
+}
+
+impl Held {
+    fn store(&self) -> &dyn StoreView {
+        match self {
+            Held::Snapshot(s) => s,
+            Held::Clone(i) => i,
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Random interleavings of writes, snapshots, clones and drops
+    /// against a set oracle. Runs are long enough that the arity-3
+    /// relation's delta passes the fold bound several times, both under
+    /// a held share (the fold copies the base) and without one (it folds
+    /// in place).
+    #[test]
+    fn differential_relations_match_a_set_oracle(
+        steps in proptest::collection::vec(step(), 1_200..1_600),
+    ) {
+        let schema = Schema::new();
+        let mut live = Instance::new();
+        let mut oracle: Oracle = Default::default();
+        let mut held: Vec<(Held, Oracle)> = Vec::new();
+        for (i, step) in steps.into_iter().enumerate() {
+            match step {
+                Step::Insert(r, args) => {
+                    let t = schema.tuple(r, args);
+                    let fact = Fact::new(schema.preds[r], t.clone());
+                    prop_assert_eq!(live.insert(fact.clone()), oracle[r].insert(t));
+                    prop_assert!(live.contains(&fact));
+                }
+                Step::Remove(r, args) => {
+                    let t = schema.tuple(r, args);
+                    let fact = Fact::new(schema.preds[r], t.clone());
+                    prop_assert_eq!(live.remove(&fact), oracle[r].remove(&t));
+                    prop_assert!(!live.contains(&fact));
+                }
+                Step::Snapshot => held.push((Held::Snapshot(live.snapshot()), oracle.clone())),
+                Step::Clone => held.push((Held::Clone(live.clone()), oracle.clone())),
+                Step::Drop(k) => {
+                    if !held.is_empty() {
+                        let (share, was) = held.remove(k as usize % held.len());
+                        check_store(share.store(), &schema, &was);
+                    }
+                }
+            }
+            if i % 97 == 0 {
+                check_store(&live, &schema, &oracle);
+            }
+        }
+        check_store(&live, &schema, &oracle);
+        for (share, was) in &held {
+            check_store(share.store(), &schema, was);
+        }
+        prop_assert!(DELTA_ROWS < 1_200 / 4, "runs cross the fold bound");
     }
 }

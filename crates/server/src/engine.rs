@@ -16,7 +16,12 @@
 //!   and publish a fresh snapshot before releasing the lock — so
 //!   snapshots become visible in write order and epochs are monotone.
 //!   Publishing is cheap: the relalg [`Instance`] is copy-on-write, so a
-//!   [`magik_relalg::Snapshot`] is O(#relations) `Arc` bumps.
+//!   [`magik_relalg::Snapshot`] is O(#relations) `Arc` bumps. So is the
+//!   next write, which lands on relations the published snapshot
+//!   shares: each relation is a shared base plus a small delta, and the
+//!   write copies the delta, not the relation — O(change) in the
+//!   database and again in the T_C model. Freeing the replaced snapshot
+//!   frees only such deltas.
 //! * `vocab: Mutex<Vocabulary>` — parsing interns names, so every request
 //!   briefly serializes on the vocabulary; it is released (or cloned, for
 //!   `specialize`) before any expensive reasoning. Acquired before

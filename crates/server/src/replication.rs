@@ -54,7 +54,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
@@ -93,17 +93,21 @@ const RECONNECT_CAP: Duration = Duration::from_secs(2);
 #[derive(Debug, Default)]
 pub(crate) struct ReplicationHub {
     subs: Mutex<Vec<SyncSender<WalRecord>>>,
+    /// Subscriptions not yet dropped.
+    live: AtomicUsize,
 }
 
 impl ReplicationHub {
-    /// Adds a subscriber and returns its receiving end.
-    pub(crate) fn subscribe(&self) -> Receiver<WalRecord> {
+    /// Adds a subscriber; it counts as one until the returned
+    /// subscription is dropped.
+    pub(crate) fn subscribe(&self) -> Subscription<'_> {
         let (tx, rx) = sync_channel(SUB_QUEUE);
         self.subs
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(tx);
-        rx
+        self.live.fetch_add(1, Ordering::SeqCst);
+        Subscription { rx, hub: self }
     }
 
     /// Fans one record out to every subscriber. A subscriber whose queue
@@ -114,12 +118,29 @@ impl ReplicationHub {
         subs.retain(|tx| tx.try_send(rec.clone()).is_ok());
     }
 
-    /// How many streamers are currently subscribed.
+    /// How many streamers are currently subscribed: a finished stream
+    /// stops counting when it ends, not at the next publish.
     pub(crate) fn subscribers(&self) -> usize {
-        self.subs
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
+        self.live.load(Ordering::SeqCst)
+    }
+}
+
+/// One streamer's end of the live feed, counted by
+/// [`ReplicationHub::subscribers`] until dropped.
+pub(crate) struct Subscription<'a> {
+    rx: Receiver<WalRecord>,
+    hub: &'a ReplicationHub,
+}
+
+impl Subscription<'_> {
+    fn recv_timeout(&self, timeout: Duration) -> Result<WalRecord, RecvTimeoutError> {
+        self.rx.recv_timeout(timeout)
+    }
+}
+
+impl Drop for Subscription<'_> {
+    fn drop(&mut self) {
+        self.hub.live.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

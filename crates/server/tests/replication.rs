@@ -384,3 +384,36 @@ fn pipelined_replicate_is_refused() {
     assert_eq!(second.trim_end(), "err proto replicate cannot be pipelined");
     server.stop();
 }
+
+#[test]
+fn finished_streams_stop_counting_as_subscribers() {
+    let primary_dir = data_dir("subs-primary");
+    let engine = Arc::new(open(&primary_dir, 0));
+    let primary = Server::start(Arc::clone(&engine), "127.0.0.1:0", 2).expect("bind");
+    assert_eq!(engine.handle("assert pupil(p0, c1, hofer)."), "ok inserted");
+
+    // A handshake whose stream ends: `initial_sync` reads the primary's
+    // answer and hangs up.
+    let replica_dir = data_dir("subs-replica");
+    initial_sync(&primary.local_addr().to_string(), &replica_dir).expect("initial sync");
+    // A stream that ends right after subscribing: the replica claims a
+    // position ahead of the primary.
+    let mut ahead = Client::connect(primary.local_addr());
+    let refused = ahead.request("replicate 99 99");
+    assert!(
+        refused.starts_with("err proto replica position is ahead of the primary"),
+        "got: {refused}"
+    );
+    drop(ahead);
+
+    // No write follows, so nothing prunes the feed; the count must still
+    // fall to zero once both streamers are done.
+    let mut status = Client::connect(primary.local_addr());
+    let mut last = String::new();
+    wait_until("subscribers=0", Duration::from_secs(10), || {
+        last = status.request("replication");
+        last.ends_with("subscribers=0")
+    });
+    assert!(last.starts_with("ok role=primary durable=true"), "{last}");
+    primary.stop();
+}
