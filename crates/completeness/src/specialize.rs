@@ -200,8 +200,9 @@ pub fn k_mcs_on(
 ) -> KMcsOutcome {
     // The k-MCS space is defined by the size of the query *as given*
     // (at most |Q| + k atoms); minimization below only shrinks the
-    // search base, never the space.
-    let bound = q.size() + options.k;
+    // search base, never the space. A k past `usize::MAX - |Q|` bounds
+    // nothing that could be enumerated, so the sum saturates.
+    let bound = q.size().saturating_add(options.k);
     let q = minimize(q);
     let max_extension = bound.saturating_sub(1);
     let sigma: Vec<Pred> = tcs.signature().into_iter().collect();

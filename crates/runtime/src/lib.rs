@@ -48,8 +48,10 @@ use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Aggregate counters of a [`ThreadPool`], surfaced through the server's
-/// `metrics` op as `runtime.tasks` / `runtime.steals` / `pool.panics`.
+/// Aggregate counters of a [`ThreadPool`]. The server's `metrics` op
+/// reports the reasoning pool's as `runtime.tasks` / `runtime.steals`;
+/// its `pool.panics` counts requests, since a reasoning job's panic
+/// resumes on the request that forked it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolCounters {
     /// Jobs submitted over the pool's lifetime.

@@ -10,8 +10,9 @@
 //! only then is the in-memory change applied and published. An append
 //! failure leaves memory untouched, returns `err storage …` to the
 //! client, and **poisons** the layer — later mutations are refused
-//! rather than silently diverging from the log. Read requests never
-//! touch the layer at all.
+//! rather than silently diverging from the log. A panic while the store
+//! was held (its lock is then poisoned) poisons the layer the same way.
+//! Read requests never touch the layer at all.
 //!
 //! # Recovery
 //!
@@ -99,7 +100,8 @@ pub(crate) struct Durability {
     pub(crate) since_checkpoint: AtomicU64,
     /// CAS guard: at most one background checkpoint in flight.
     pub(crate) checkpointing: AtomicBool,
-    /// Set when an append failed; all further mutations are refused.
+    /// Set when an append failed or the store lock was poisoned; all
+    /// further mutations are refused.
     poisoned: AtomicBool,
     /// Checkpoint trigger threshold (0 = never periodic).
     pub(crate) checkpoint_every: u64,
@@ -118,8 +120,16 @@ impl Durability {
 
     /// The store, serialized: appends (under the writer mutex) and
     /// checkpoints (background worker or shutdown) both pass through here.
-    pub(crate) fn store(&self) -> MutexGuard<'_, Store> {
-        self.store.lock().expect("store lock")
+    /// A panic while the store was held leaves its lock poisoned; that
+    /// poisons the layer as a failed append does, so mutations are refused
+    /// with `err storage` while reads keep serving.
+    pub(crate) fn store(&self) -> Result<MutexGuard<'_, Store>, StorageError> {
+        self.store.lock().map_err(|_| {
+            self.poisoned.store(true, Ordering::SeqCst);
+            StorageError::Io(std::io::Error::other(
+                "durability layer poisoned by a panic while the WAL store was held",
+            ))
+        })
     }
 
     /// Appends one record under the configured fsync policy. A failure
@@ -131,14 +141,15 @@ impl Durability {
                 "durability layer poisoned by an earlier append failure",
             )));
         }
-        let result = self.store().append(rec);
+        let result = self.store().and_then(|mut store| store.append(rec));
         if result.is_err() {
             self.poisoned.store(true, Ordering::SeqCst);
         }
         result
     }
 
-    /// Whether an earlier append failure poisoned the layer.
+    /// Whether an earlier append failure or a panic while the store was
+    /// held poisoned the layer.
     pub(crate) fn is_poisoned(&self) -> bool {
         self.poisoned.load(Ordering::SeqCst)
     }

@@ -90,7 +90,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
-use crate::metrics::{CacheCounts, Metrics, Op};
+use crate::metrics::{CacheCounts, Counter, Metrics, Op};
 use crate::replication::{ReplicaStatus, ReplicationHub};
 
 /// Default capacity of the verdict cache.
@@ -124,7 +124,7 @@ fn lock_recovering<'a, T>(
             mutex.clear_poison();
             let mut guard = poisoned.into_inner();
             on_poison(&mut guard);
-            metrics.record_lock_poisoned();
+            metrics.add(Counter::LockPoisoned, 1);
             guard
         }
     }
@@ -400,7 +400,9 @@ impl Engine {
         )?;
         let report = RecoveryReport::of(&recovery);
         let mut engine = Engine::replay(recovery, exec, dir)?;
-        engine.metrics.set_replayed(report.replayed_ops);
+        engine
+            .metrics
+            .add(Counter::ReplayedOps, report.replayed_ops);
         engine.durability = Some(Arc::new(Durability::new(store, opts.checkpoint_every)));
         if opts.checkpoint_every > 0 {
             engine.checkpointer = Some(magik_runtime::ThreadPool::new(1));
@@ -535,18 +537,13 @@ impl Engine {
         let vocab = self.lock_vocab().clone();
         // One store guard across mark + flush + checkpoint serializes
         // against any in-flight background checkpoint.
-        let mut store = d.store();
+        let mut store = d.store()?;
         store.append(&WalRecord::Mark {
             tcs_epoch: snap.tcs_epoch,
             data_epoch: snap.data_epoch,
         })?;
         store.flush()?;
-        let start = Instant::now();
-        let outcome = store.checkpoint(&snap.checkpoint_image(vocab))?;
-        if outcome.written {
-            self.metrics.record_checkpoint(start.elapsed());
-        }
-        Ok(())
+        write_checkpoint(&mut store, &snap.checkpoint_image(vocab), &self.metrics)
     }
 
     /// Logs one mutation (with its post-op epochs) before it is applied.
@@ -569,7 +566,10 @@ impl Engine {
             data_epoch,
         };
         let append = d.append(&rec).map_err(|e| ("storage", e.to_string()))?;
-        self.metrics.record_wal(append.bytes, append.synced);
+        self.metrics.add(Counter::WalAppends, 1);
+        self.metrics.add(Counter::WalBytes, append.bytes);
+        self.metrics
+            .add(Counter::WalFsyncs, u64::from(append.synced));
         // Feed the record to replication streamers after it is safely in
         // the log; still under the writer mutex, so feed order is log
         // order and the live stream is gap-free.
@@ -606,19 +606,14 @@ impl Engine {
         let metrics = Arc::clone(&self.metrics);
         pool.execute(move || {
             let image = snap.checkpoint_image(vocab);
-            let start = Instant::now();
-            match worker.store().checkpoint(&image) {
-                Ok(outcome) => {
-                    if outcome.written {
-                        metrics.record_checkpoint(start.elapsed());
-                    }
-                }
-                Err(_) => {
-                    // Checkpointing is an optimization: the WAL still
-                    // holds everything. Restore the tick count so the
-                    // next mutation retries.
-                    worker.since_checkpoint.fetch_add(pending, Ordering::SeqCst);
-                }
+            let written = worker
+                .store()
+                .and_then(|mut store| write_checkpoint(&mut store, &image, &metrics));
+            if written.is_err() {
+                // Checkpointing is an optimization: the WAL still holds
+                // everything. Restore the tick count so the next mutation
+                // retries.
+                worker.since_checkpoint.fetch_add(pending, Ordering::SeqCst);
             }
             worker.checkpointing.store(false, Ordering::SeqCst);
         });
@@ -660,7 +655,7 @@ impl Engine {
                 "memory-only engine has no WAL",
             )));
         };
-        d.store().records_since(from_sum)
+        d.store()?.records_since(from_sum)
     }
 
     /// The newest on-disk checkpoint as raw image bytes plus its epochs —
@@ -673,7 +668,7 @@ impl Engine {
         let Some(d) = &self.durability else {
             return Ok(None);
         };
-        d.store().newest_checkpoint_raw()
+        d.store()?.newest_checkpoint_raw()
     }
 
     /// The current `(tcs_epoch, data_epoch)` pair.
@@ -717,7 +712,6 @@ impl Engine {
             "analyze" => (Op::Analyze, self.req_analyze(rest)),
             "why" => (Op::Why, self.req_why(rest)),
             "metrics" => {
-                let c = self.exec.counters();
                 let caches = CacheCounts {
                     verdict: self.verdicts.counts(),
                     answer: self.answer_cache.counts(),
@@ -725,16 +719,8 @@ impl Engine {
                     analysis: self.analysis.counts(),
                     cert: self.why_cache.counts(),
                 };
-                (
-                    Op::Other,
-                    Ok(format!(
-                        "ok {} runtime.tasks={} runtime.steals={} pool.panics={}",
-                        self.metrics.render(&caches),
-                        c.tasks,
-                        c.steals,
-                        c.panics
-                    )),
-                )
+                let fields = self.metrics.render(&caches, &self.exec.counters());
+                (Op::Other, Ok(format!("ok {fields}")))
             }
             "plans" => {
                 // Plan-cache introspection: one `<query>:joins=[...]` item
@@ -847,8 +833,13 @@ impl Engine {
         let statements = cert_statements(&snap.tcs);
         let valid = check_certificate(&q, &statements, &cert).is_ok();
         let validity = if valid { "valid" } else { "INVALID" };
-        self.metrics
-            .record_cert(matches!(cert, Certificate::Complete(_)));
+        self.metrics.add(
+            match cert {
+                Certificate::Complete(_) => Counter::CertComplete,
+                Certificate::Incomplete { .. } => Counter::CertIncomplete,
+            },
+            1,
+        );
         let reply = {
             let vocab = self.lock_vocab();
             match &cert {
@@ -914,6 +905,12 @@ impl Engine {
             let q = parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
             (q, vocab.clone())
         };
+        if q.size().checked_add(k).is_none() {
+            return Err((
+                "proto",
+                format!("invalid k `{k_str}`: the bound |Q| + k overflows"),
+            ));
+        }
         let snap = self.snapshot();
         let outcome = k_mcs_on(&q, &snap.tcs, &mut vocab, KMcsOptions::new(k), &self.exec);
         let rendered: Vec<String> = outcome
@@ -958,13 +955,7 @@ impl Engine {
                 };
                 let mut stats = ExecStats::default();
                 let set = plan.answers(&snap.db, &mut stats);
-                self.metrics
-                    .record_exec(stats.probes, stats.scanned, stats.backtracks);
-                self.metrics.record_batch_exec(
-                    stats.batches,
-                    stats.batch_rows,
-                    (stats.join_nested, stats.join_hash, stats.join_merge),
-                );
+                self.metrics.add_exec(&stats);
                 let list: Vec<Answer> = set.into_iter().collect();
                 self.answer_cache.insert(key, list.clone());
                 list
@@ -1025,7 +1016,9 @@ impl Engine {
                 .tc_mat
                 .retract_all(std::iter::once(Fact::new(pi, fact.args)));
             self.metrics
-                .record_dred(stats.overdeleted as u64, stats.rederived as u64);
+                .add(Counter::DredOverdeleted, stats.overdeleted as u64);
+            self.metrics
+                .add(Counter::DredRederived, stats.rederived as u64);
         }
         self.swap(&writer);
         drop(writer);
@@ -1139,6 +1132,22 @@ impl Engine {
         atom.to_fact()
             .ok_or_else(|| ("proto", "fact must be ground (no variables)".to_string()))
     }
+}
+
+/// Writes `image` through `store`, counting it in `checkpoint.*` unless
+/// the newest checkpoint was already current.
+fn write_checkpoint(
+    store: &mut Store,
+    image: &CheckpointImage,
+    metrics: &Metrics,
+) -> Result<(), StorageError> {
+    let start = Instant::now();
+    if store.checkpoint(image)?.written {
+        let took = u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX);
+        metrics.add(Counter::CheckpointCount, 1);
+        metrics.add(Counter::CheckpointMs, took);
+    }
+    Ok(())
 }
 
 fn render_diags(diags: &[magik_analyze::Diagnostic]) -> String {
@@ -1698,5 +1707,47 @@ mod tests {
         );
         let metrics = pooled.handle("metrics");
         assert!(!metrics.contains("runtime.tasks=0"), "{metrics}");
+    }
+
+    #[test]
+    fn specialize_refuses_a_k_whose_atom_bound_overflows() {
+        let e = Engine::new();
+        e.handle("compl pupil(N, C, S) ; true.");
+        let reply = e.handle(&format!(
+            "specialize {} q(N) :- pupil(N, C, S).",
+            usize::MAX
+        ));
+        assert!(reply.starts_with("err proto invalid k"), "{reply}");
+        assert_eq!(e.handle("ping"), "ok pong");
+    }
+
+    #[test]
+    fn poisoned_store_lock_poisons_durability_not_the_server() {
+        let dir = std::env::temp_dir().join(format!(
+            "magik-engine-poisoned-store-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (e, _) =
+            Engine::open_durable(&dir, DurabilityOptions::default(), Executor::Sequential).unwrap();
+        assert_eq!(e.handle("compl pupil(N, C, S) ; true."), "ok epoch=1");
+        // Panic while holding the store, as a failing checkpoint
+        // serialization on the background worker would.
+        let d = e.durability.as_ref().expect("durable engine");
+        std::thread::scope(|s| {
+            let _ = s
+                .spawn(|| {
+                    let _store = d.store();
+                    panic!("die holding the store lock");
+                })
+                .join();
+        });
+        let reply = e.handle("assert pupil(anna, c1, hofer).");
+        assert!(reply.starts_with("err storage "), "{reply}");
+        assert_eq!(e.handle("check q(N) :- pupil(N, C, S)."), "ok complete");
+        assert_eq!(e.handle("eval q(N) :- pupil(N, C, S)."), "ok 0");
+        assert!(e.shutdown_durability().is_err());
+        drop(e);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

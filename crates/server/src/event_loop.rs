@@ -4,10 +4,19 @@
 //! level-triggered [`Poller`], parses complete requests out of
 //! per-connection read buffers, and dispatches them to a fixed
 //! [`ThreadPool`] of request workers. Workers hand finished replies back
-//! over a channel and wake the reactor; the reactor stitches replies
-//! into each connection's write buffer **strictly in request order**, so
-//! clients may pipeline many requests and still match replies
-//! positionally.
+//! over a channel and wake the reactor.
+//!
+//! Each connection keeps one queue of reply slots in request order. A
+//! slot holds a finished reply (inline, a protocol violation, or a
+//! worker's), or an engine request that is waiting or running. Finished
+//! slots flush from the front, so replies leave **strictly in request
+//! order** and clients may pipeline many requests and still match
+//! replies positionally. Only the front slot can be a waiting engine
+//! request ready to start, because everything ahead of it has flushed:
+//! a connection runs one engine request at a time, so a pipelined
+//! `compl` + `check` pair behaves exactly as it would back-to-back. A
+//! handler that panics is answered `err internal …` and counted in
+//! `pool.panics`; its connection keeps serving.
 //!
 //! A connection costs two buffers, not a pool worker: thousands of idle
 //! or slow connections coexist with a handful of threads, and a
@@ -16,12 +25,12 @@
 //! [`WRITE_STALL_LIMIT`] without draining a byte, is dropped).
 //!
 //! Backpressure is three gates, all per connection and all re-opened by
-//! the event that clears them: at [`MAX_INFLIGHT`] dispatched requests,
-//! parsing pauses; at [`WBUF_GATE`] unflushed reply bytes, parsing
-//! pauses; at [`RBUF_GATE`] unparsed input bytes, socket reads pause
-//! (TCP backpressure then reaches the client). Accept failures
-//! (descriptor exhaustion) park the listener on an
-//! [`AcceptBackoff`] ladder instead of spinning.
+//! the event that clears them: at [`MAX_INFLIGHT`] reply slots, parsing
+//! pauses; at [`WBUF_GATE`] unflushed reply bytes, parsing pauses; at
+//! [`RBUF_GATE`] unparsed input bytes, socket reads pause (TCP
+//! backpressure then reaches the client). Accept failures (descriptor
+//! exhaustion) park the listener on an [`AcceptBackoff`] ladder instead
+//! of spinning.
 //!
 //! Framing: connections start in line framing; `frames binary` switches
 //! the connection to `[len: u32 LE][payload]` frames after the ack (the
@@ -32,9 +41,10 @@
 //! (`replication::serve_replica`) — streaming is sequential blocking
 //! I/O, which a readiness loop would only complicate.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
@@ -44,7 +54,8 @@ use magik_runtime::poller::{Interest, Poller};
 use magik_runtime::ThreadPool;
 
 use crate::engine::Engine;
-use crate::net::{intercept, AcceptBackoff, Action, Framing, MAX_LINE_BYTES};
+use crate::metrics::{Counter, Metrics};
+use crate::net::{intercept, AcceptBackoff, Action, Done, Framing, MAX_LINE_BYTES};
 use crate::replication;
 
 /// The registration token reserved for the listener.
@@ -52,9 +63,9 @@ const LISTENER_TOKEN: usize = 0;
 /// Reactor tick: upper bound on one `Poller::wait`, so stop flags,
 /// accept-backoff expiry and write-stall sweeps are noticed promptly.
 const TICK: Duration = Duration::from_millis(500);
-/// Requests dispatched but not yet flushed, per connection, before
-/// parsing pauses.
-const MAX_INFLIGHT: u64 = 128;
+/// Reply slots (requests parsed but not yet flushed) per connection
+/// before parsing pauses.
+const MAX_INFLIGHT: usize = 128;
 /// Unflushed reply bytes per connection before parsing pauses.
 const WBUF_GATE: usize = 1 << 20;
 /// Unparsed input bytes per connection before socket reads pause. Must
@@ -67,17 +78,18 @@ const WRITE_STALL_LIMIT: Duration = Duration::from_secs(30);
 /// Read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A completed reply routed back to the reactor: connection token,
-/// per-connection sequence number, and the reply itself.
-type DoneMsg = (usize, u64, Done);
+/// A worker's reply routed back to the reactor: connection token and
+/// reply. It fills that connection's running slot.
+type DoneMsg = (usize, String);
 
-/// A finished reply travelling back from a worker (or produced inline).
-struct Done {
-    reply: String,
-    /// Switch the connection's reply framing after this reply.
-    switch_to: Option<Framing>,
-    /// Close the connection once this reply is flushed.
-    close: bool,
+/// One request's place in its connection's reply order.
+enum Slot {
+    /// The reply is final.
+    Ready(Done),
+    /// An engine request waiting for the slots ahead of it to flush.
+    Waiting(String),
+    /// The engine request running on a worker.
+    Running,
 }
 
 /// What one pump pass decided about a connection.
@@ -115,19 +127,8 @@ struct Conn {
     /// Framing applied to *outgoing* replies (switches after the ack is
     /// rendered, so the ack travels in the old framing).
     reply_framing: Framing,
-    /// Next request sequence number to assign.
-    next_seq: u64,
-    /// Sequence number the next flushed reply must carry.
-    next_flush: u64,
-    /// Out-of-order finished replies waiting for their turn.
-    done: BTreeMap<u64, Done>,
-    /// Parsed engine requests waiting to execute. One request per
-    /// connection runs at a time ([`Conn::executing`]), so a pipelined
-    /// `compl` + `check` pair behaves exactly as it would back-to-back —
-    /// pipelining reorders nothing, it only removes round trips.
-    exec_queue: VecDeque<(u64, String)>,
-    /// The sequence number currently running on a worker, if any.
-    executing: Option<u64>,
+    /// Reply slots in request order; the front flushes first.
+    slots: VecDeque<Slot>,
     /// Peer half-closed its write side (EOF seen).
     read_closed: bool,
     /// A closing reply has been queued; stop parsing new requests.
@@ -154,11 +155,7 @@ impl Conn {
             wpos: 0,
             parse_framing: Framing::Line,
             reply_framing: Framing::Line,
-            next_seq: 0,
-            next_flush: 0,
-            done: BTreeMap::new(),
-            exec_queue: VecDeque::new(),
-            executing: None,
+            slots: VecDeque::new(),
             read_closed: false,
             closing: false,
             close_after_flush: false,
@@ -176,10 +173,6 @@ impl Conn {
     fn pending_write(&self) -> usize {
         self.wbuf.len() - self.wpos
     }
-
-    fn inflight(&self) -> u64 {
-        self.next_seq - self.next_flush
-    }
 }
 
 /// Everything a pump pass needs besides the connection itself.
@@ -187,31 +180,21 @@ struct Ctx<'a> {
     engine: &'a Arc<Engine>,
     pool: &'a ThreadPool,
     poller: &'a Arc<Poller>,
-    done_tx: &'a Sender<(usize, u64, Done)>,
+    done_tx: &'a Sender<DoneMsg>,
 }
 
 /// Runs the reactor until `stop` is raised. Entry point for the
-/// `magik-reactor` thread; all errors end the loop silently (the server
-/// is stopping or the listener is gone).
+/// `magik-reactor` thread; an error ends the loop (the server is
+/// stopping or the listener is gone).
 pub(crate) fn run(
     listener: TcpListener,
     poller: Arc<Poller>,
     engine: Arc<Engine>,
     workers: usize,
     stop: Arc<AtomicBool>,
-) {
-    let _ = serve(&listener, &poller, &engine, workers, &stop);
-}
-
-fn serve(
-    listener: &TcpListener,
-    poller: &Arc<Poller>,
-    engine: &Arc<Engine>,
-    workers: usize,
-    stop: &Arc<AtomicBool>,
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
-    poller.register(listener, LISTENER_TOKEN, Interest::READ)?;
+    poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
     let pool = ThreadPool::new(workers.max(1));
     let (done_tx, done_rx): (Sender<DoneMsg>, Receiver<DoneMsg>) = channel();
     let mut conns: HashMap<usize, Conn> = HashMap::new();
@@ -232,7 +215,7 @@ fn serve(
         // Resume accepting once the backoff window has passed.
         if accept_paused_until.is_some_and(|t| Instant::now() >= t) {
             accept_paused_until = None;
-            poller.register(listener, LISTENER_TOKEN, Interest::READ)?;
+            poller.register(&listener, LISTENER_TOKEN, Interest::READ)?;
         }
 
         let mut accept_ready = false;
@@ -250,9 +233,9 @@ fn serve(
 
         if accept_ready && accept_paused_until.is_none() {
             accept_paused_until = accept_all(
-                listener,
-                poller,
-                engine,
+                &listener,
+                &poller,
+                &engine,
                 &mut conns,
                 &mut next_token,
                 &mut backoff,
@@ -260,18 +243,14 @@ fn serve(
         }
 
         // Finished replies from the workers.
-        while let Ok((token, seq, done)) = done_rx.try_recv() {
-            if let Some(conn) = conns.get_mut(&token) {
-                conn.done.insert(seq, done);
-            }
-        }
+        fill_running(&mut conns, &done_rx);
 
         // Drive every connection; readiness, completions and gate
         // re-openings all funnel through the same pump.
         let ctx = Ctx {
-            engine,
+            engine: &engine,
             pool: &pool,
-            poller,
+            poller: &poller,
             done_tx: &done_tx,
         };
         let tokens: Vec<usize> = conns.keys().copied().collect();
@@ -288,7 +267,7 @@ fn serve(
                 Fate::Replicate(from) => {
                     let conn = conns.remove(&token).expect("pumped conn");
                     let _ = poller.deregister(&conn.stream);
-                    detach_replica(conn.stream, engine, stop, from);
+                    detach_replica(conn.stream, &engine, &stop, from);
                 }
             }
         }
@@ -297,11 +276,7 @@ fn serve(
     // Shutdown: joining the pool finishes every dispatched request, then
     // finished replies are flushed best-effort before sockets close.
     drop(pool);
-    while let Ok((token, seq, done)) = done_rx.try_recv() {
-        if let Some(conn) = conns.get_mut(&token) {
-            conn.done.insert(seq, done);
-        }
-    }
+    fill_running(&mut conns, &done_rx);
     for conn in conns.values_mut() {
         flush_ready(conn);
         let _ = try_flush(conn);
@@ -344,7 +319,7 @@ fn accept_all(
                 // EMFILE/ENFILE and friends fail again immediately; park
                 // the listener (deregister, so level-triggered readiness
                 // stops firing) and resume after the backoff delay.
-                engine.metrics().record_accept_error();
+                engine.metrics().add(Counter::AcceptErrors, 1);
                 let delay = backoff.on_error();
                 let _ = poller.deregister(listener);
                 return Some(Instant::now() + delay);
@@ -353,8 +328,19 @@ fn accept_all(
     }
 }
 
-/// One full service pass over a connection: read, parse/dispatch, order
-/// replies, flush, re-arm interest.
+/// Moves each worker reply into its connection's running slot, which is
+/// always the front one.
+fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
+    while let Ok((token, reply)) = done_rx.try_recv() {
+        if let Some(slot @ Slot::Running) = conns.get_mut(&token).and_then(|c| c.slots.front_mut())
+        {
+            *slot = Slot::Ready(Done::reply(reply));
+        }
+    }
+}
+
+/// One full service pass over a connection: read, parse, flush finished
+/// replies, start the next engine request, write, re-arm interest.
 fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
     if conn.want_read {
         conn.want_read = false;
@@ -365,10 +351,9 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
         }
     }
 
-    parse_and_dispatch(conn);
-    advance_exec(conn, token, ctx);
-
+    parse(conn);
     flush_ready(conn);
+    start_front(conn, token, ctx);
     if try_flush(conn).is_err() {
         return Fate::Close;
     }
@@ -382,7 +367,7 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
         return Fate::Close;
     }
     if conn.read_closed
-        && conn.inflight() == 0
+        && conn.slots.is_empty()
         && conn.pending_write() == 0
         && (conn.unparsed() == 0 || conn.parse_framing == Framing::Binary)
     {
@@ -402,7 +387,7 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
             && !conn.closing
             && conn.replicate_from.is_none()
             && conn.unparsed() < RBUF_GATE
-            && conn.inflight() < MAX_INFLIGHT
+            && conn.slots.len() < MAX_INFLIGHT
             && conn.pending_write() < WBUF_GATE,
         write: conn.pending_write() > 0,
     };
@@ -438,37 +423,19 @@ fn read_some(conn: &mut Conn) -> Result<(), ()> {
 
 /// Extracts the next complete request from the read buffer.
 fn next_request(conn: &mut Conn) -> Parsed {
-    match conn.parse_framing {
-        Framing::Line => {
-            let haystack = &conn.rbuf[conn.rpos..];
-            match haystack.iter().position(|&b| b == b'\n') {
-                Some(pos) if pos > MAX_LINE_BYTES => Parsed::Violation("err line too long"),
-                Some(pos) => {
-                    let cmd = String::from_utf8_lossy(&haystack[..pos]).trim().to_string();
-                    conn.rpos += pos + 1;
-                    if cmd.is_empty() {
-                        Parsed::Blank
-                    } else {
-                        Parsed::Cmd(cmd)
-                    }
-                }
-                None if haystack.len() > MAX_LINE_BYTES => Parsed::Violation("err line too long"),
-                None if conn.read_closed && !haystack.is_empty() => {
-                    // Unterminated final line before EOF counts as a
-                    // line.
-                    let cmd = String::from_utf8_lossy(haystack).trim().to_string();
-                    conn.rpos = conn.rbuf.len();
-                    if cmd.is_empty() {
-                        Parsed::Blank
-                    } else {
-                        Parsed::Cmd(cmd)
-                    }
-                }
-                None => Parsed::Incomplete,
+    let haystack = &conn.rbuf[conn.rpos..];
+    let (body, consumed) = match conn.parse_framing {
+        Framing::Line => match haystack.iter().position(|&b| b == b'\n') {
+            Some(pos) if pos > MAX_LINE_BYTES => return Parsed::Violation("err line too long"),
+            Some(pos) => (&haystack[..pos], pos + 1),
+            None if haystack.len() > MAX_LINE_BYTES => {
+                return Parsed::Violation("err line too long")
             }
-        }
+            // Unterminated final line before EOF counts as a line.
+            None if conn.read_closed && !haystack.is_empty() => (haystack, haystack.len()),
+            None => return Parsed::Incomplete,
+        },
         Framing::Binary => {
-            let haystack = &conn.rbuf[conn.rpos..];
             if haystack.len() < 4 {
                 return Parsed::Incomplete;
             }
@@ -483,108 +450,57 @@ fn next_request(conn: &mut Conn) -> Parsed {
             if haystack.len() < 4 + len {
                 return Parsed::Incomplete;
             }
-            let cmd = String::from_utf8_lossy(&haystack[4..4 + len])
-                .trim()
-                .to_string();
-            conn.rpos += 4 + len;
-            if cmd.is_empty() {
-                Parsed::Blank
-            } else {
-                Parsed::Cmd(cmd)
-            }
+            (&haystack[4..4 + len], 4 + len)
         }
+    };
+    let cmd = String::from_utf8_lossy(body).trim().to_string();
+    conn.rpos += consumed;
+    if cmd.is_empty() {
+        Parsed::Blank
+    } else {
+        Parsed::Cmd(cmd)
     }
 }
 
-/// Parses as many complete requests as the gates allow, completing
-/// connection-level commands inline and queueing the rest for
-/// sequential execution ([`advance_exec`]).
-fn parse_and_dispatch(conn: &mut Conn) {
+/// Parses as many complete requests as the gates allow into reply
+/// slots: connection-level commands and violations finish at once,
+/// engine requests wait for [`start_front`].
+fn parse(conn: &mut Conn) {
     while !conn.closing
         && conn.replicate_from.is_none()
-        && conn.inflight() < MAX_INFLIGHT
+        && conn.slots.len() < MAX_INFLIGHT
         && conn.pending_write() < WBUF_GATE
     {
-        let cmd = match next_request(conn) {
-            Parsed::Cmd(cmd) => cmd,
+        let done = match next_request(conn) {
+            Parsed::Cmd(cmd) => match intercept(&cmd, conn.parse_framing) {
+                Action::Reply(done) => done,
+                Action::Dispatch => {
+                    conn.slots.push_back(Slot::Waiting(cmd));
+                    continue;
+                }
+                // No reply flows through the reactor: the streamer writes
+                // the handshake itself, so nothing may be owed before it.
+                Action::Replicate(from)
+                    if conn.slots.is_empty()
+                        && conn.pending_write() == 0
+                        && conn.unparsed() == 0 =>
+                {
+                    conn.replicate_from = Some(from);
+                    continue;
+                }
+                Action::Replicate(_) => Done::closing("err proto replicate cannot be pipelined"),
+            },
             Parsed::Blank => continue,
             Parsed::Incomplete => break,
-            Parsed::Violation(reply) => {
-                let seq = conn.next_seq;
-                conn.next_seq += 1;
-                conn.done.insert(
-                    seq,
-                    Done {
-                        reply: reply.to_string(),
-                        switch_to: None,
-                        close: true,
-                    },
-                );
-                conn.closing = true;
-                break;
-            }
+            Parsed::Violation(reply) => Done::closing(reply),
         };
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        match intercept(&cmd, conn.parse_framing) {
-            Action::Reply(reply) => {
-                conn.done.insert(
-                    seq,
-                    Done {
-                        reply,
-                        switch_to: None,
-                        close: false,
-                    },
-                );
-            }
-            Action::Close(reply) => {
-                conn.done.insert(
-                    seq,
-                    Done {
-                        reply,
-                        switch_to: None,
-                        close: true,
-                    },
-                );
-                conn.closing = true;
-            }
-            Action::Switch(framing, ack) => {
-                // Incoming bytes switch right here; outgoing replies
-                // switch when the ack is rendered (ordered with every
-                // earlier reply).
-                conn.parse_framing = framing;
-                conn.done.insert(
-                    seq,
-                    Done {
-                        reply: ack,
-                        switch_to: Some(framing),
-                        close: false,
-                    },
-                );
-            }
-            Action::Replicate(from) => {
-                if seq != conn.next_flush || conn.pending_write() > 0 || conn.unparsed() > 0 {
-                    conn.done.insert(
-                        seq,
-                        Done {
-                            reply: "err proto replicate cannot be pipelined".to_string(),
-                            switch_to: None,
-                            close: true,
-                        },
-                    );
-                    conn.closing = true;
-                } else {
-                    // No reply flows through the reactor: the streamer
-                    // writes the handshake itself. Un-issue the seq so
-                    // ordering stays consistent.
-                    conn.next_seq = seq;
-                    conn.replicate_from = Some(from);
-                }
-            }
-            Action::Dispatch => {
-                conn.exec_queue.push_back((seq, cmd));
-            }
+        if let Some(framing) = done.switch_to {
+            // Incoming bytes switch right here; outgoing replies switch
+            // when the ack is rendered (ordered with every earlier reply).
+            conn.parse_framing = framing;
         }
+        conn.closing |= done.close;
+        conn.slots.push_back(Slot::Ready(done));
     }
     // Reclaim consumed input.
     if conn.rpos > 0 {
@@ -593,50 +509,16 @@ fn parse_and_dispatch(conn: &mut Conn) {
     }
 }
 
-/// Keeps exactly one engine request per connection on the workers:
-/// dispatches the queue head once the previous request's reply has come
-/// back. Sequential execution per connection is what makes pipelining
-/// safe for dependent requests (a `compl` followed by a `check` that
-/// relies on it); concurrency comes from having many connections.
-fn advance_exec(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
-    if let Some(seq) = conn.executing {
-        if conn.done.contains_key(&seq) || conn.next_flush > seq {
-            conn.executing = None;
-        }
-    }
-    if conn.executing.is_some() {
-        return;
-    }
-    let Some((seq, cmd)) = conn.exec_queue.pop_front() else {
-        return;
-    };
-    conn.executing = Some(seq);
-    let engine = Arc::clone(ctx.engine);
-    let tx = ctx.done_tx.clone();
-    let poller = Arc::clone(ctx.poller);
-    ctx.pool.execute(move || {
-        let reply = engine.handle(&cmd);
-        let _ = tx.send((
-            token,
-            seq,
-            Done {
-                reply,
-                switch_to: None,
-                close: false,
-            },
-        ));
-        let _ = poller.wake();
-    });
-}
-
-/// Moves every reply whose turn has come from the reorder map into the
-/// write buffer, applying framing switches and close requests as they
-/// pass.
+/// Moves the finished slots at the front into the write buffer, applying
+/// framing switches and close requests as they pass.
 fn flush_ready(conn: &mut Conn) {
     let was_empty = conn.pending_write() == 0;
     let mut rendered = false;
-    while let Some(done) = conn.done.remove(&conn.next_flush) {
-        conn.next_flush += 1;
+    while let Some(slot) = conn.slots.pop_front() {
+        let Slot::Ready(done) = slot else {
+            conn.slots.push_front(slot);
+            break;
+        };
         rendered = true;
         match conn.reply_framing {
             Framing::Line => {
@@ -661,6 +543,38 @@ fn flush_ready(conn: &mut Conn) {
         // The stall clock starts when the connection begins owing bytes.
         conn.last_write_progress = Instant::now();
     }
+}
+
+/// Starts the front slot on a worker when it is a waiting engine
+/// request. Run after [`flush_ready`], so no other request of the
+/// connection is running; concurrency comes from many connections.
+fn start_front(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
+    let Some(slot) = conn.slots.front_mut() else {
+        return;
+    };
+    let Slot::Waiting(cmd) = slot else {
+        return;
+    };
+    let cmd = std::mem::take(cmd);
+    *slot = Slot::Running;
+    let engine = Arc::clone(ctx.engine);
+    let tx = ctx.done_tx.clone();
+    let poller = Arc::clone(ctx.poller);
+    ctx.pool.execute(move || {
+        let reply = answer(engine.metrics(), || engine.handle(&cmd));
+        let _ = tx.send((token, reply));
+        let _ = poller.wake();
+    });
+}
+
+/// Runs one engine request on a worker. A panicking handler is answered
+/// `err internal …` and counted in `pool.panics` (a pooled reasoning
+/// task's panic resumes on its handler, so it is counted here, once).
+fn answer(metrics: &Metrics, handle: impl FnOnce() -> String) -> String {
+    catch_unwind(AssertUnwindSafe(handle)).unwrap_or_else(|_| {
+        metrics.add(Counter::PoolPanics, 1);
+        "err internal request handler panicked".to_string()
+    })
 }
 
 /// Pushes pending reply bytes into the socket until `WouldBlock` or
@@ -704,4 +618,56 @@ fn detach_replica(
         .spawn(move || {
             let _ = replication::serve_replica(stream, &engine, &stop, from);
         });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::metrics::CacheCounts;
+    use magik_runtime::PoolCounters;
+
+    #[test]
+    fn a_panicking_handler_is_answered_and_counted() {
+        let metrics = Metrics::new();
+        assert_eq!(answer(&metrics, || "ok pong".to_string()), "ok pong");
+        let reply = answer(&metrics, || panic!("a handler bug"));
+        assert_eq!(reply, "err internal request handler panicked");
+        let text = metrics.render(&CacheCounts::default(), &PoolCounters::default());
+        assert!(text.ends_with(" pool.panics=1"), "{text}");
+    }
+
+    #[test]
+    fn inline_replies_wait_behind_the_running_engine_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        conn.rbuf
+            .extend_from_slice(b"check q(X) :- p(X).\nframes\nreplicate x\nquit\nping\n");
+        parse(&mut conn);
+        // `quit` closes: the `ping` behind it is never parsed.
+        assert_eq!(conn.slots.len(), 4);
+        assert!(
+            matches!(conn.slots.front(), Some(Slot::Waiting(cmd)) if cmd == "check q(X) :- p(X).")
+        );
+        conn.slots[0] = Slot::Running;
+        flush_ready(&mut conn);
+        assert_eq!(
+            conn.pending_write(),
+            0,
+            "the finished replies wait their turn"
+        );
+
+        let mut conns = HashMap::from([(7, conn)]);
+        let (tx, rx) = channel();
+        tx.send((7, "ok complete".to_string())).unwrap();
+        fill_running(&mut conns, &rx);
+        let conn = conns.get_mut(&7).unwrap();
+        flush_ready(conn);
+        assert_eq!(
+            String::from_utf8_lossy(&conn.wbuf),
+            "ok complete\nok frames=line\nerr proto usage: replicate <tcs-epoch> <data-epoch>\nok bye\n"
+        );
+        assert_eq!(conn.slots.len(), 0);
+        assert!(conn.close_after_flush);
+    }
 }

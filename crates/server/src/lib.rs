@@ -29,10 +29,11 @@
 //!   function crash recovery uses (`Engine::apply_logged`), refuses
 //!   client writes itself, and reports its epoch lag via the
 //!   `replication` request.
-//! * [`Metrics`] / [`Histogram`] — per-op counters and fixed-bucket
-//!   latency quantiles, reported by the `metrics` request (together with
-//!   the compute pool's `runtime.tasks`/`runtime.steals`/`pool.panics`
-//!   counters).
+//! * [`Metrics`] / [`Histogram`] — one table of lock-free counters and
+//!   fixed-bucket latency quantiles, reported by the `metrics` request
+//!   together with the caches' hits and misses, the compute pool's
+//!   `runtime.tasks`/`runtime.steals`, and `pool.panics` (requests whose
+//!   handler panicked; each is still answered, `err internal …`).
 //! * [`LruCache`] — the exact LRU (from `magik-exec`) behind each of the
 //!   engine's caches, which report their own hits and misses.
 //! * [`Engine::open_durable`] / [`DurabilityOptions`] — the optional

@@ -1,4 +1,10 @@
-//! Server metrics: per-operation counters and latency histograms.
+//! Server metrics: one table of counters and the `metrics` reply layout.
+//!
+//! Every count is a relaxed atomic (statistics publish no other data), so
+//! recording takes no lock and a panicking handler cannot poison the
+//! table. [`Counter`] names the engine's own counters; [`LAYOUT`] orders
+//! them with the counts the caches and the reasoning executor keep
+//! themselves, and [`Metrics::render`] walks it after the per-op fields.
 //!
 //! Latencies go into a **fixed-bucket histogram** — power-of-two
 //! microsecond buckets from 1 µs to ~67 s. Recording is a counter
@@ -7,69 +13,63 @@
 //! bucket containing the requested rank, i.e. with at most 2× relative
 //! error, which is plenty for a `metrics` endpoint.
 
-use std::fmt::Write as _;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::fmt::{Display, Write as _};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
+
+use magik_exec::ExecStats;
+use magik_runtime::PoolCounters;
 
 /// The number of histogram buckets: bucket `i` counts latencies in
 /// `[2^i, 2^(i+1))` microseconds (bucket 0 also absorbs sub-µs samples).
 const BUCKETS: usize = 27;
 
 /// A fixed-bucket latency histogram.
-#[derive(Debug, Clone)]
+#[derive(Debug, Default)]
 pub struct Histogram {
-    buckets: [u64; BUCKETS],
-    count: u64,
-    max_us: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; BUCKETS],
-            count: 0,
-            max_us: 0,
-        }
-    }
+    buckets: [AtomicU64; BUCKETS],
+    count: AtomicU64,
+    max_us: AtomicU64,
 }
 
 impl Histogram {
     /// Records one latency sample.
-    pub fn record(&mut self, d: Duration) {
+    pub fn record(&self, d: Duration) {
         let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
         let idx = (63 - us.max(1).leading_zeros() as usize).min(BUCKETS - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.max_us = self.max_us.max(us);
+        self.buckets[idx].fetch_add(1, Relaxed);
+        self.count.fetch_add(1, Relaxed);
+        self.max_us.fetch_max(us, Relaxed);
     }
 
     /// The number of recorded samples.
     pub fn count(&self) -> u64 {
-        self.count
+        self.count.load(Relaxed)
     }
 
     /// An upper bound (in µs) on the `q`-quantile latency, `0 <= q <= 1`.
     /// Returns 0 when no samples have been recorded.
     pub fn quantile_us(&self, q: f64) -> u64 {
-        if self.count == 0 {
+        let count = self.count();
+        if count == 0 {
             return 0;
         }
         // Rank of the sample we want, 1-based, clamped into range.
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
         let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+        for (i, n) in self.buckets.iter().enumerate() {
+            seen += n.load(Relaxed);
             if seen >= rank {
                 // Upper bound of bucket i, but never above the true max.
-                return (1u64 << (i + 1)).saturating_sub(1).min(self.max_us);
+                return (1u64 << (i + 1)).saturating_sub(1).min(self.max_us());
             }
         }
-        self.max_us
+        self.max_us()
     }
 
     /// The maximum recorded latency in µs.
     pub fn max_us(&self) -> u64 {
-        self.max_us
+        self.max_us.load(Relaxed)
     }
 }
 
@@ -100,30 +100,53 @@ pub enum Op {
     Other,
 }
 
-const OPS: [(Op, &str); 11] = [
-    (Op::Check, "check"),
-    (Op::Generalize, "generalize"),
-    (Op::Specialize, "specialize"),
-    (Op::Eval, "eval"),
-    (Op::Assert, "assert"),
-    (Op::Retract, "retract"),
-    (Op::Compl, "compl"),
-    (Op::Guaranteed, "guaranteed"),
-    (Op::Analyze, "analyze"),
-    (Op::Why, "why"),
-    (Op::Other, "other"),
+/// The name of each [`Op`], indexed by `op as usize`.
+const OP_NAMES: [&str; 11] = [
+    "check",
+    "generalize",
+    "specialize",
+    "eval",
+    "assert",
+    "retract",
+    "compl",
+    "guaranteed",
+    "analyze",
+    "why",
+    "other",
 ];
 
-fn op_index(op: Op) -> usize {
-    OPS.iter().position(|(o, _)| *o == op).expect("op listed")
+/// One counter the engine adds to. Names, reply order and the counts
+/// kept elsewhere are in [`LAYOUT`]; meanings are in `PROTOCOL.md`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Counter {
+    ExecProbes,
+    ExecScanned,
+    ExecBacktracks,
+    ExecBatches,
+    ExecBatchRows,
+    ExecJoinNested,
+    ExecJoinHash,
+    ExecJoinMerge,
+    CertComplete,
+    CertIncomplete,
+    DredOverdeleted,
+    DredRederived,
+    WalAppends,
+    WalBytes,
+    WalFsyncs,
+    CheckpointCount,
+    CheckpointMs,
+    ReplayedOps,
+    AcceptErrors,
+    LockPoisoned,
+    ReplShipped,
+    ReplApplied,
+    ReplSnapshots,
+    PoolPanics,
 }
 
-#[derive(Debug, Default, Clone)]
-struct OpStats {
-    count: u64,
-    errors: u64,
-    hist: Histogram,
-}
+/// How many counters there are: [`Counter::PoolPanics`] is the last.
+const COUNTERS: usize = Counter::PoolPanics as usize + 1;
 
 /// `(hits, misses)` of each engine cache, as [`Metrics::render`]
 /// reports them. The caches count these themselves.
@@ -136,38 +159,64 @@ pub(crate) struct CacheCounts {
     pub(crate) cert: (u64, u64),
 }
 
+/// One entry of the `metrics` reply after the per-op fields.
+enum Field {
+    /// `<name>.hits`, `<name>.misses` and `<name>.rate` of one cache.
+    Cache(&'static str, fn(&CacheCounts) -> (u64, u64)),
+    /// `<name>=<n>` of one [`Counter`].
+    Count(&'static str, Counter),
+    /// `<name>=<n>` of one count of the reasoning executor's pool.
+    Pool(&'static str, fn(&PoolCounters) -> u64),
+}
+
+/// The `metrics` reply after the per-op fields. Scrapers and the
+/// benchmark's traced run parse these names, so their set and order are
+/// part of the protocol.
+const LAYOUT: [Field; 31] = [
+    Field::Cache("verdict_cache", |c| c.verdict),
+    Field::Cache("answer_cache", |c| c.answer),
+    Field::Cache("plan_cache", |c| c.plan),
+    Field::Count("exec.probes", Counter::ExecProbes),
+    Field::Count("exec.scanned", Counter::ExecScanned),
+    Field::Count("exec.backtracks", Counter::ExecBacktracks),
+    Field::Count("exec.batch.count", Counter::ExecBatches),
+    Field::Count("exec.batch.rows", Counter::ExecBatchRows),
+    Field::Count("exec.join.nested", Counter::ExecJoinNested),
+    Field::Count("exec.join.hash", Counter::ExecJoinHash),
+    Field::Count("exec.join.merge", Counter::ExecJoinMerge),
+    Field::Cache("analysis_cache", |c| c.analysis),
+    Field::Cache("cert.cache", |c| c.cert),
+    Field::Count("cert.complete", Counter::CertComplete),
+    Field::Count("cert.incomplete", Counter::CertIncomplete),
+    Field::Count("dred.overdeleted", Counter::DredOverdeleted),
+    Field::Count("dred.rederived", Counter::DredRederived),
+    Field::Count("wal.appends", Counter::WalAppends),
+    Field::Count("wal.bytes", Counter::WalBytes),
+    Field::Count("wal.fsyncs", Counter::WalFsyncs),
+    Field::Count("checkpoint.count", Counter::CheckpointCount),
+    Field::Count("checkpoint.duration_ms", Counter::CheckpointMs),
+    Field::Count("recovery.replayed_ops", Counter::ReplayedOps),
+    Field::Count("accept.errors", Counter::AcceptErrors),
+    Field::Count("lock.poisoned", Counter::LockPoisoned),
+    Field::Count("repl.shipped", Counter::ReplShipped),
+    Field::Count("repl.applied", Counter::ReplApplied),
+    Field::Count("repl.snapshots", Counter::ReplSnapshots),
+    Field::Pool("runtime.tasks", |p| p.tasks),
+    Field::Pool("runtime.steals", |p| p.steals),
+    Field::Count("pool.panics", Counter::PoolPanics),
+];
+
 #[derive(Debug, Default)]
-struct Inner {
-    ops: [OpStats; OPS.len()],
-    cert_complete: u64,
-    cert_incomplete: u64,
-    exec_probes: u64,
-    exec_scanned: u64,
-    exec_backtracks: u64,
-    exec_batches: u64,
-    exec_batch_rows: u64,
-    exec_join_nested: u64,
-    exec_join_hash: u64,
-    exec_join_merge: u64,
-    dred_overdeleted: u64,
-    dred_rederived: u64,
-    wal_appends: u64,
-    wal_bytes: u64,
-    wal_fsyncs: u64,
-    checkpoint_count: u64,
-    checkpoint_duration_ms: u64,
-    recovery_replayed: u64,
-    accept_errors: u64,
-    lock_poisoned: u64,
-    repl_records_shipped: u64,
-    repl_records_applied: u64,
-    repl_snapshots_shipped: u64,
+struct OpStats {
+    errors: AtomicU64,
+    latency: Histogram,
 }
 
 /// Shared, thread-safe server metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    inner: Mutex<Inner>,
+    ops: [OpStats; OP_NAMES.len()],
+    counters: [AtomicU64; COUNTERS],
 }
 
 impl Metrics {
@@ -176,221 +225,80 @@ impl Metrics {
         Metrics::default()
     }
 
-    /// Locks the counter state, recovering from a poisoned mutex: the
-    /// counters are plain integers, so state abandoned by a panicking
-    /// recorder is still internally consistent (at worst one sample
-    /// short). Metrics must never become a secondary outage after a
-    /// handler panic.
-    fn inner(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Records one completed request: its operation, latency, and whether
     /// it produced an error response.
     pub fn record(&self, op: Op, latency: Duration, is_error: bool) {
-        let mut inner = self.inner();
-        let stats = &mut inner.ops[op_index(op)];
-        stats.count += 1;
-        stats.errors += u64::from(is_error);
-        stats.hist.record(latency);
+        let stats = &self.ops[op as usize];
+        stats.errors.fetch_add(u64::from(is_error), Relaxed);
+        stats.latency.record(latency);
     }
 
-    /// Records the polarity of one freshly emitted (and validated)
-    /// certificate.
-    pub fn record_cert(&self, complete: bool) {
-        let mut inner = self.inner();
-        if complete {
-            inner.cert_complete += 1;
-        } else {
-            inner.cert_incomplete += 1;
+    /// Adds `n` to `counter`.
+    pub(crate) fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Relaxed);
+    }
+
+    /// Adds the executor counters of one plan run.
+    pub(crate) fn add_exec(&self, stats: &ExecStats) {
+        for (counter, n) in [
+            (Counter::ExecProbes, stats.probes),
+            (Counter::ExecScanned, stats.scanned),
+            (Counter::ExecBacktracks, stats.backtracks),
+            (Counter::ExecBatches, stats.batches),
+            (Counter::ExecBatchRows, stats.batch_rows),
+            (Counter::ExecJoinNested, stats.join_nested),
+            (Counter::ExecJoinHash, stats.join_hash),
+            (Counter::ExecJoinMerge, stats.join_merge),
+        ] {
+            self.add(counter, n);
         }
-    }
-
-    /// Accumulates executor counters from one plan run (plain integers so
-    /// the metrics layer stays decoupled from the execution crate).
-    pub fn record_exec(&self, probes: u64, scanned: u64, backtracks: u64) {
-        let mut inner = self.inner();
-        inner.exec_probes += probes;
-        inner.exec_scanned += scanned;
-        inner.exec_backtracks += backtracks;
-    }
-
-    /// Accumulates batch-execution counters from one plan run: batches
-    /// started, rows materialized across all operators, and how many join
-    /// operators executed under each strategy.
-    pub fn record_batch_exec(&self, batches: u64, batch_rows: u64, joins: (u64, u64, u64)) {
-        let mut inner = self.inner();
-        inner.exec_batches += batches;
-        inner.exec_batch_rows += batch_rows;
-        inner.exec_join_nested += joins.0;
-        inner.exec_join_hash += joins.1;
-        inner.exec_join_merge += joins.2;
-    }
-
-    /// Accumulates DRed retraction work from one `retract` request: how
-    /// many facts the over-deletion pass removed and how many the
-    /// re-derivation pass restored.
-    pub fn record_dred(&self, overdeleted: u64, rederived: u64) {
-        let mut inner = self.inner();
-        inner.dred_overdeleted += overdeleted;
-        inner.dred_rederived += rederived;
-    }
-
-    /// Records one WAL append: its frame size and whether it fsynced.
-    pub fn record_wal(&self, bytes: u64, synced: bool) {
-        let mut inner = self.inner();
-        inner.wal_appends += 1;
-        inner.wal_bytes += bytes;
-        inner.wal_fsyncs += u64::from(synced);
-    }
-
-    /// Records one completed checkpoint and how long it took.
-    pub fn record_checkpoint(&self, took: Duration) {
-        let mut inner = self.inner();
-        inner.checkpoint_count += 1;
-        inner.checkpoint_duration_ms += u64::try_from(took.as_millis()).unwrap_or(u64::MAX);
-    }
-
-    /// Records how many WAL ops crash recovery replayed at startup.
-    pub fn set_replayed(&self, ops: u64) {
-        self.inner().recovery_replayed = ops;
-    }
-
-    /// Records one failed `accept(2)` (the listener stays up and backs
-    /// off; see the server's accept-backoff policy).
-    pub fn record_accept_error(&self) {
-        self.inner().accept_errors += 1;
-    }
-
-    /// Records one recovery from a poisoned engine mutex (a handler
-    /// panicked while holding it; the lock was reclaimed and any cache it
-    /// guarded cleared).
-    pub fn record_lock_poisoned(&self) {
-        self.inner().lock_poisoned += 1;
-    }
-
-    /// Records WAL records shipped to replicas over replication streams.
-    pub fn record_repl_shipped(&self, records: u64) {
-        self.inner().repl_records_shipped += records;
-    }
-
-    /// Records one replicated op applied by this (replica) server.
-    pub fn record_repl_applied(&self) {
-        self.inner().repl_records_applied += 1;
-    }
-
-    /// Records one checkpoint image shipped to bootstrap a replica.
-    pub fn record_repl_snapshot(&self) {
-        self.inner().repl_snapshots_shipped += 1;
     }
 
     /// Renders all metrics as one line of `key=value` fields: per-op
     /// `<op>.count/.err/.p50us/.p90us/.p99us/.maxus` (ops with zero
-    /// requests are omitted) plus the `caches`' hit/miss counters and hit
-    /// rates and aggregate executor counters.
-    pub(crate) fn render(&self, caches: &CacheCounts) -> String {
-        let inner = self.inner();
+    /// requests are omitted), then [`LAYOUT`] over this table, the
+    /// `caches` and the reasoning executor's `pool`.
+    pub(crate) fn render(&self, caches: &CacheCounts, pool: &PoolCounters) -> String {
         let mut out = String::new();
-        for (i, (_, name)) in OPS.iter().enumerate() {
-            let s = &inner.ops[i];
-            if s.count == 0 {
+        let mut put = |name: &str, suffix: &str, value: &dyn Display| {
+            if !out.is_empty() {
+                out.push(' ');
+            }
+            let _ = write!(out, "{name}{suffix}={value}");
+        };
+        for (name, stats) in OP_NAMES.into_iter().zip(&self.ops) {
+            let latency = &stats.latency;
+            let count = latency.count();
+            if count == 0 {
                 continue;
             }
-            let _ = write!(
-                out,
-                "{name}.count={} {name}.err={} {name}.p50us={} {name}.p90us={} \
-                 {name}.p99us={} {name}.maxus={} ",
-                s.count,
-                s.errors,
-                s.hist.quantile_us(0.50),
-                s.hist.quantile_us(0.90),
-                s.hist.quantile_us(0.99),
-                s.hist.max_us(),
-            );
-        }
-        let rate = |(hits, misses): (u64, u64)| {
-            let total = hits + misses;
-            if total == 0 {
-                0.0
-            } else {
-                hits as f64 / total as f64
+            put(name, ".count", &count);
+            put(name, ".err", &stats.errors.load(Relaxed));
+            for (suffix, q) in [(".p50us", 0.50), (".p90us", 0.90), (".p99us", 0.99)] {
+                put(name, suffix, &latency.quantile_us(q));
             }
-        };
-        let _ = write!(
-            out,
-            "verdict_cache.hits={} verdict_cache.misses={} verdict_cache.rate={:.3} \
-             answer_cache.hits={} answer_cache.misses={} answer_cache.rate={:.3}",
-            caches.verdict.0,
-            caches.verdict.1,
-            rate(caches.verdict),
-            caches.answer.0,
-            caches.answer.1,
-            rate(caches.answer),
-        );
-        let _ = write!(
-            out,
-            " plan_cache.hits={} plan_cache.misses={} plan_cache.rate={:.3} \
-             exec.probes={} exec.scanned={} exec.backtracks={}",
-            caches.plan.0,
-            caches.plan.1,
-            rate(caches.plan),
-            inner.exec_probes,
-            inner.exec_scanned,
-            inner.exec_backtracks,
-        );
-        let _ = write!(
-            out,
-            " exec.batch.count={} exec.batch.rows={} exec.join.nested={} \
-             exec.join.hash={} exec.join.merge={}",
-            inner.exec_batches,
-            inner.exec_batch_rows,
-            inner.exec_join_nested,
-            inner.exec_join_hash,
-            inner.exec_join_merge,
-        );
-        let _ = write!(
-            out,
-            " analysis_cache.hits={} analysis_cache.misses={} analysis_cache.rate={:.3}",
-            caches.analysis.0,
-            caches.analysis.1,
-            rate(caches.analysis),
-        );
-        let _ = write!(
-            out,
-            " cert.cache.hits={} cert.cache.misses={} cert.cache.rate={:.3} \
-             cert.complete={} cert.incomplete={}",
-            caches.cert.0,
-            caches.cert.1,
-            rate(caches.cert),
-            inner.cert_complete,
-            inner.cert_incomplete,
-        );
-        let _ = write!(
-            out,
-            " dred.overdeleted={} dred.rederived={}",
-            inner.dred_overdeleted, inner.dred_rederived,
-        );
-        let _ = write!(
-            out,
-            " wal.appends={} wal.bytes={} wal.fsyncs={} checkpoint.count={} \
-             checkpoint.duration_ms={} recovery.replayed_ops={}",
-            inner.wal_appends,
-            inner.wal_bytes,
-            inner.wal_fsyncs,
-            inner.checkpoint_count,
-            inner.checkpoint_duration_ms,
-            inner.recovery_replayed,
-        );
-        let _ = write!(
-            out,
-            " accept.errors={} lock.poisoned={} repl.shipped={} repl.applied={} \
-             repl.snapshots={}",
-            inner.accept_errors,
-            inner.lock_poisoned,
-            inner.repl_records_shipped,
-            inner.repl_records_applied,
-            inner.repl_snapshots_shipped,
-        );
+            put(name, ".maxus", &latency.max_us());
+        }
+        for field in &LAYOUT {
+            match *field {
+                Field::Cache(name, counts) => {
+                    let (hits, misses) = counts(caches);
+                    let total = hits + misses;
+                    let rate = if total == 0 {
+                        0.0
+                    } else {
+                        hits as f64 / total as f64
+                    };
+                    put(name, ".hits", &hits);
+                    put(name, ".misses", &misses);
+                    put(name, ".rate", &format_args!("{rate:.3}"));
+                }
+                Field::Count(name, counter) => {
+                    put(name, "", &self.counters[counter as usize].load(Relaxed));
+                }
+                Field::Pool(name, count) => put(name, "", &count(pool)),
+            }
+        }
         out
     }
 }
@@ -399,9 +307,14 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    /// Renders with no cache or executor counts.
+    fn render(m: &Metrics) -> String {
+        m.render(&CacheCounts::default(), &PoolCounters::default())
+    }
+
     #[test]
     fn histogram_quantiles_bracket_samples() {
-        let mut h = Histogram::default();
+        let h = Histogram::default();
         for us in [1u64, 10, 100, 1000, 10_000] {
             h.record(Duration::from_micros(us));
         }
@@ -426,10 +339,11 @@ mod tests {
         let m = Metrics::new();
         m.record(Op::Check, Duration::from_micros(50), false);
         m.record(Op::Check, Duration::from_micros(70), true);
-        let text = m.render(&CacheCounts {
+        let caches = CacheCounts {
             verdict: (1, 1),
             ..CacheCounts::default()
-        });
+        };
+        let text = m.render(&caches, &PoolCounters::default());
         assert!(text.contains("check.count=2"));
         assert!(text.contains("check.err=1"));
         assert!(text.contains("verdict_cache.rate=0.500"));
@@ -440,12 +354,19 @@ mod tests {
     #[test]
     fn render_includes_plan_cache_and_exec_counters() {
         let m = Metrics::new();
-        m.record_exec(5, 40, 12);
-        m.record_exec(1, 2, 0);
-        let text = m.render(&CacheCounts {
+        for (probes, scanned, backtracks) in [(5, 40, 12), (1, 2, 0)] {
+            m.add_exec(&ExecStats {
+                probes,
+                scanned,
+                backtracks,
+                ..ExecStats::default()
+            });
+        }
+        let caches = CacheCounts {
             plan: (1, 1),
             ..CacheCounts::default()
-        });
+        };
+        let text = m.render(&caches, &PoolCounters::default());
         assert!(
             text.contains("plan_cache.hits=1 plan_cache.misses=1"),
             "{text}"
@@ -462,14 +383,24 @@ mod tests {
         let m = Metrics::new();
         // Batch counters are always rendered, even at zero, so scrapers
         // can rely on their presence.
-        let text = m.render(&CacheCounts::default());
+        let text = render(&m);
         assert!(
             text.contains("exec.batch.count=0 exec.batch.rows=0"),
             "{text}"
         );
-        m.record_batch_exec(3, 120, (2, 1, 0));
-        m.record_batch_exec(1, 30, (0, 0, 1));
-        let text = m.render(&CacheCounts::default());
+        for (batches, batch_rows, (join_nested, join_hash, join_merge)) in
+            [(3, 120, (2, 1, 0)), (1, 30, (0, 0, 1))]
+        {
+            m.add_exec(&ExecStats {
+                batches,
+                batch_rows,
+                join_nested,
+                join_hash,
+                join_merge,
+                ..ExecStats::default()
+            });
+        }
+        let text = render(&m);
         assert!(
             text.contains("exec.batch.count=4 exec.batch.rows=150"),
             "{text}"
@@ -485,7 +416,7 @@ mod tests {
         let m = Metrics::new();
         // The durability fields are always rendered, even at zero, so a
         // scraper can rely on their presence.
-        let text = m.render(&CacheCounts::default());
+        let text = render(&m);
         assert!(
             text.contains("wal.appends=0 wal.bytes=0 wal.fsyncs=0"),
             "{text}"
@@ -494,11 +425,13 @@ mod tests {
             text.contains("checkpoint.count=0 checkpoint.duration_ms=0 recovery.replayed_ops=0"),
             "{text}"
         );
-        m.record_wal(32, true);
-        m.record_wal(40, false);
-        m.record_checkpoint(Duration::from_millis(7));
-        m.set_replayed(5);
-        let text = m.render(&CacheCounts::default());
+        m.add(Counter::WalAppends, 2);
+        m.add(Counter::WalBytes, 32 + 40);
+        m.add(Counter::WalFsyncs, 1);
+        m.add(Counter::CheckpointCount, 1);
+        m.add(Counter::CheckpointMs, 7);
+        m.add(Counter::ReplayedOps, 5);
+        let text = render(&m);
         assert!(
             text.contains("wal.appends=2 wal.bytes=72 wal.fsyncs=1"),
             "{text}"
@@ -513,19 +446,19 @@ mod tests {
     fn render_includes_cert_counters() {
         let m = Metrics::new();
         // Certificate fields are always rendered, even at zero.
-        let text = m.render(&CacheCounts::default());
+        let text = render(&m);
         assert!(
             text.contains("cert.cache.hits=0 cert.cache.misses=0"),
             "{text}"
         );
         assert!(text.contains("cert.complete=0 cert.incomplete=0"), "{text}");
-        m.record_cert(true);
-        m.record_cert(false);
-        m.record_cert(false);
-        let text = m.render(&CacheCounts {
+        m.add(Counter::CertComplete, 1);
+        m.add(Counter::CertIncomplete, 2);
+        let caches = CacheCounts {
             cert: (1, 2),
             ..CacheCounts::default()
-        });
+        };
+        let text = m.render(&caches, &PoolCounters::default());
         assert!(
             text.contains("cert.cache.hits=1 cert.cache.misses=2"),
             "{text}"
@@ -538,19 +471,18 @@ mod tests {
     fn render_includes_accept_lock_and_replication_counters() {
         let m = Metrics::new();
         // Always rendered, even at zero, so scrapers can rely on them.
-        let text = m.render(&CacheCounts::default());
+        let text = render(&m);
         assert!(text.contains("accept.errors=0 lock.poisoned=0"), "{text}");
         assert!(
             text.contains("repl.shipped=0 repl.applied=0 repl.snapshots=0"),
             "{text}"
         );
-        m.record_accept_error();
-        m.record_accept_error();
-        m.record_lock_poisoned();
-        m.record_repl_shipped(5);
-        m.record_repl_applied();
-        m.record_repl_snapshot();
-        let text = m.render(&CacheCounts::default());
+        m.add(Counter::AcceptErrors, 2);
+        m.add(Counter::LockPoisoned, 1);
+        m.add(Counter::ReplShipped, 5);
+        m.add(Counter::ReplApplied, 1);
+        m.add(Counter::ReplSnapshots, 1);
+        let text = render(&m);
         assert!(text.contains("accept.errors=2 lock.poisoned=1"), "{text}");
         assert!(
             text.contains("repl.shipped=5 repl.applied=1 repl.snapshots=1"),
@@ -559,32 +491,23 @@ mod tests {
     }
 
     #[test]
-    fn metrics_survive_a_poisoned_lock() {
-        let m = std::sync::Arc::new(Metrics::new());
-        let clone = std::sync::Arc::clone(&m);
-        // Panic while holding the counter mutex; recording must keep
-        // working afterwards instead of propagating the poison.
-        let _ = std::thread::spawn(move || {
-            let _guard = clone.inner();
-            panic!("poison the metrics lock");
-        })
-        .join();
-        m.record_accept_error();
-        assert!(m
-            .render(&CacheCounts::default())
-            .contains("accept.errors=1"));
+    fn render_includes_dred_counters() {
+        let m = Metrics::new();
+        assert!(render(&m).contains("dred.overdeleted=0 dred.rederived=0"));
+        m.add(Counter::DredOverdeleted, 7 + 1);
+        m.add(Counter::DredRederived, 3);
+        assert!(render(&m).contains("dred.overdeleted=8 dred.rederived=3"));
     }
 
     #[test]
-    fn render_includes_dred_counters() {
-        let m = Metrics::new();
-        assert!(m
-            .render(&CacheCounts::default())
-            .contains("dred.overdeleted=0 dred.rederived=0"));
-        m.record_dred(7, 3);
-        m.record_dred(1, 0);
-        assert!(m
-            .render(&CacheCounts::default())
-            .contains("dred.overdeleted=8 dred.rederived=3"));
+    fn layout_renders_every_counter_once_in_counter_order() {
+        let counted: Vec<usize> = LAYOUT
+            .iter()
+            .filter_map(|field| match *field {
+                Field::Count(_, counter) => Some(counter as usize),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(counted, (0..COUNTERS).collect::<Vec<_>>());
     }
 }

@@ -13,9 +13,10 @@
 //! connection, replies strictly in request order) and a length-prefixed
 //! *binary framing* negotiated in-band with `frames binary`. The front
 //! end keeps only framing and the connection-level commands — `quit`,
-//! `frames` and the `replicate` handoff — classified by [`intercept`];
-//! every other request, `replication` and a replica's refused writes
-//! included, is the engine's.
+//! `frames` and the `replicate` handoff — classified by [`intercept`],
+//! which answers them with a finished [`Done`] reply carrying its
+//! framing switch and close flag; every other request, `replication`
+//! and a replica's refused writes included, is the engine's.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -53,16 +54,41 @@ impl Framing {
     }
 }
 
+/// A finished reply: one the front end produces itself, or one a worker
+/// returned from the engine.
+pub(crate) struct Done {
+    pub(crate) reply: String,
+    /// Switch the connection's reply framing after this reply.
+    pub(crate) switch_to: Option<Framing>,
+    /// Close the connection once this reply is flushed.
+    pub(crate) close: bool,
+}
+
+impl Done {
+    /// A reply that leaves the connection as it is.
+    pub(crate) fn reply(reply: impl Into<String>) -> Done {
+        Done {
+            reply: reply.into(),
+            switch_to: None,
+            close: false,
+        }
+    }
+
+    /// A reply after which the connection closes.
+    pub(crate) fn closing(reply: impl Into<String>) -> Done {
+        Done {
+            close: true,
+            ..Done::reply(reply)
+        }
+    }
+}
+
 /// What the front end should do with one parsed request.
 pub(crate) enum Action {
-    /// Reply immediately without touching the engine.
-    Reply(String),
+    /// Answer without touching the engine.
+    Reply(Done),
     /// Hand the request to `Engine::handle` on a worker.
     Dispatch,
-    /// Reply, then close the connection.
-    Close(String),
-    /// Ack in the current framing, then parse and reply with the new one.
-    Switch(Framing, String),
     /// Hand the connection to a WAL streamer starting after this
     /// `(tcs_epoch, data_epoch)` position.
     Replicate((u64, u64)),
@@ -76,13 +102,17 @@ pub(crate) fn intercept(cmd: &str, current: Framing) -> Action {
         Some((v, r)) => (v, r.trim()),
         None => (cmd, ""),
     };
-    match verb {
-        "quit" => Action::Close("ok bye".to_string()),
+    let switch = |framing: Framing| Done {
+        switch_to: Some(framing),
+        ..Done::reply(format!("ok frames={}", framing.name()))
+    };
+    Action::Reply(match verb {
+        "quit" => Done::closing("ok bye"),
         "frames" => match rest {
-            "" => Action::Reply(format!("ok frames={}", current.name())),
-            "binary" => Action::Switch(Framing::Binary, "ok frames=binary".to_string()),
-            "line" => Action::Switch(Framing::Line, "ok frames=line".to_string()),
-            other => Action::Reply(format!("err proto unknown framing `{other}`")),
+            "" => Done::reply(format!("ok frames={}", current.name())),
+            "binary" => switch(Framing::Binary),
+            "line" => switch(Framing::Line),
+            other => Done::reply(format!("err proto unknown framing `{other}`")),
         },
         "replicate" => {
             let mut parts = rest.split_whitespace();
@@ -91,14 +121,12 @@ pub(crate) fn intercept(cmd: &str, current: Framing) -> Action {
                 parts.next().and_then(|s| s.parse::<u64>().ok()),
                 parts.next(),
             ) {
-                (Some(te), Some(de), None) => Action::Replicate((te, de)),
-                _ => {
-                    Action::Reply("err proto usage: replicate <tcs-epoch> <data-epoch>".to_string())
-                }
+                (Some(te), Some(de), None) => return Action::Replicate((te, de)),
+                _ => Done::reply("err proto usage: replicate <tcs-epoch> <data-epoch>"),
             }
         }
-        _ => Action::Dispatch,
-    }
+        _ => return Action::Dispatch,
+    })
 }
 
 /// Exponential backoff policy for failed `accept` calls.
@@ -175,7 +203,8 @@ impl Server {
         let accept_thread = std::thread::Builder::new()
             .name("magik-reactor".to_string())
             .spawn(move || {
-                crate::event_loop::run(listener, loop_poller, loop_engine, workers, loop_stop);
+                let _ =
+                    crate::event_loop::run(listener, loop_poller, loop_engine, workers, loop_stop);
             })?;
         Ok(Server {
             local_addr,
@@ -258,15 +287,17 @@ mod tests {
     fn intercept_classifies_connection_commands() {
         assert!(matches!(
             intercept("quit", Framing::Line),
-            Action::Close(r) if r == "ok bye"
+            Action::Reply(Done { reply, switch_to: None, close: true }) if reply == "ok bye"
         ));
         assert!(matches!(
             intercept("frames binary", Framing::Line),
-            Action::Switch(Framing::Binary, r) if r == "ok frames=binary"
+            Action::Reply(Done { reply, switch_to: Some(Framing::Binary), close: false })
+                if reply == "ok frames=binary"
         ));
         assert!(matches!(
             intercept("frames", Framing::Binary),
-            Action::Reply(r) if r == "ok frames=binary"
+            Action::Reply(Done { reply, switch_to: None, close: false })
+                if reply == "ok frames=binary"
         ));
         assert!(matches!(
             intercept("replicate 3 7", Framing::Line),
@@ -274,7 +305,8 @@ mod tests {
         ));
         assert!(matches!(
             intercept("replicate x", Framing::Line),
-            Action::Reply(r) if r.starts_with("err proto usage")
+            Action::Reply(Done { reply, switch_to: None, close: false })
+                if reply.starts_with("err proto usage")
         ));
         assert!(matches!(
             intercept("check q() :- p().", Framing::Line),

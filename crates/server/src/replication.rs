@@ -35,10 +35,13 @@
 //! the WAL's own on-disk format — `[payload_len u32 LE][crc32 u32 LE]
 //! [payload]` — carrying [`WalRecord`]s: `Op` records to apply, and
 //! `Mark` records as heartbeats that advertise the primary's current
-//! epochs (the replica derives its lag from them). Frames are CRC-checked
-//! and epoch-verified on the replica: every applied op must re-derive
-//! exactly the epochs the primary logged for it, or the replica drops
-//! the connection rather than diverge silently.
+//! epochs (the replica derives its lag from them). Both ends use the
+//! storage crate's frame codec ([`WalRecord::encode_frame`],
+//! [`WalRecord::read_frame`]), so the replica checks each frame's length
+//! and CRC with the code that checks disk frames; it then epoch-verifies
+//! it: every applied op must re-derive exactly the epochs the primary
+//! logged for it, or the replica drops the connection rather than
+//! diverge silently.
 //!
 //! # Consistency
 //!
@@ -59,9 +62,10 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-use magik_storage::{crc32, install_checkpoint, Store, WalRecord, MAX_FRAME_PAYLOAD};
+use magik_storage::{install_checkpoint, Store, WalRecord};
 
 use crate::engine::Engine;
+use crate::metrics::Counter;
 
 /// Per-subscriber live-feed queue depth. A streamer that falls this far
 /// behind the write rate is dropped from the hub (its replica reconnects
@@ -184,32 +188,6 @@ fn io_other(e: impl std::fmt::Display) -> std::io::Error {
     std::io::Error::other(e.to_string())
 }
 
-/// Writes one WAL-format frame to the stream.
-fn write_frame(w: &mut impl Write, rec: &WalRecord) -> std::io::Result<()> {
-    let payload = rec.encode_payload();
-    let len = u32::try_from(payload.len()).map_err(io_other)?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&crc32(&payload).to_le_bytes())?;
-    w.write_all(&payload)
-}
-
-/// Reads and validates one WAL-format frame from the stream.
-fn read_frame(r: &mut impl Read) -> std::io::Result<WalRecord> {
-    let mut header = [0u8; 8];
-    r.read_exact(&mut header)?;
-    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
-    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        return Err(io_other(format!("replication frame of {len} bytes")));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    if crc32(&payload) != crc {
-        return Err(io_other("replication frame CRC mismatch"));
-    }
-    WalRecord::decode_payload(&payload).map_err(io_other)
-}
-
 /// Serves one replication stream on the primary: handshake reply
 /// (stream, snapshot bootstrap, or error), catch-up from the WAL, then
 /// the live feed with heartbeats, until the replica disconnects, falls
@@ -264,7 +242,7 @@ pub(crate) fn serve_replica(
             .as_bytes(),
         )?;
         stream.write_all(&bytes)?;
-        engine.metrics().record_repl_snapshot();
+        engine.metrics().add(Counter::ReplSnapshots, 1);
     } else {
         stream.write_all(format!("ok replicate stream tcs={cur_te} data={cur_de}\n").as_bytes())?;
     }
@@ -275,8 +253,8 @@ pub(crate) fn serve_replica(
             }
             last_sum = rec.epoch_sum();
         }
-        write_frame(stream, rec)?;
-        engine.metrics().record_repl_shipped(1);
+        stream.write_all(&rec.encode_frame())?;
+        engine.metrics().add(Counter::ReplShipped, 1);
         Ok(())
     };
     for rec in std::mem::take(&mut backlog) {
@@ -290,13 +268,11 @@ pub(crate) fn serve_replica(
             Ok(rec) => ship(&mut stream, &rec)?,
             Err(RecvTimeoutError::Timeout) => {
                 let (te, de) = engine.epochs();
-                write_frame(
-                    &mut stream,
-                    &WalRecord::Mark {
-                        tcs_epoch: te,
-                        data_epoch: de,
-                    },
-                )?;
+                let mark = WalRecord::Mark {
+                    tcs_epoch: te,
+                    data_epoch: de,
+                };
+                stream.write_all(&mark.encode_frame())?;
                 stream.flush()?;
             }
             // The hub dropped this subscription (queue overflow) or the
@@ -406,7 +382,7 @@ fn replicate_once(
         if stop.load(Ordering::SeqCst) {
             return Ok(());
         }
-        let rec = read_frame(&mut reader).map_err(|e| e.to_string())?;
+        let rec = WalRecord::read_frame(&mut reader).map_err(|e| e.to_string())?;
         *processed += 1;
         match rec {
             WalRecord::Mark {
@@ -436,7 +412,7 @@ fn replicate_once(
                         "replicated op diverged at logged epochs ({tcs_epoch}, {data_epoch}): {e}"
                     )
                 })?;
-                engine.metrics().record_repl_applied();
+                engine.metrics().add(Counter::ReplApplied, 1);
                 status.observe(tcs_epoch, data_epoch);
             }
         }

@@ -40,9 +40,8 @@ use std::fmt;
 use std::path::PathBuf;
 
 pub use checkpoint::{install_checkpoint, CheckpointImage};
-pub use crc::crc32;
 pub use store::{CheckpointOutcome, Recovery, Store, StoreOptions};
-pub use wal::{Append, FsyncPolicy, OpKind, WalRecord, MAX_FRAME_PAYLOAD};
+pub use wal::{Append, FrameError, FsyncPolicy, OpKind, WalRecord};
 
 /// Why a storage operation failed.
 #[derive(Debug)]

@@ -12,6 +12,9 @@
 //! The payload is a tagged record ([`WalRecord`]): mutation ops carry the
 //! op kind, the request text, and the **post-op** epoch pair; marks carry
 //! the current epoch pair without an op (written e.g. on clean shutdown).
+//! Log-shipping replication streams the same frames over TCP, so
+//! [`WalRecord::encode_frame`] and [`WalRecord::read_frame`] are the one
+//! encoder and the one length/CRC check for disk and network alike.
 //! Because every op bumps exactly one epoch by one, the epoch *sum* is a
 //! position on the session's linear history — recovery uses it to skip
 //! records a checkpoint already covers and to detect gaps.
@@ -25,8 +28,9 @@
 //! the final segment as a torn tail (discarded, byte count reported) and
 //! the same condition anywhere else as hard corruption.
 
+use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -39,10 +43,36 @@ use crate::StorageError;
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"MGKWAL01";
 
 /// The largest payload a frame may declare. Request lines are capped at
-/// 1 MiB by the server; anything past this is corrupt or torn. Public so
-/// the replication stream (which reuses the frame layout over TCP) can
-/// enforce the same bound.
-pub const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+/// 1 MiB by the server; anything past this is corrupt or torn.
+const MAX_FRAME_PAYLOAD: u32 = 1 << 24;
+
+/// Why [`WalRecord::read_frame`] refused a frame.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The source failed, or ended mid-frame (a torn tail on disk).
+    Io(std::io::Error),
+    /// The header declares an empty payload or one past the size cap.
+    Length(u32),
+    /// The payload does not match the header's CRC.
+    Crc,
+    /// The CRC matches but the payload does not decode: the writer never
+    /// produces such bytes.
+    Record(String),
+}
+
+impl fmt::Display for FrameError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FrameError::Io(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                f.write_str("incomplete frame")
+            }
+            FrameError::Io(e) => write!(f, "frame read failed: {e}"),
+            FrameError::Length(len) => write!(f, "implausible frame length {len}"),
+            FrameError::Crc => f.write_str("frame CRC mismatch"),
+            FrameError::Record(e) => write!(f, "undecodable record: {e}"),
+        }
+    }
+}
 
 /// When (if ever) appends flush to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,20 +185,44 @@ impl WalRecord {
         t + d
     }
 
-    /// Serializes the record as a frame payload. Log-shipping replication
-    /// sends these over TCP wrapped in the same
-    /// `[payload_len: u32 LE][crc32: u32 LE][payload]` framing that
-    /// segment files use, so a replica validates network frames with the
-    /// exact code path that validates disk frames.
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        self.encode(&mut out);
-        out
+    /// Serializes the record as one frame,
+    /// `[payload_len: u32 LE][crc32: u32 LE][payload]`: what the WAL
+    /// writer appends to a segment and what log-shipping replication
+    /// sends over TCP.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut frame = Vec::with_capacity(72);
+        frame.extend_from_slice(&[0; 8]);
+        self.encode(&mut frame);
+        let payload_len = u32::try_from(frame.len() - 8).expect("payload fits u32");
+        let crc = crc32(&frame[8..]);
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        frame
     }
 
-    /// Decodes a frame payload produced by [`WalRecord::encode_payload`]
-    /// (or the WAL writer). The caller is expected to have verified the
-    /// frame CRC already; this rejects structurally invalid payloads.
+    /// Reads one frame from `r` and decodes its record: the one length
+    /// and CRC check for segment scans and replication streams alike. The
+    /// declared length is bounded before the payload is allocated, and the
+    /// CRC is checked before the payload is decoded.
+    pub fn read_frame(r: &mut impl Read) -> Result<WalRecord, FrameError> {
+        let mut header = [0u8; 8];
+        r.read_exact(&mut header).map_err(FrameError::Io)?;
+        let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+        let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
+        if len == 0 || len > MAX_FRAME_PAYLOAD {
+            return Err(FrameError::Length(len));
+        }
+        let mut payload = vec![0u8; len as usize];
+        r.read_exact(&mut payload).map_err(FrameError::Io)?;
+        if crc32(&payload) != crc {
+            return Err(FrameError::Crc);
+        }
+        WalRecord::decode(&payload).map_err(|e| FrameError::Record(e.to_string()))
+    }
+
+    /// Decodes a frame payload: the bytes after a frame's 8-byte header.
+    /// The caller is expected to have verified the frame CRC already; this
+    /// rejects structurally invalid payloads.
     pub fn decode_payload(payload: &[u8]) -> Result<WalRecord, String> {
         WalRecord::decode(payload).map_err(|e| e.to_string())
     }
@@ -288,17 +342,15 @@ pub(crate) fn scan_segment(path: &Path, allow_torn: bool) -> Result<SegmentScan,
         return Err(corrupt("bad segment magic".to_string()));
     }
     let mut scan = SegmentScan::default();
-    let mut pos = SEGMENT_MAGIC.len();
-    while pos < data.len() {
-        let frame = parse_frame(&data[pos..]);
-        match frame {
-            Ok((payload, frame_len)) => match WalRecord::decode(payload) {
-                Ok(rec) => {
-                    scan.records.push(rec);
-                    pos += frame_len;
-                }
-                Err(e) => return Err(corrupt(format!("undecodable record at byte {pos}: {e}"))),
-            },
+    let mut rest = &data[SEGMENT_MAGIC.len()..];
+    while !rest.is_empty() {
+        let pos = data.len() - rest.len();
+        match WalRecord::read_frame(&mut rest) {
+            Ok(rec) => scan.records.push(rec),
+            Err(FrameError::Record(e)) => {
+                return Err(corrupt(format!("undecodable record at byte {pos}: {e}")));
+            }
+            // At the tail of the final segment an invalid frame is torn.
             Err(why) => {
                 if allow_torn {
                     scan.torn_bytes = (data.len() - pos) as u64;
@@ -309,29 +361,6 @@ pub(crate) fn scan_segment(path: &Path, allow_torn: bool) -> Result<SegmentScan,
         }
     }
     Ok(scan)
-}
-
-/// Parses one frame from the head of `data`, returning the payload slice
-/// and the total frame length, or a reason the frame is invalid (which at
-/// the tail of the final segment means "torn").
-fn parse_frame(data: &[u8]) -> Result<(&[u8], usize), &'static str> {
-    if data.len() < 8 {
-        return Err("incomplete frame header");
-    }
-    let len = u32::from_le_bytes([data[0], data[1], data[2], data[3]]);
-    let crc = u32::from_le_bytes([data[4], data[5], data[6], data[7]]);
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        return Err("implausible frame length");
-    }
-    let len = len as usize;
-    if data.len() < 8 + len {
-        return Err("incomplete frame payload");
-    }
-    let payload = &data[8..8 + len];
-    if crc32(payload) != crc {
-        return Err("frame CRC mismatch");
-    }
-    Ok((payload, 8 + len))
 }
 
 /// The result of one append.
@@ -400,16 +429,7 @@ impl Wal {
         if self.written >= self.segment_bytes {
             self.rotate()?;
         }
-        let mut payload = Vec::with_capacity(64);
-        rec.encode(&mut payload);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("payload fits u32")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = rec.encode_frame();
         self.file.write_all(&frame)?;
         self.written += frame.len() as u64;
         self.dirty = true;
@@ -498,6 +518,22 @@ mod tests {
         let scan = scan_segment(&segment_path(&dir, 0), true).unwrap();
         assert_eq!(scan.records, records);
         assert_eq!(scan.torn_bytes, 0);
+        // A replication stream carries the writer's frames unchanged, and
+        // its reader checks them as the segment scan does.
+        let data = std::fs::read(segment_path(&dir, 0)).unwrap();
+        let mut stream = &data[SEGMENT_MAGIC.len()..];
+        let streamed: Vec<WalRecord> = records
+            .iter()
+            .map(|_| WalRecord::read_frame(&mut stream).unwrap())
+            .collect();
+        assert_eq!(streamed, records);
+        assert!(stream.is_empty());
+        let mut flipped = records[0].encode_frame();
+        flipped[4] ^= 0x01;
+        assert!(matches!(
+            WalRecord::read_frame(&mut flipped.as_slice()),
+            Err(FrameError::Crc)
+        ));
     }
 
     #[test]
