@@ -2,11 +2,14 @@
 
 use std::collections::HashSet;
 
-use magik_relalg::{is_contained_in, Atom, Query, Substitution, Term, Vocabulary};
+use magik_relalg::{is_contained_in, Atom, Pred, Query, Term, Var, Vocabulary};
 use magik_unify::Unifier;
 
+use crate::canonical::CanonTerm;
 use crate::tcs::TcSet;
-use crate::unifiers::{complete_unifiers, for_each_complete_unifier, SearchBudget, VarPool};
+use crate::unifiers::{
+    complete_unifiers, for_each_complete_unifier, Scratch, ScratchNames, VarPool,
+};
 
 /// Keeps one representative per equivalence class and drops strictly
 /// contained queries. Shared by Algorithm 2 (line 6–7) and Algorithm 3
@@ -32,15 +35,19 @@ pub(crate) fn retain_maximal(cands: Vec<Query>) -> Vec<Query> {
     out
 }
 
-/// Renames the variables of `q` to position-canonical names, so that
-/// α-equivalent candidates become syntactically identical and can be
-/// deduplicated cheaply before the quadratic maximality filter. Body atoms
-/// are sorted by a shape key first to make the renaming order robust.
-pub(crate) fn canonical_form(q: &Query, vocab: &mut Vocabulary) -> Query {
+/// The dedup key of a candidate: its head and body with duplicate body
+/// atoms dropped, the atoms stably sorted by a shape key (predicate and
+/// constant pattern, variable identity masked), and the variables
+/// numbered by first occurrence, head first. α-equivalent candidates
+/// whose atoms sort alike get equal keys, so they are deduplicated
+/// cheaply before the quadratic maximality filter. The key interns
+/// nothing and ignores which ids the variables have.
+pub(crate) type CandidateKey = (Vec<CanonTerm>, Vec<(Pred, Vec<CanonTerm>)>);
+
+/// The [`CandidateKey`] of `q`.
+pub(crate) fn canonical_form(q: &Query) -> CandidateKey {
     let mut sorted = q.clone();
     sorted.dedup_body();
-    // Shape key: predicate and the constant/variable pattern of arguments
-    // (variable identity masked).
     let shape = |a: &Atom| {
         (
             a.pred,
@@ -54,26 +61,24 @@ pub(crate) fn canonical_form(q: &Query, vocab: &mut Vocabulary) -> Query {
         )
     };
     sorted.body.sort_by_key(|a| shape(a));
-    let mut renaming = Substitution::identity();
-    let mut counter = 0;
-    let mut visit = |t: Term, renaming: &mut Substitution, vocab: &mut Vocabulary| {
-        if let Term::Var(v) = t {
-            if renaming.get(v).is_none() {
-                let fresh = vocab.var(&format!("${counter}"));
-                counter += 1;
-                renaming.bind(v, Term::Var(fresh));
-            }
+    let mut numbered: Vec<Var> = Vec::new();
+    let mut canon = |t: &Term| match *t {
+        Term::Cst(c) => CanonTerm::Cst(c),
+        Term::Var(v) => {
+            let n = numbered.iter().position(|&w| w == v).unwrap_or_else(|| {
+                numbered.push(v);
+                numbered.len() - 1
+            });
+            CanonTerm::Var(u32::try_from(n).expect("fewer than 2^32 variables"))
         }
     };
-    for &t in &sorted.head {
-        visit(t, &mut renaming, vocab);
-    }
-    for a in &sorted.body {
-        for &t in &a.args {
-            visit(t, &mut renaming, vocab);
-        }
-    }
-    renaming.apply_query(&sorted)
+    let head = sorted.head.iter().map(&mut canon).collect();
+    let body = sorted
+        .body
+        .iter()
+        .map(|a| (a.pred, a.args.iter().map(&mut canon).collect()))
+        .collect();
+    (head, body)
 }
 
 /// Decides whether `candidate` is an instantiation of `q`: whether some
@@ -185,8 +190,7 @@ pub fn mcis(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary) -> Vec<Query> {
     for gamma in complete_unifiers(q, tcs, vocab) {
         let mut qi = gamma.apply_query(q);
         qi.dedup_body();
-        let canon = canonical_form(&qi, vocab);
-        if seen.insert(canon) {
+        if seen.insert(canonical_form(&qi)) {
             cands.push(qi);
         }
     }
@@ -197,16 +201,11 @@ pub fn mcis(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary) -> Vec<Query> {
 /// distinct body atoms, maximal within that space — the `MCI_{≤n+k}`
 /// subroutine of Algorithm 3.
 pub fn mcis_bounded(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary, max_size: usize) -> Vec<Query> {
-    let mut pool = VarPool::new("T");
-    let (cands, _, _) = collect_bounded_instantiations(
-        q,
-        tcs,
-        vocab,
-        &mut pool,
-        max_size,
-        true,
-        SearchBudget::default(),
-    );
+    let mut names = ScratchNames::new(vocab, q, tcs);
+    let mut pool = names.pool(Scratch::Statement);
+    let (cands, _, _) = collect_bounded_instantiations(q, tcs, &mut pool, max_size, true, u64::MAX);
+    // The candidates instantiate `q`, so they mention no scratch variable.
+    names.grow(&pool);
     retain_maximal(cands)
 }
 
@@ -217,33 +216,23 @@ pub fn mcis_bounded(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary, max_size: us
 pub(crate) fn collect_bounded_instantiations(
     q: &Query,
     tcs: &TcSet,
-    vocab: &mut Vocabulary,
     pool: &mut VarPool,
     max_size: usize,
     indexed: bool,
-    budget: SearchBudget,
+    max_unify_calls: u64,
 ) -> (Vec<Query>, crate::unifiers::UnifierSearchStats, bool) {
     let mut seen = HashSet::new();
     let mut cands = Vec::new();
-    // The visitor cannot borrow `vocab` (the search holds it), so
-    // canonicalization for dedup happens on a second pass below.
     let (stats, complete) =
-        for_each_complete_unifier(q, tcs, vocab, pool, indexed, budget, &mut |gamma| {
+        for_each_complete_unifier(q, tcs, pool, indexed, max_unify_calls, &mut |gamma| {
             let mut qi = gamma.apply_query(q);
             qi.dedup_body();
-            if qi.size() <= max_size {
+            if qi.size() <= max_size && seen.insert(canonical_form(&qi)) {
                 cands.push(qi);
             }
             true
         });
-    let mut deduped = Vec::new();
-    for qi in cands {
-        let canon = canonical_form(&qi, vocab);
-        if seen.insert(canon) {
-            deduped.push(qi);
-        }
-    }
-    (deduped, stats, complete)
+    (cands, stats, complete)
 }
 
 #[cfg(test)]
@@ -391,13 +380,7 @@ mod tests {
             vec![Term::Var(u)],
             vec![Atom::new(p, vec![Term::Var(u), Term::Var(w)])],
         );
-        let c1 = canonical_form(&q1, &mut v);
-        let mut c2 = canonical_form(&q2, &mut v);
-        c2.name = c1.name;
-        let mut c1 = c1;
-        c1.name = c2.name;
-        assert_eq!(c1.head, c2.head);
-        assert_eq!(c1.body, c2.body);
+        assert_eq!(canonical_form(&q1), canonical_form(&q2));
     }
 
     #[test]

@@ -19,16 +19,24 @@
 //!
 //! Both engines return the same set of k-MCSs up to equivalence; the test
 //! suite asserts the agreement.
+//!
+//! Both run on one fan-out over any [`Executor`]: each extension's search
+//! is a task of [`Executor::map`], and the results merge on the calling
+//! thread in enumeration order. The searches read no vocabulary; the
+//! merge names the scratch variables they draw `F#n`/`T#n`, once each, in
+//! the order a one-extension-at-a-time run mints them. The outcome,
+//! including names, statistics and where a unification budget stops the
+//! search, is the same on every executor.
 
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
 use magik_exec::Executor;
 use magik_relalg::{is_contained_in, minimize, Atom, Pred, Query, Term, Vocabulary};
 
-use crate::mci::{canonical_form, collect_bounded_instantiations, retain_maximal};
+use crate::mci::{canonical_form, collect_bounded_instantiations, retain_maximal, CandidateKey};
 use crate::tcs::TcSet;
-use crate::unifiers::{SearchBudget, VarPool};
+use crate::unifiers::{Scratch, ScratchNames, UnifierSearchStats, VarPool};
 
 /// Which Algorithm 3 implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,22 +103,19 @@ pub struct KMcsOutcome {
     pub complete_search: bool,
 }
 
-/// A fresh atom `R(V₁, …, Vₙ)` over pairwise distinct variables drawn
-/// from `pool` (reused across extensions; distinctness is only needed
-/// within one extension).
-fn fresh_atom(pred: Pred, pool: &mut VarPool, vocab: &mut Vocabulary) -> Atom {
-    let arity = vocab.arity(pred);
-    let args = (0..arity).map(|_| Term::Var(pool.draw(vocab))).collect();
-    Atom::new(pred, args)
-}
-
-/// Enumerates ordered tuples over `preds` of exactly `len` entries.
-fn ordered_tuples(preds: &[Pred], len: usize) -> Vec<Vec<Pred>> {
+/// The extensions of `len` atoms over the sorted `preds`, in
+/// lexicographic order: every ordered tuple when `ordered`, otherwise
+/// only the non-decreasing ones, one per multiset.
+fn extensions(preds: &[Pred], len: usize, ordered: bool) -> Vec<Vec<Pred>> {
     let mut out = vec![Vec::new()];
     for _ in 0..len {
         let mut next = Vec::with_capacity(out.len() * preds.len());
         for tuple in &out {
-            for &p in preds {
+            let from = match tuple.last() {
+                Some(last) if !ordered => preds.partition_point(|p| p < last),
+                _ => 0,
+            };
+            for &p in &preds[from..] {
                 let mut t = tuple.clone();
                 t.push(p);
                 next.push(t);
@@ -118,31 +123,6 @@ fn ordered_tuples(preds: &[Pred], len: usize) -> Vec<Vec<Pred>> {
         }
         out = next;
     }
-    out
-}
-
-/// Enumerates multisets over `preds` of exactly `len` entries, as
-/// non-decreasing tuples.
-fn multisets(preds: &[Pred], len: usize) -> Vec<Vec<Pred>> {
-    fn rec(
-        preds: &[Pred],
-        start: usize,
-        len: usize,
-        acc: &mut Vec<Pred>,
-        out: &mut Vec<Vec<Pred>>,
-    ) {
-        if len == 0 {
-            out.push(acc.clone());
-            return;
-        }
-        for i in start..preds.len() {
-            acc.push(preds[i]);
-            rec(preds, i, len - 1, acc, out);
-            acc.pop();
-        }
-    }
-    let mut out = Vec::new();
-    rec(preds, 0, len, &mut Vec::new(), &mut out);
     out
 }
 
@@ -180,17 +160,12 @@ pub fn k_mcs(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary, options: KMcsOption
 }
 
 /// Like [`k_mcs`], but fanning the per-extension unifier searches out over
-/// `exec`. The searches for the extensions of one size are independent —
-/// only the candidate *merge* (canonical dedup and subsumption pruning)
-/// is order-sensitive, and it runs sequentially in enumeration order — so
-/// the outcome (queries **and** stats) is identical to the sequential run.
-///
-/// Parallelism applies to the optimized engine with an unlimited
-/// unification budget; a finite [`KMcsOptions::max_unify_calls`] threads a
-/// running total through the extension order that parallel tasks cannot
-/// observe, so budgeted runs (and the naive engine, which exists to
-/// reproduce the paper's sequential baseline) fall back to sequential
-/// search.
+/// `exec`. The outcome does not depend on `exec`: the searches are
+/// independent, and everything order-sensitive — canonical dedup,
+/// subsumption pruning, the budget's running total and the naming of
+/// scratch variables — happens in the merge, in enumeration order (see
+/// the module docs). The scratch variables are named in `vocab`, the same
+/// names on every executor.
 pub fn k_mcs_on(
     q: &Query,
     tcs: &TcSet,
@@ -204,245 +179,184 @@ pub fn k_mcs_on(
     // nothing that could be enumerated, so the sum saturates.
     let bound = q.size().saturating_add(options.k);
     let q = minimize(q);
+    let mut names = ScratchNames::new(vocab, &q, tcs);
+    let naive = options.engine == KMcsEngine::Naive;
     let max_extension = bound.saturating_sub(1);
-    let sigma: Vec<Pred> = tcs.signature().into_iter().collect();
+    let arity: BTreeMap<Pred, usize> = tcs
+        .statements()
+        .iter()
+        .flat_map(|c| std::iter::once(&c.head).chain(&c.condition))
+        .map(|a| (a.pred, a.args.len()))
+        .collect();
+    let sigma: Vec<Pred> = arity.keys().copied().collect();
     let head_preds: HashSet<Pred> = tcs.statements().iter().map(|c| c.head.pred).collect();
-
-    if options.engine == KMcsEngine::Optimized
-        && exec.threads() > 1
-        && options.max_unify_calls == u64::MAX
-    {
-        return k_mcs_parallel(
-            &q,
-            tcs,
-            vocab,
-            bound,
-            max_extension,
-            &sigma,
-            &head_preds,
-            exec,
-        );
-    }
-
-    let mut stats = KMcsStats::default();
-    let mut complete_search = true;
-    let mut budget_left = options.max_unify_calls;
-    // Variable pools reused across all extensions (see `VarPool`).
-    let mut ext_pool = VarPool::new("F");
-    let mut stmt_pool = VarPool::new("T");
-
-    match options.engine {
-        KMcsEngine::Naive => {
-            // Line 2 of Algorithm 3, literally: all extensions of size
-            // exactly n + k - 1 (ordered, as a naive generate-and-test
-            // enumeration produces them).
-            let mut all_candidates = Vec::new();
-            let mut seen = HashSet::new();
-            for tuple in ordered_tuples(&sigma, max_extension) {
-                if !complete_search {
-                    break;
+    // An extension atom whose relation heads no statement can never be
+    // matched; the optimized engine skips the whole extension.
+    let searched = |tuple: &[Pred]| naive || tuple.iter().all(|p| head_preds.contains(p));
+    let task = Arc::new(ExtensionSearch {
+        q,
+        tcs: tcs.clone(),
+        arity,
+        pools: [
+            names.pool(Scratch::Extension),
+            names.pool(Scratch::Statement),
+        ],
+        bound,
+        indexed: !naive,
+    });
+    // A budgeted wave holds one extension per thread, so a pooled run
+    // searches at most one wave past the budget and a sequential run
+    // searches exactly what a one-at-a-time loop does. Unbudgeted waves
+    // are longer, to keep the pool busy.
+    let wave_len = match options.max_unify_calls {
+        u64::MAX => 64 * exec.threads(),
+        _ => exec.threads(),
+    };
+    let mut merge = Merge {
+        stats: KMcsStats::default(),
+        complete_search: true,
+        budget_left: options.max_unify_calls,
+        seen: HashSet::new(),
+        kept: Vec::new(),
+        naive,
+    };
+    // Line 2 of Algorithm 3: the naive engine takes all ordered
+    // extensions of size exactly n + k - 1, as a naive generate-and-test
+    // enumeration produces them; the optimized engine, multisets of
+    // increasing size.
+    let smallest = if naive { max_extension } else { 0 };
+    'sizes: for size in smallest..=max_extension {
+        for wave in extensions(&sigma, size, naive).chunks(wave_len) {
+            let budget = merge.budget_left;
+            let batch: Vec<Vec<Pred>> = wave.iter().filter(|t| searched(t)).cloned().collect();
+            let shared = Arc::clone(&task);
+            let results = exec.map(batch, move |tuple| shared.run(&tuple, budget));
+            let mut results = results.into_iter();
+            for tuple in wave {
+                if !merge.complete_search {
+                    break 'sizes;
                 }
-                stats.extensions += 1;
-                ext_pool.release(0);
-                let extension: Vec<Atom> = tuple
-                    .iter()
-                    .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
-                    .collect();
-                let q2 = q.with_atoms(extension);
-                let (cands, search_stats, exhausted) = collect_bounded_instantiations(
-                    &q2,
-                    tcs,
-                    vocab,
-                    &mut stmt_pool,
-                    bound,
-                    false,
-                    SearchBudget {
-                        max_unify_calls: budget_left,
-                    },
-                );
-                stats.unify_calls += search_stats.unify_calls;
-                stats.configurations += search_stats.configurations;
-                budget_left = budget_left.saturating_sub(search_stats.unify_calls);
-                if !exhausted {
-                    complete_search = false;
+                if !searched(tuple) {
+                    merge.stats.extensions_skipped += 1;
+                    continue;
                 }
-                for c in cands {
-                    let canon = canonical_form(&c, vocab);
-                    if seen.insert(canon) {
-                        stats.candidates += 1;
-                        all_candidates.push(c);
-                    }
+                let mut found = results.next().expect("one search per searched extension");
+                // The wave searched under the budget left at its start. A
+                // search that stayed within what is left now ran exactly as
+                // it would have under that; any other reruns under it.
+                let left = merge.budget_left;
+                if budget != left && !(found.complete && found.stats.unify_calls <= left) {
+                    found = task.run(tuple, left);
                 }
-            }
-            // Lines 5–7: one global maximality pass at the very end.
-            KMcsOutcome {
-                queries: retain_maximal(all_candidates),
-                stats,
-                complete_search,
+                names.grow(&found.pools[0]);
+                names.grow(&found.pools[1]);
+                merge.absorb(found);
             }
         }
-        KMcsEngine::Optimized => {
-            let mut kept: Vec<Query> = Vec::new();
-            let mut seen = HashSet::new();
-            'sizes: for size in 0..=max_extension {
-                for multiset in multisets(&sigma, size) {
-                    if !complete_search {
-                        break 'sizes;
-                    }
-                    // An extension atom whose relation heads no statement
-                    // can never be matched; skip the whole extension.
-                    if multiset.iter().any(|p| !head_preds.contains(p)) {
-                        stats.extensions_skipped += 1;
-                        continue;
-                    }
-                    stats.extensions += 1;
-                    ext_pool.release(0);
-                    let extension: Vec<Atom> = multiset
-                        .iter()
-                        .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
-                        .collect();
-                    let q2 = q.with_atoms(extension);
-                    let (cands, search_stats, exhausted) = collect_bounded_instantiations(
-                        &q2,
-                        tcs,
-                        vocab,
-                        &mut stmt_pool,
-                        bound,
-                        true,
-                        SearchBudget {
-                            max_unify_calls: budget_left,
-                        },
-                    );
-                    stats.unify_calls += search_stats.unify_calls;
-                    stats.configurations += search_stats.configurations;
-                    budget_left = budget_left.saturating_sub(search_stats.unify_calls);
-                    if !exhausted {
-                        complete_search = false;
-                    }
-                    for c in cands {
-                        let canon = canonical_form(&c, vocab);
-                        if !seen.insert(canon) {
-                            continue;
-                        }
-                        stats.candidates += 1;
-                        // Incremental subsumption pruning (Section 5).
-                        if kept.iter().any(|f| is_contained_in(&c, f)) {
-                            stats.pruned_by_subsumption += 1;
-                            continue;
-                        }
-                        kept.retain(|f| !is_contained_in(f, &c));
-                        kept.push(c);
-                    }
-                }
-            }
-            KMcsOutcome {
-                queries: kept,
-                stats,
-                complete_search,
-            }
+    }
+    let queries = if naive {
+        // Lines 5–7: one global maximality pass at the very end.
+        retain_maximal(merge.kept)
+    } else {
+        merge.kept
+    };
+    let renaming = names.renaming();
+    KMcsOutcome {
+        queries: queries
+            .iter()
+            .map(|mcs| renaming.apply_query(mcs))
+            .collect(),
+        stats: merge.stats,
+        complete_search: merge.complete_search,
+    }
+}
+
+/// Everything one extension's search reads, shared by the tasks of a run.
+struct ExtensionSearch {
+    q: Query,
+    tcs: TcSet,
+    /// The arity of every predicate of `Σ_C`.
+    arity: BTreeMap<Pred, usize>,
+    /// Empty extension and statement pools.
+    pools: [VarPool; 2],
+    bound: usize,
+    indexed: bool,
+}
+
+/// One extension's search: the bounded candidates and what producing
+/// them took.
+struct Searched {
+    cands: Vec<Query>,
+    stats: UnifierSearchStats,
+    complete: bool,
+    /// The extension and statement pools, as the search left them.
+    pools: [VarPool; 2],
+}
+
+impl ExtensionSearch {
+    /// Mints the extension `Q ∧ R₁(V̄₁) ∧ … ∧ Rₘ(V̄ₘ)` of `tuple` — each
+    /// fresh atom over pairwise distinct extension-pool variables — and
+    /// runs the bounded-instantiation search on it.
+    fn run(&self, tuple: &[Pred], max_unify_calls: u64) -> Searched {
+        let [mut ext, mut stmt] = self.pools;
+        let atoms = tuple.iter().map(|p| {
+            let args = (0..self.arity[p]).map(|_| Term::Var(ext.draw())).collect();
+            Atom::new(*p, args)
+        });
+        let (cands, stats, complete) = collect_bounded_instantiations(
+            &self.q.with_atoms(atoms),
+            &self.tcs,
+            &mut stmt,
+            self.bound,
+            self.indexed,
+            max_unify_calls,
+        );
+        Searched {
+            cands,
+            stats,
+            complete,
+            pools: [ext, stmt],
         }
     }
 }
 
-/// The parallel optimized engine: for each extension size, mint all
-/// searchable extensions up front (vocabulary mutation stays on the
-/// calling thread), fan the bounded-instantiation searches out over
-/// `exec`, then merge the per-extension candidate lists sequentially in
-/// enumeration order so canonical dedup and subsumption pruning see
-/// exactly the sequence the sequential engine sees.
-///
-/// Tasks must not touch the shared vocabulary, yet the candidates they
-/// return may mention statement-pool variables. The statement pool is
-/// therefore pre-filled (against the shared vocabulary) to the deepest
-/// stock one search path can draw — every body atom renames at most one
-/// statement — and each task clones that pool plus a vocabulary snapshot;
-/// the snapshot only absorbs throwaway `$n` canonicalization interning.
-#[allow(clippy::too_many_arguments)]
-fn k_mcs_parallel(
-    q: &Query,
-    tcs: &TcSet,
-    vocab: &mut Vocabulary,
-    bound: usize,
-    max_extension: usize,
-    sigma: &[Pred],
-    head_preds: &HashSet<Pred>,
-    exec: &Executor,
-) -> KMcsOutcome {
-    let mut stats = KMcsStats::default();
-    let mut ext_pool = VarPool::new("F");
-    let mut stmt_pool = VarPool::new("T");
-    let max_stmt_vars = tcs
-        .statements()
-        .iter()
-        .map(|c| c.all_vars().len())
-        .max()
-        .unwrap_or(0);
-    // Deepest possible path: every atom of the largest extended query
-    // renames the largest statement.
-    for _ in 0..(q.size() + max_extension) * max_stmt_vars {
-        stmt_pool.draw(vocab);
-    }
-    stmt_pool.release(0);
-    let shared_tcs = Arc::new(tcs.clone());
-    let pool_template = Arc::new(stmt_pool);
+/// The in-order merge of a run's searches.
+struct Merge {
+    stats: KMcsStats,
+    complete_search: bool,
+    budget_left: u64,
+    seen: HashSet<CandidateKey>,
+    /// Optimized engine: the maximal specializations so far. Naive
+    /// engine: every distinct candidate, for the final maximality filter.
+    kept: Vec<Query>,
+    naive: bool,
+}
 
-    let mut kept: Vec<Query> = Vec::new();
-    let mut seen = HashSet::new();
-    for size in 0..=max_extension {
-        let mut batch: Vec<Query> = Vec::new();
-        for multiset in multisets(sigma, size) {
-            if multiset.iter().any(|p| !head_preds.contains(p)) {
-                stats.extensions_skipped += 1;
+impl Merge {
+    /// Merges the next extension's search, in enumeration order.
+    fn absorb(&mut self, found: Searched) {
+        self.stats.extensions += 1;
+        self.stats.unify_calls += found.stats.unify_calls;
+        self.stats.configurations += found.stats.configurations;
+        self.budget_left = self.budget_left.saturating_sub(found.stats.unify_calls);
+        self.complete_search &= found.complete;
+        for c in found.cands {
+            if !self.seen.insert(canonical_form(&c)) {
                 continue;
             }
-            ext_pool.release(0);
-            let extension: Vec<Atom> = multiset
-                .iter()
-                .map(|&p| fresh_atom(p, &mut ext_pool, vocab))
-                .collect();
-            batch.push(q.with_atoms(extension));
-        }
-        // Snapshot the vocabulary *after* minting this size's extension
-        // atoms, so every variable of every `q2` resolves in the clone.
-        let vocab_template = Arc::new(vocab.clone());
-        let task_tcs = Arc::clone(&shared_tcs);
-        let task_pool = Arc::clone(&pool_template);
-        let searched = exec.map(batch, move |q2| {
-            let mut v = (*vocab_template).clone();
-            let mut pool = (*task_pool).clone();
-            collect_bounded_instantiations(
-                &q2,
-                &task_tcs,
-                &mut v,
-                &mut pool,
-                bound,
-                true,
-                SearchBudget::default(),
-            )
-        });
-        for (cands, search_stats, _exhausted) in searched {
-            stats.extensions += 1;
-            stats.unify_calls += search_stats.unify_calls;
-            stats.configurations += search_stats.configurations;
-            for c in cands {
-                let canon = canonical_form(&c, vocab);
-                if !seen.insert(canon) {
-                    continue;
-                }
-                stats.candidates += 1;
-                if kept.iter().any(|f| is_contained_in(&c, f)) {
-                    stats.pruned_by_subsumption += 1;
-                    continue;
-                }
-                kept.retain(|f| !is_contained_in(f, &c));
-                kept.push(c);
+            self.stats.candidates += 1;
+            if self.naive {
+                self.kept.push(c);
+                continue;
             }
+            // Incremental subsumption pruning (Section 5).
+            if self.kept.iter().any(|f| is_contained_in(&c, f)) {
+                self.stats.pruned_by_subsumption += 1;
+                continue;
+            }
+            self.kept.retain(|f| !is_contained_in(f, &c));
+            self.kept.push(c);
         }
-    }
-    KMcsOutcome {
-        queries: kept,
-        stats,
-        complete_search: true,
     }
 }
 
@@ -644,10 +558,7 @@ mod tests {
             let par = k_mcs_on(&q2, &tcs2, &mut v2, KMcsOptions::new(k), &exec);
             assert!(par.complete_search);
             assert_eq!(seq.stats, par.stats, "k = {k}");
-            assert_eq!(seq.queries.len(), par.queries.len(), "k = {k}");
-            for (s, p) in seq.queries.iter().zip(&par.queries) {
-                assert!(are_equivalent(s, p), "k = {k}");
-            }
+            assert_eq!(seq.queries, par.queries, "k = {k}");
         }
     }
 
@@ -663,30 +574,59 @@ mod tests {
         let q2 = q_pbl(&mut v2);
         let par = k_mcs_on(&q2, &tcs2, &mut v2, KMcsOptions::new(1), &exec);
         assert_eq!(seq.stats, par.stats);
-        assert_eq!(seq.queries.len(), par.queries.len());
-        for (s, p) in seq.queries.iter().zip(&par.queries) {
-            assert!(are_equivalent(s, p));
+        assert_eq!(seq.queries, par.queries);
+    }
+
+    #[test]
+    fn parallel_budgeted_k_mcs_matches_sequential() {
+        // A finite budget is order-sensitive; a pooled run must stop
+        // exactly where the sequential run stops.
+        let exec = Executor::with_threads(4);
+        for engine in [KMcsEngine::Naive, KMcsEngine::Optimized] {
+            for max_unify_calls in [1, 3, 50, 500] {
+                let options = KMcsOptions {
+                    engine,
+                    max_unify_calls,
+                    ..KMcsOptions::new(3)
+                };
+                let mut v1 = Vocabulary::new();
+                let (tcs1, q1) = table1(&mut v1);
+                let seq = k_mcs(&q1, &tcs1, &mut v1, options);
+                let mut v2 = Vocabulary::new();
+                let (tcs2, q2) = table1(&mut v2);
+                let par = k_mcs_on(&q2, &tcs2, &mut v2, options, &exec);
+                let at = format!("{engine:?}, budget {max_unify_calls}");
+                assert_eq!(seq.complete_search, par.complete_search, "{at}");
+                assert_eq!(seq.stats, par.stats, "{at}");
+                assert_eq!(seq.queries, par.queries, "{at}");
+            }
         }
     }
 
     #[test]
-    fn budgeted_parallel_run_falls_back_to_sequential() {
-        // A finite budget is order-sensitive; the parallel entry point
-        // must produce the budgeted sequential result, not ignore it.
-        let mut v = Vocabulary::new();
-        let (tcs, q) = table1(&mut v);
+    fn parallel_k_mcs_names_the_variables_a_sequential_run_names() {
+        // The caller's vocabulary gains the same scratch variables on
+        // every executor: same count, same names, same order, and no
+        // names beyond them.
+        let image = |v: &Vocabulary| {
+            let mut out = Vec::new();
+            magik_relalg::codec::encode_vocabulary(v, &mut out);
+            out
+        };
         let exec = Executor::with_threads(4);
-        let outcome = k_mcs_on(
-            &q,
-            &tcs,
-            &mut v,
-            KMcsOptions {
-                max_unify_calls: 3,
-                ..KMcsOptions::new(3)
-            },
-            &exec,
-        );
-        assert!(!outcome.complete_search);
+        for k in 0..=2 {
+            let mut v1 = Vocabulary::new();
+            let tcs1 = school_tcs(&mut v1);
+            let q1 = q_pbl(&mut v1);
+            k_mcs(&q1, &tcs1, &mut v1, KMcsOptions::new(k));
+            let mut v2 = Vocabulary::new();
+            let tcs2 = school_tcs(&mut v2);
+            let q2 = q_pbl(&mut v2);
+            k_mcs_on(&q2, &tcs2, &mut v2, KMcsOptions::new(k), &exec);
+            assert_eq!(v1.num_vars(), v2.num_vars(), "k = {k}");
+            assert_eq!(image(&v1), image(&v2), "k = {k}");
+            assert!(v2.lookup("$0").is_none(), "k = {k}");
+        }
     }
 
     #[test]

@@ -13,72 +13,134 @@
 //! every condition atom of that statement a body atom it collapses onto.
 //! The search shares one [`Unifier`] and prunes on unification failure —
 //! the discipline a Prolog engine applies when running Algorithm 2.
+//!
+//! The search reads no vocabulary. Statements are renamed apart with
+//! *scratch variables* from a [`VarPool`]: bare ids past every variable
+//! of the query, the statements and the caller's vocabulary
+//! ([`Var::scratch`]). A search on any thread therefore runs on shared,
+//! read-only inputs. The calling thread names the scratch variables a run
+//! drew ([`ScratchNames`]) as `T#n` (and `F#n` for Algorithm 3's
+//! extension atoms), once each, in the order in which the pools grew.
 
 use magik_relalg::{Atom, Query, Substitution, Term, Var, Vocabulary};
 use magik_unify::Unifier;
 
 use crate::tcs::{TcSet, TcStatement};
 
-/// A stack-like pool of reusable variables.
+/// Which pool a scratch variable comes from: Algorithm 3's fresh
+/// extension atoms (named `F#n`) or renamed statements (named `T#n`).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Scratch {
+    Extension,
+    Statement,
+}
+
+/// A stack-like pool of reusable scratch variables.
 ///
-/// The unifier search renames a statement apart on every attempt; minting
-/// a fresh interned variable per attempt would grow the vocabulary (and
-/// its string arena) without bound on long runs — the Rust analogue of
-/// the paper's Prolog implementation running out of memory. Instead,
-/// attempts draw variables from this pool and release them on
-/// backtracking, so the vocabulary only ever holds as many scratch
-/// variables as the deepest single search path needs.
+/// The unifier search renames a statement apart on every attempt. Attempts
+/// draw variables from this pool and release them on backtracking, so one
+/// search holds only as many scratch variables as its deepest path needs —
+/// however long it runs.
 ///
 /// Reuse is sound because (a) bindings are rolled back before a variable
 /// is released and (b) variables only need to be distinct *within* one
 /// candidate configuration, never across independent ones.
 ///
-/// A pool is `Clone` so that a pre-filled pool (whose variables live in
-/// the shared vocabulary) can be handed to parallel search tasks: each
-/// task clones the pool and draws from the pre-minted stock without ever
-/// touching the vocabulary.
-#[derive(Debug, Clone, Default)]
+/// Slot `i` of a pool of one kind is always the same id, so pools on
+/// different threads agree on every id. The two kinds interleave, so
+/// neither collides with the other however far either grows.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct VarPool {
-    vars: Vec<Var>,
+    floor: usize,
+    kind: Scratch,
+    /// The stack position: restoring it releases everything drawn since.
     top: usize,
-    hint: &'static str,
+    /// Slots ever drawn: the pool's high-water mark.
+    drawn: usize,
 }
 
 impl VarPool {
-    pub(crate) fn new(hint: &'static str) -> Self {
-        VarPool {
-            vars: Vec::new(),
-            top: 0,
-            hint,
-        }
-    }
-
-    /// Current stack position; pass to [`VarPool::release`] to free
-    /// everything drawn after this point.
-    pub(crate) fn mark(&self) -> usize {
-        self.top
-    }
-
-    pub(crate) fn release(&mut self, mark: usize) {
-        self.top = mark;
-    }
-
-    pub(crate) fn draw(&mut self, vocab: &mut Vocabulary) -> Var {
-        if self.top == self.vars.len() {
-            self.vars.push(vocab.fresh_var(self.hint));
-        }
-        let v = self.vars[self.top];
+    pub(crate) fn draw(&mut self) -> Var {
+        let v = self.var(self.top);
         self.top += 1;
+        self.drawn = self.drawn.max(self.top);
         v
+    }
+
+    fn var(&self, slot: usize) -> Var {
+        Var::scratch(self.floor, 2 * slot + self.kind as usize)
+    }
+}
+
+/// Names one run's scratch variables in `vocab`, in growth order.
+///
+/// A run notes each pool it used, in the order its searches ran, and the
+/// slots past those already named are named next with
+/// [`Vocabulary::fresh_var`] — so a run's names do not depend on which
+/// thread ran which search.
+pub(crate) struct ScratchNames<'v> {
+    vocab: &'v mut Vocabulary,
+    floor: usize,
+    /// Slots named so far, per [`Scratch`] kind.
+    named: [usize; 2],
+    /// Each named scratch id's variable.
+    renaming: Substitution,
+}
+
+impl<'v> ScratchNames<'v> {
+    /// Names for a search over `q` and `tcs`: scratch ids start past every
+    /// variable of `vocab`, `q` and `tcs`.
+    pub(crate) fn new(vocab: &'v mut Vocabulary, q: &Query, tcs: &TcSet) -> ScratchNames<'v> {
+        let used = tcs
+            .statements()
+            .iter()
+            .flat_map(TcStatement::all_vars)
+            .chain(q.all_vars())
+            .map(|v| v.index() + 1)
+            .max()
+            .unwrap_or(0);
+        ScratchNames {
+            floor: vocab.num_vars().max(used),
+            vocab,
+            named: [0; 2],
+            renaming: Substitution::identity(),
+        }
+    }
+
+    /// An empty pool of `kind`.
+    pub(crate) fn pool(&self, kind: Scratch) -> VarPool {
+        VarPool {
+            floor: self.floor,
+            kind,
+            top: 0,
+            drawn: 0,
+        }
+    }
+
+    /// Notes that `pool` was used: names its slots past those already
+    /// named, in slot order.
+    pub(crate) fn grow(&mut self, pool: &VarPool) {
+        let hint = ["F", "T"][pool.kind as usize];
+        let named = &mut self.named[pool.kind as usize];
+        for slot in *named..pool.drawn {
+            let name = self.vocab.fresh_var(hint);
+            self.renaming.bind(pool.var(slot), Term::Var(name));
+        }
+        *named = (*named).max(pool.drawn);
+    }
+
+    /// The renaming from the named scratch ids to their variables.
+    pub(crate) fn renaming(self) -> Substitution {
+        self.renaming
     }
 }
 
 /// Renames a statement apart using pool variables (drawn, not minted).
-fn rename_with_pool(c: &TcStatement, pool: &mut VarPool, vocab: &mut Vocabulary) -> TcStatement {
+fn rename_with_pool(c: &TcStatement, pool: &mut VarPool) -> TcStatement {
     let renaming: Substitution = c
         .all_vars()
         .into_iter()
-        .map(|v| (v, Term::Var(pool.draw(vocab))))
+        .map(|v| (v, Term::Var(pool.draw())))
         .collect();
     TcStatement {
         head: renaming.apply_atom(&c.head),
@@ -95,25 +157,9 @@ pub struct UnifierSearchStats {
     pub configurations: u64,
 }
 
-/// Bounded enumeration control: the search aborts once `unify_calls`
-/// exceeds the budget.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SearchBudget {
-    pub max_unify_calls: u64,
-}
-
-impl Default for SearchBudget {
-    fn default() -> Self {
-        SearchBudget {
-            max_unify_calls: u64::MAX,
-        }
-    }
-}
-
 struct Search<'a> {
     body: &'a [Atom],
     statements: &'a [TcStatement],
-    vocab: &'a mut Vocabulary,
     pool: &'a mut VarPool,
     /// Use predicate pre-filtering when selecting candidate statements and
     /// body atoms (the optimized engine). Without it the search still
@@ -123,13 +169,14 @@ struct Search<'a> {
     indexed: bool,
     u: Unifier,
     stats: UnifierSearchStats,
-    budget: SearchBudget,
+    /// The search aborts once `stats.unify_calls` exceeds this.
+    max_unify_calls: u64,
     exhausted: bool,
 }
 
 impl Search<'_> {
     fn over_budget(&mut self) -> bool {
-        if self.stats.unify_calls > self.budget.max_unify_calls {
+        if self.stats.unify_calls > self.max_unify_calls {
             self.exhausted = true;
             return true;
         }
@@ -152,19 +199,19 @@ impl Search<'_> {
                 continue;
             }
             let cp = self.u.checkpoint();
-            let pool_mark = self.pool.mark();
+            let pool_mark = self.pool.top;
             // Each *use* of a statement gets its own (pooled) variables.
-            let renamed = rename_with_pool(&self.statements[si], self.pool, self.vocab);
+            let renamed = rename_with_pool(&self.statements[si], self.pool);
             self.stats.unify_calls += 1;
             if self.u.unify_atoms(&renamed.head, atom)
                 && !self.cond_level(&renamed.condition, 0, i, visit)
             {
                 self.u.rollback(cp);
-                self.pool.release(pool_mark);
+                self.pool.top = pool_mark;
                 return false;
             }
             self.u.rollback(cp);
-            self.pool.release(pool_mark);
+            self.pool.top = pool_mark;
         }
         true
     }
@@ -204,27 +251,30 @@ impl Search<'_> {
 
 /// Enumerates the most general complete unifiers of `q` and `tcs` — the
 /// paper's `mgu(Q, 2^C)` — calling `visit` with each (restricted to the
-/// variables of `q`). `visit` returns `false` to stop. Returns the stats
-/// and whether the search ran to exhaustion.
+/// variables of `q`). `visit` returns `false` to stop; the search aborts
+/// once it has made more than `max_unify_calls` unification calls.
+/// Returns the stats and whether the search ran to exhaustion.
+///
+/// A unifier only ever binds a variable of `q` to a variable of `q` or a
+/// constant (unification binds the statement side to the body side), so
+/// the scratch variables `pool` lends never reach `visit`.
 pub(crate) fn for_each_complete_unifier(
     q: &Query,
     tcs: &TcSet,
-    vocab: &mut Vocabulary,
     pool: &mut VarPool,
     indexed: bool,
-    budget: SearchBudget,
+    max_unify_calls: u64,
     visit: &mut dyn FnMut(&Substitution) -> bool,
 ) -> (UnifierSearchStats, bool) {
     let q_vars = q.all_vars();
     let mut search = Search {
         body: &q.body,
         statements: tcs.statements(),
-        vocab,
         pool,
         indexed,
         u: Unifier::new(),
         stats: UnifierSearchStats::default(),
-        budget,
+        max_unify_calls,
         exhausted: false,
     };
     let mut adapter = |u: &Unifier| {
@@ -240,21 +290,7 @@ pub(crate) fn for_each_complete_unifier(
 /// (duplicates possible: distinct configurations may yield equal
 /// substitutions).
 pub fn complete_unifiers(q: &Query, tcs: &TcSet, vocab: &mut Vocabulary) -> Vec<Substitution> {
-    let mut out = Vec::new();
-    let mut pool = VarPool::new("T");
-    for_each_complete_unifier(
-        q,
-        tcs,
-        vocab,
-        &mut pool,
-        true,
-        SearchBudget::default(),
-        &mut |g| {
-            out.push(g.clone());
-            true
-        },
-    );
-    out
+    collect_unifiers(q, tcs, vocab, true)
 }
 
 /// Like [`complete_unifiers`] but without predicate indexing: every
@@ -266,20 +302,25 @@ pub fn complete_unifiers_naive(
     tcs: &TcSet,
     vocab: &mut Vocabulary,
 ) -> Vec<Substitution> {
+    collect_unifiers(q, tcs, vocab, false)
+}
+
+/// The unifiers of one unbudgeted search. The scratch variables it drew
+/// are named in `vocab`; the unifiers mention none of them.
+fn collect_unifiers(
+    q: &Query,
+    tcs: &TcSet,
+    vocab: &mut Vocabulary,
+    indexed: bool,
+) -> Vec<Substitution> {
+    let mut names = ScratchNames::new(vocab, q, tcs);
+    let mut pool = names.pool(Scratch::Statement);
     let mut out = Vec::new();
-    let mut pool = VarPool::new("T");
-    for_each_complete_unifier(
-        q,
-        tcs,
-        vocab,
-        &mut pool,
-        false,
-        SearchBudget::default(),
-        &mut |g| {
-            out.push(g.clone());
-            true
-        },
-    );
+    for_each_complete_unifier(q, tcs, &mut pool, indexed, u64::MAX, &mut |g| {
+        out.push(g.clone());
+        true
+    });
+    names.grow(&pool);
     out
 }
 
@@ -357,16 +398,9 @@ mod tests {
         let tcs = school_tcs(&mut v);
         let q = q_pbl(&mut v);
         let run = |v: &mut Vocabulary, indexed: bool| {
-            let mut pool = VarPool::new("T");
-            let (stats, complete) = for_each_complete_unifier(
-                &q,
-                &tcs,
-                v,
-                &mut pool,
-                indexed,
-                SearchBudget::default(),
-                &mut |_| true,
-            );
+            let mut pool = ScratchNames::new(v, &q, &tcs).pool(Scratch::Statement);
+            let (stats, complete) =
+                for_each_complete_unifier(&q, &tcs, &mut pool, indexed, u64::MAX, &mut |_| true);
             assert!(complete);
             stats
         };
@@ -381,16 +415,8 @@ mod tests {
         let mut v = Vocabulary::new();
         let tcs = school_tcs(&mut v);
         let q = q_pbl(&mut v);
-        let mut pool = VarPool::new("T");
-        let (_, complete) = for_each_complete_unifier(
-            &q,
-            &tcs,
-            &mut v,
-            &mut pool,
-            true,
-            SearchBudget { max_unify_calls: 1 },
-            &mut |_| true,
-        );
+        let mut pool = ScratchNames::new(&mut v, &q, &tcs).pool(Scratch::Statement);
+        let (_, complete) = for_each_complete_unifier(&q, &tcs, &mut pool, true, 1, &mut |_| true);
         assert!(!complete);
     }
 

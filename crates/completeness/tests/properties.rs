@@ -545,9 +545,8 @@ proptest! {
     }
 
     /// Parallel k-MCS is indistinguishable from the sequential engine:
-    /// identical search statistics and pairwise-equivalent result sets.
-    /// (Variable *names* may differ — the parallel path pre-mints pool
-    /// variables — so the comparison is up to equivalence, not syntax.)
+    /// identical search statistics and identical result queries, down to
+    /// the names of their scratch variables.
     #[test]
     fn parallel_k_mcs_matches_sequential(
         specs in proptest::collection::vec(atcs(), 0..3),
@@ -567,12 +566,6 @@ proptest! {
         );
         prop_assert!(seq.complete_search && par.complete_search);
         prop_assert_eq!(seq.stats, par.stats);
-        prop_assert_eq!(seq.queries.len(), par.queries.len());
-        for sq in &seq.queries {
-            prop_assert!(par.queries.iter().any(|pq| are_equivalent(sq, pq)));
-        }
-        for pq in &par.queries {
-            prop_assert!(seq.queries.iter().any(|sq| are_equivalent(sq, pq)));
-        }
+        prop_assert_eq!(seq.queries, par.queries);
     }
 }

@@ -8,9 +8,17 @@
 //! body-atom pivot, with the pivot's variables declared bound so each
 //! delta fact seeds the run via [`match_ground`]. The plans fix atom order
 //! and index access paths up front and are reused across all fixpoint
-//! rounds and increments, replacing the old per-round query construction
-//! (`apply_rule`/`apply_rule_with_pivot`) that re-planned every rule body
-//! at every search node of every round.
+//! rounds and increments.
+//!
+//! Semi-naive evaluation, incremental insertion and both DRed passes run
+//! through one round function, [`round`]: it evaluates a batch of work
+//! items (rules, delta facts or re-derivation candidates) against a
+//! snapshot of the model frozen at round start, split across an
+//! [`Executor`] — one chunk on `Executor::Sequential` — and returns the
+//! derived facts in chunk order. The caller drops the snapshot with the
+//! round and then inserts, so the insertions never copy shared storage.
+//! The naive fixpoint keeps its eager in-place loop: it is the oracle for
+//! stratified negation.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -164,8 +172,8 @@ impl CompiledRule {
 /// A program compiled for fixpoint execution: rules grouped by stratum,
 /// each carrying its reusable plans.
 ///
-/// Each stratum's rules sit behind an `Arc` so parallel fixpoint rounds
-/// can share them with pool tasks without cloning any plans.
+/// Each stratum's rules sit behind an `Arc` so a round's tasks can share
+/// them without cloning any plans.
 #[derive(Debug, Clone)]
 pub(crate) struct CompiledProgram {
     strata: Vec<Arc<Vec<CompiledRule>>>,
@@ -239,29 +247,20 @@ impl CompiledProgram {
         }
     }
 
-    /// Semi-naive stratified fixpoint over `edb`.
-    pub(crate) fn eval_semi_naive(&self, edb: &Instance) -> FixpointResult {
-        self.eval_semi_naive_on(edb, &Executor::Sequential)
-    }
-
-    /// Semi-naive stratified fixpoint over `edb`, with each round's delta
-    /// partitioned across `exec`.
-    ///
-    /// Parallel rounds evaluate every delta plan against a [`Snapshot`] of
-    /// the model frozen at round start and merge the per-task buffers by
-    /// sorted dedup, so the computed least model is **identical** to the
-    /// sequential one (facts the eager sequential loop discovers mid-round
-    /// are discovered one round later; the fixpoint is unchanged — the
-    /// `iterations` count may legitimately differ).
+    /// Semi-naive stratified fixpoint over `edb`, each round run by
+    /// [`round`] on `exec`. The least model does not depend on `exec`.
     pub(crate) fn eval_semi_naive_on(&self, edb: &Instance, exec: &Executor) -> FixpointResult {
         let mut model = edb.clone();
         let mut iterations = 0;
         let mut derived = 0;
-        let mut stats = ExecStats::default();
         for stratum in &self.strata {
-            let (i, d) = fixpoint_semi_naive(stratum, &mut model, &mut stats, exec);
-            iterations += i;
-            derived += d;
+            // Round 0: every rule's full plan.
+            let candidates = full_round(stratum, model.snapshot(), exec);
+            let delta = insert_new(&mut model, candidates);
+            let seeded = delta.len();
+            let (rounds, propagated) = propagate(stratum, &mut model, delta, exec);
+            iterations += 1 + rounds;
+            derived += seeded + propagated;
         }
         FixpointResult {
             model,
@@ -271,19 +270,16 @@ impl CompiledProgram {
     }
 
     /// Propagates `delta` — facts already inserted into `model` — through
-    /// every rule to a fixpoint with the rounds partitioned across `exec`,
-    /// reusing the compiled delta plans. Returns `(rounds, derived)`. Used
-    /// by [`crate::Materialized`] (positive programs, so stratification is
-    /// immaterial).
+    /// every rule to a fixpoint, reusing the compiled delta plans. Returns
+    /// `(rounds, derived)`. Used by [`crate::Materialized`] (positive
+    /// programs, so stratification is immaterial).
     pub(crate) fn propagate_delta_on(
         &self,
         model: &mut Instance,
         delta: Vec<Fact>,
         exec: &Executor,
     ) -> (usize, usize) {
-        let rules = self.all_rules();
-        let mut stats = ExecStats::default();
-        propagate_delta_compiled(&rules, model, delta, &mut stats, exec)
+        propagate(&self.all_rules(), model, delta, exec)
     }
 
     /// All rules of every stratum behind one `Arc` (shared, not cloned,
@@ -306,8 +302,7 @@ impl CompiledProgram {
     /// derivations. The returned set includes the seeds themselves.
     ///
     /// Because the store never changes during the pass, one snapshot
-    /// serves every round and deltas partition across `exec` exactly like
-    /// semi-naive insertion rounds do.
+    /// serves every round.
     pub(crate) fn overdelete_on(
         &self,
         model: &Snapshot,
@@ -315,31 +310,15 @@ impl CompiledProgram {
         exec: &Executor,
     ) -> Vec<Fact> {
         let rules = self.all_rules();
-        let mut stats = ExecStats::default();
         let mut marked = Instance::new();
-        let mut delta: Vec<Fact> = Vec::new();
-        for fact in seeds {
-            if marked.insert(fact.clone()) {
-                delta.push(fact);
-            }
-        }
+        let mut delta = insert_new(&mut marked, seeds);
         let mut all = delta.clone();
         while !delta.is_empty() {
-            let candidates = if exec.threads() > 1 && delta.len() >= PARALLEL_DELTA_THRESHOLD {
-                let delta_arc = Arc::new(std::mem::take(&mut delta));
-                parallel_round(&rules, model, &delta_arc, exec, &mut stats)
-            } else {
-                let round = std::mem::take(&mut delta);
-                delta_round_on(&rules, model, &round, &mut stats)
-            };
-            for fact in candidates {
-                // Heads derived from model facts are model facts (the
-                // model is closed), so membership needs no re-check.
-                if marked.insert(fact.clone()) {
-                    delta.push(fact.clone());
-                    all.push(fact);
-                }
-            }
+            // Heads derived from model facts are model facts (the model
+            // is closed), so membership needs no re-check.
+            let candidates = delta_round(&rules, model.clone(), delta, exec);
+            delta = insert_new(&mut marked, candidates);
+            all.extend(delta.iter().cloned());
         }
         all
     }
@@ -347,8 +326,7 @@ impl CompiledProgram {
     /// The seeding step of DRed **re-derivation**: the subset of `facts`
     /// that some rule derives in one step from `store` (the model with
     /// the over-deleted facts already removed). Each fact costs one
-    /// first-match run of the matching rules' support plans; the checks
-    /// are independent, so they partition across `exec`.
+    /// first-match run of the matching rules' support plans.
     pub(crate) fn supported_on(
         &self,
         store: &Snapshot,
@@ -356,50 +334,20 @@ impl CompiledProgram {
         exec: &Executor,
     ) -> Vec<Fact> {
         let rules = self.all_rules();
-        if exec.threads() > 1 && facts.len() >= PARALLEL_DELTA_THRESHOLD {
-            let facts = Arc::new(facts);
-            let ranges = partition(facts.len(), exec.threads() * 2);
-            let (rules2, store2, facts2) = (Arc::clone(&rules), store.clone(), Arc::clone(&facts));
-            let results = exec.map(ranges, move |range| {
-                let mut stats = ExecStats::default();
-                facts2[range]
-                    .iter()
-                    .filter(|f| rules2.iter().any(|r| r.supports(&store2, f, &mut stats)))
-                    .cloned()
-                    .collect::<Vec<Fact>>()
-            });
-            results.into_iter().flatten().collect()
-        } else {
-            let mut stats = ExecStats::default();
-            facts
-                .into_iter()
-                .filter(|f| rules.iter().any(|r| r.supports(store, f, &mut stats)))
-                .collect()
-        }
+        round(
+            exec,
+            store.clone(),
+            facts,
+            move |store, facts, stats, out| {
+                out.extend(
+                    facts
+                        .iter()
+                        .filter(|f| rules.iter().any(|r| r.supports(store, f, stats)))
+                        .cloned(),
+                );
+            },
+        )
     }
-}
-
-/// One sequential delta round over a frozen store: the round's delta facts
-/// are grouped into **one seed batch per (rule, pivot)** and each group
-/// runs through the pivot's batch plan in a single pass. Heads are
-/// collected without dedup (callers dedup on insertion into their marked
-/// set or model).
-fn delta_round_on<S: StoreView + ?Sized>(
-    rules: &[CompiledRule],
-    store: &S,
-    delta: &[Fact],
-    stats: &mut ExecStats,
-) -> Vec<Fact> {
-    let mut out = Vec::new();
-    for rule in rules {
-        for pp in &rule.pivots {
-            let seeds = pp.seeds(delta);
-            pp.body.derive_batch(store, &seeds, stats, &mut |args| {
-                out.push(Fact::new(rule.head_pred, args));
-            });
-        }
-    }
-    out
 }
 
 /// Naive fixpoint of one stratum's rules over `model` (in place).
@@ -430,162 +378,107 @@ fn fixpoint_naive(
     }
 }
 
-/// The smallest delta a parallel round bothers fanning out; below this
-/// the snapshot + merge overhead outweighs the work.
+/// The fewest items a round splits across a pooled executor; a smaller
+/// round runs as one chunk, since splitting it costs more than it saves.
 const PARALLEL_DELTA_THRESHOLD: usize = 16;
 
-/// One parallel delta round: the delta is partitioned into contiguous
-/// chunks across `exec`, and each task batches its chunk per (rule, pivot)
-/// — one seed batch per group, evaluated against a [`Snapshot`] of the
-/// model frozen at round start (the pool steals whole batches, not
-/// tuples). Per-task buffers are merged deterministically (concatenate in
-/// chunk order, sort, dedup), so the round's candidate set — and therefore
-/// the whole fixpoint — is independent of scheduling.
-fn parallel_round(
+/// One round over a frozen store: `work` runs on contiguous chunks of
+/// `items` (rules, delta facts or re-derivation candidates) against
+/// `store`, and the facts it derives come back concatenated in chunk
+/// order.
+///
+/// `Executor::Sequential`, and any round of fewer than
+/// [`PARALLEL_DELTA_THRESHOLD`] items, runs one chunk on the calling
+/// thread; a pooled executor gets `threads * 2` chunks. The output is not
+/// deduplicated: every caller dedups on insertion. `store` is released
+/// before `round` returns, so a caller that inserts afterwards writes to
+/// an unshared model.
+fn round<T, W>(exec: &Executor, store: Snapshot, items: Vec<T>, work: W) -> Vec<Fact>
+where
+    T: Send + Sync + 'static,
+    W: Fn(&Snapshot, &[T], &mut ExecStats, &mut Vec<Fact>) + Send + Sync + 'static,
+{
+    let chunks = match exec {
+        Executor::Pooled(pool) if items.len() >= PARALLEL_DELTA_THRESHOLD => pool.threads() * 2,
+        _ => 1,
+    };
+    let ranges = partition(items.len(), chunks);
+    let items = Arc::new(items);
+    let mut results = exec
+        .map(ranges, move |range| {
+            let mut out = Vec::new();
+            work(&store, &items[range], &mut ExecStats::default(), &mut out);
+            out
+        })
+        .into_iter();
+    // Append to the first chunk's buffer: a one-chunk round copies nothing.
+    let mut out = results.next().unwrap_or_default();
+    results.for_each(|chunk| out.extend(chunk));
+    out
+}
+
+/// Round 0 of a stratum: every rule's full plan, one item per rule.
+fn full_round(rules: &Arc<Vec<CompiledRule>>, store: Snapshot, exec: &Executor) -> Vec<Fact> {
+    let rules = Arc::clone(rules);
+    let ids = (0..rules.len()).collect();
+    round(exec, store, ids, move |store, ids, stats, out| {
+        for &ri in ids {
+            rules[ri].apply_full(store, stats, out);
+        }
+    })
+}
+
+/// One delta round: the delta facts of each chunk are grouped into one
+/// seed batch per (rule, pivot), and each group runs through the pivot's
+/// batch plan in a single pass.
+fn delta_round(
     rules: &Arc<Vec<CompiledRule>>,
-    snap: &Snapshot,
-    delta: &Arc<Vec<Fact>>,
+    store: Snapshot,
+    delta: Vec<Fact>,
     exec: &Executor,
-    stats: &mut ExecStats,
 ) -> Vec<Fact> {
-    let ranges = partition(delta.len(), exec.threads() * 2);
-    let (rules, snap2, delta2) = (Arc::clone(rules), snap.clone(), Arc::clone(delta));
-    let results = exec.map(ranges, move |range| {
-        let mut local: Vec<Fact> = Vec::new();
-        let mut local_stats = ExecStats::default();
-        let chunk = &delta2[range];
+    let rules = Arc::clone(rules);
+    round(exec, store, delta, move |store, delta, stats, out| {
         for rule in rules.iter() {
             for pp in &rule.pivots {
-                let seeds = pp.seeds(chunk);
                 pp.body
-                    .derive_batch(&snap2, &seeds, &mut local_stats, &mut |args| {
-                        local.push(Fact::new(rule.head_pred, args));
+                    .derive_batch(store, &pp.seeds(delta), stats, &mut |args| {
+                        out.push(Fact::new(rule.head_pred, args));
                     });
             }
         }
-        local.sort_unstable();
-        local.dedup();
-        (local, local_stats)
-    });
-    let mut merged: Vec<Fact> = Vec::new();
-    for (local, local_stats) in results {
-        stats.absorb(&local_stats);
-        merged.extend(local);
-    }
-    merged.sort_unstable();
-    merged.dedup();
-    merged
+    })
+}
+
+/// Inserts `facts` into `model`; returns the ones it did not hold yet.
+/// A round's candidates repeat one another and the model, so a
+/// membership probe first spares the copy an insertion takes.
+fn insert_new(model: &mut Instance, facts: Vec<Fact>) -> Vec<Fact> {
+    facts
+        .into_iter()
+        .filter(|f| !model.contains(f) && model.insert(f.clone()))
+        .collect()
 }
 
 /// Propagates `delta` through the compiled delta plans to a fixpoint:
-/// each round matches every delta fact against every rule's pivot atoms,
-/// seeds the pivot's plan with the match, and collects new derivations
-/// into the next round's delta. Returns `(rounds, derived)`.
-///
-/// Rounds with a delta worth splitting are partitioned across `exec`; the
-/// final model is identical either way (see
-/// [`CompiledProgram::eval_semi_naive_on`]).
-fn propagate_delta_compiled(
+/// each round matches every delta fact against every rule's pivot atoms
+/// over a snapshot of `model`, inserts what the round derived, and makes
+/// the new facts the next round's delta. Returns `(rounds, derived)`.
+fn propagate(
     rules: &Arc<Vec<CompiledRule>>,
     model: &mut Instance,
     mut delta: Vec<Fact>,
-    stats: &mut ExecStats,
     exec: &Executor,
 ) -> (usize, usize) {
-    let mut iterations = 0;
+    let mut rounds = 0;
     let mut derived = 0;
-    let mut buffer: Vec<Fact> = Vec::new();
     while !delta.is_empty() {
-        iterations += 1;
-        if exec.threads() > 1 && delta.len() >= PARALLEL_DELTA_THRESHOLD {
-            let snap = model.snapshot();
-            let delta_arc = Arc::new(std::mem::take(&mut delta));
-            for fact in parallel_round(rules, &snap, &delta_arc, exec, stats) {
-                if model.insert(fact.clone()) {
-                    delta.push(fact);
-                    derived += 1;
-                }
-            }
-            continue;
-        }
-        // Sequential round: one seed batch per (rule, pivot) group.
-        // Derivations of earlier groups are inserted before later groups
-        // run (eager, like the old per-fact loop between facts); within a
-        // group the batch sees the model as of group start — anything
-        // missed reappears via the next round's delta, so the fixpoint is
-        // unchanged (the semi-naive argument; only `iterations` can
-        // differ).
-        let mut next_delta = Vec::new();
-        for rule in rules.iter() {
-            for pp in &rule.pivots {
-                let seeds = pp.seeds(&delta);
-                buffer.clear();
-                pp.body.derive_batch(model, &seeds, stats, &mut |args| {
-                    buffer.push(Fact::new(rule.head_pred, args));
-                });
-                for derived_fact in buffer.drain(..) {
-                    if model.insert(derived_fact.clone()) {
-                        next_delta.push(derived_fact);
-                        derived += 1;
-                    }
-                }
-            }
-        }
-        delta = next_delta;
+        rounds += 1;
+        let candidates = delta_round(rules, model.snapshot(), delta, exec);
+        delta = insert_new(model, candidates);
+        derived += delta.len();
     }
-    (iterations, derived)
-}
-
-/// Semi-naive fixpoint of one stratum's rules over `model` (in place).
-fn fixpoint_semi_naive(
-    rules: &Arc<Vec<CompiledRule>>,
-    model: &mut Instance,
-    stats: &mut ExecStats,
-    exec: &Executor,
-) -> (usize, usize) {
-    // Round 0: full pass to seed the deltas (parallelized across rules —
-    // each task evaluates one rule's full plan against a frozen snapshot).
-    let mut derived = 0;
-    let mut delta: Vec<Fact> = Vec::new();
-    if exec.threads() > 1 && rules.len() > 1 {
-        let snap = model.snapshot();
-        let rules2 = Arc::clone(rules);
-        let results = exec.map((0..rules.len()).collect(), move |ri| {
-            let mut local = Vec::new();
-            let mut local_stats = ExecStats::default();
-            rules2[ri].apply_full(&snap, &mut local_stats, &mut local);
-            local.sort_unstable();
-            local.dedup();
-            (local, local_stats)
-        });
-        let mut merged: Vec<Fact> = Vec::new();
-        for (local, local_stats) in results {
-            stats.absorb(&local_stats);
-            merged.extend(local);
-        }
-        merged.sort_unstable();
-        merged.dedup();
-        for fact in merged {
-            if model.insert(fact.clone()) {
-                delta.push(fact);
-                derived += 1;
-            }
-        }
-    } else {
-        let mut buffer = Vec::new();
-        for rule in rules.iter() {
-            buffer.clear();
-            rule.apply_full(model, stats, &mut buffer);
-            for fact in buffer.drain(..) {
-                if model.insert(fact.clone()) {
-                    delta.push(fact);
-                    derived += 1;
-                }
-            }
-        }
-    }
-    let (rounds, propagated) = propagate_delta_compiled(rules, model, delta, stats, exec);
-    (1 + rounds, derived + propagated)
+    (rounds, derived)
 }
 
 impl Program {
@@ -606,17 +499,18 @@ impl Program {
     /// Produces exactly the same model as [`Program::eval_naive`]; property
     /// tests in this crate assert the agreement on random programs.
     pub fn eval_semi_naive(&self, edb: &Instance) -> FixpointResult {
-        CompiledProgram::compile(self, Some(edb), true).eval_semi_naive(edb)
+        CompiledProgram::compile(self, Some(edb), true)
+            .eval_semi_naive_on(edb, &Executor::Sequential)
     }
 
     /// [`Program::eval_semi_naive`] with each fixpoint round's delta
-    /// partitioned across `exec`.
+    /// split across `exec`.
     ///
-    /// The least model is **identical** to the sequential one: parallel
-    /// rounds run against a frozen snapshot of the model and merge worker
-    /// buffers by sorted dedup, so only the round in which a fact is
-    /// discovered (and hence [`FixpointResult::iterations`]) can differ.
-    /// Property tests assert model equality on random programs.
+    /// Every round runs against a snapshot of the model frozen at round
+    /// start, whatever the executor, so each round derives the same set
+    /// of facts on every executor: the model, the derived count and
+    /// [`FixpointResult::iterations`] do not depend on `exec`. Property
+    /// tests assert model equality on random programs.
     pub fn eval_semi_naive_on(&self, edb: &Instance, exec: &Executor) -> FixpointResult {
         CompiledProgram::compile(self, Some(edb), true).eval_semi_naive_on(edb, exec)
     }
@@ -662,12 +556,8 @@ impl Program {
     pub fn immediate_consequences(&self, db: &Instance) -> Instance {
         let compiled = CompiledProgram::compile(self, Some(db), false);
         let mut out = Instance::new();
-        let mut stats = ExecStats::default();
-        let mut buffer = Vec::new();
-        for rule in compiled.strata.iter().flat_map(|s| s.iter()) {
-            buffer.clear();
-            rule.apply_full(db, &mut stats, &mut buffer);
-            for fact in buffer.drain(..) {
+        for stratum in &compiled.strata {
+            for fact in full_round(stratum, db.snapshot(), &Executor::Sequential) {
                 out.insert(fact);
             }
         }
@@ -728,6 +618,37 @@ mod tests {
         assert_eq!(naive.model, semi.model);
         assert_eq!(naive.derived, 15);
         assert_eq!(semi.derived, 15);
+    }
+
+    #[test]
+    fn pooled_rounds_copy_no_cells() {
+        // Each round releases its snapshot before inserting, on every
+        // executor, so a round's insertions never copy shared storage.
+        let mut v = Vocabulary::new();
+        let (edge, edb) = chain_edb(&mut v, 300);
+        let path = v.pred("path", 2);
+        let (x, y, z) = (v.var("X"), v.var("Y"), v.var("Z"));
+        let program = Program::new(vec![
+            Rule::new(
+                Atom::new(path, vec![Term::Var(x), Term::Var(y)]),
+                vec![Atom::new(edge, vec![Term::Var(x), Term::Var(y)])],
+            ),
+            Rule::new(
+                Atom::new(path, vec![Term::Var(x), Term::Var(z)]),
+                vec![
+                    Atom::new(path, vec![Term::Var(x), Term::Var(y)]),
+                    Atom::new(edge, vec![Term::Var(y), Term::Var(z)]),
+                ],
+            ),
+        ])
+        .unwrap();
+        for exec in [Executor::Sequential, Executor::with_threads(4)] {
+            let before = magik_relalg::cow_cells_copied();
+            let result = program.eval_semi_naive_on(&edb, &exec);
+            let copied = magik_relalg::cow_cells_copied() - before;
+            assert_eq!(copied, 0, "{} threads", exec.threads());
+            assert_eq!(result.model.relation(path).unwrap().len(), 300 * 301 / 2);
+        }
     }
 
     #[test]

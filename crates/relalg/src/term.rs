@@ -11,6 +11,15 @@ impl Var {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The scratch variable `n` places past `floor`: a bare id, minted
+    /// without a [`crate::Vocabulary`], that no vocabulary names. With
+    /// `floor` past every variable in use, it collides with none; a caller
+    /// that keeps it names it with [`crate::Vocabulary::fresh_var`].
+    pub fn scratch(floor: usize, n: usize) -> Var {
+        let index = floor.checked_add(n).and_then(|i| u32::try_from(i).ok());
+        Var(index.expect("variable overflow"))
+    }
 }
 
 /// A constant.

@@ -192,6 +192,10 @@ impl ThreadPool {
     /// so `run_map` may be called from inside a pool job without
     /// deadlocking a saturated pool. If `f` panics for any item, the panic
     /// is resumed on the calling thread (after the counter is bumped).
+    ///
+    /// Every job releases its handle on `f` before it reports, so once
+    /// `run_map` returns nothing `f` captured is still shared: a
+    /// snapshot it held no longer makes the caller's next write copy.
     pub fn run_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send + 'static,
@@ -211,6 +215,7 @@ impl ThreadPool {
                 // Catch here (not just in the worker) so the submitter
                 // learns about the panic and can re-raise it.
                 let result = catch_unwind(AssertUnwindSafe(|| f(item)));
+                drop(f);
                 let _ = tx.send((i, result));
             });
         }
@@ -412,6 +417,20 @@ mod tests {
         let out = pool.run_map(items, |x| x * 2);
         assert_eq!(out, (0..200).map(|x| x * 2).collect::<Vec<u64>>());
         assert!(pool.counters().tasks >= 200);
+    }
+
+    #[test]
+    fn run_map_releases_what_the_closure_captured() {
+        // A job that drops its handle after reporting races the caller's
+        // return; repeating the call makes a lost race all but certain.
+        let pool = ThreadPool::new(4);
+        let shared = Arc::new(7u64);
+        for _ in 0..1000 {
+            let captured = Arc::clone(&shared);
+            let out = pool.run_map((0..8u64).collect(), move |x| x + *captured);
+            assert_eq!(out[0], 7);
+            assert_eq!(Arc::strong_count(&shared), 1);
+        }
     }
 
     #[test]
