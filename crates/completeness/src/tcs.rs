@@ -40,28 +40,6 @@ impl TcStatement {
         vars
     }
 
-    /// Renames every variable to a fresh one; returns the renamed
-    /// statement. Needed whenever the statement is unified against a query
-    /// (each *use* gets its own copy).
-    pub fn rename_apart(&self, vocab: &mut Vocabulary) -> TcStatement {
-        let renaming: magik_relalg::Substitution = self
-            .all_vars()
-            .into_iter()
-            .map(|v| {
-                let name = vocab.var_name(v).to_owned();
-                (v, magik_relalg::Term::Var(vocab.fresh_var(&name)))
-            })
-            .collect();
-        TcStatement {
-            head: renaming.apply_atom(&self.head),
-            condition: self
-                .condition
-                .iter()
-                .map(|a| renaming.apply_atom(a))
-                .collect(),
-        }
-    }
-
     /// Total number of atoms (head plus condition) — the statement size
     /// used by the Theorem 18 bound.
     pub fn size(&self) -> usize {
@@ -336,20 +314,6 @@ mod tests {
         assert_eq!(q.body[0], c_pb.head);
         assert_eq!(q.head, c_pb.head.args);
         assert!(q.is_safe());
-    }
-
-    #[test]
-    fn rename_apart_refreshes_all_vars() {
-        let mut v = Vocabulary::new();
-        let tcs = school_tcs(&mut v);
-        let c_enp = tcs.statements()[2].clone();
-        let renamed = c_enp.rename_apart(&mut v);
-        let old = c_enp.all_vars();
-        for var in renamed.all_vars() {
-            assert!(!old.contains(&var));
-        }
-        // Shared variables stay shared: N occurs in head and condition.
-        assert_eq!(renamed.head.args[0], renamed.condition[0].args[0]);
     }
 
     #[test]

@@ -17,13 +17,13 @@
 //! treat a CRC-valid-but-undecodable record as clean corruption instead
 //! of undefined behaviour.
 
-use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use crate::atom::{Atom, Fact, Pred};
 use crate::instance::Instance;
 use crate::term::{Cst, Term, Var};
-use crate::vocab::{Symbol, Vocabulary};
+use crate::vocab::{Names, Symbol, Vocabulary};
 
 /// Why a decode failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -156,18 +156,20 @@ fn check_index(idx: u64, len: usize, what: &'static str) -> Result<u32, CodecErr
 
 /// Encodes a vocabulary: interned strings, variable names, predicate
 /// signatures and the fresh-variable counter. The derived hash maps are
-/// rebuilt on decode.
+/// rebuilt on decode. Frozen and local names encode alike, in id order,
+/// so the bytes do not depend on how the names are layered.
 pub fn encode_vocabulary(v: &Vocabulary, out: &mut Vec<u8>) {
-    put_varint(out, v.strings.len() as u64);
-    for s in &v.strings {
+    let layers = v.layers();
+    put_varint(out, v.num_strings() as u64);
+    for s in layers.iter().flat_map(|l| &l.strings) {
         put_str(out, s);
     }
-    put_varint(out, v.var_names.len() as u64);
-    for sym in &v.var_names {
+    put_varint(out, v.num_vars() as u64);
+    for sym in layers.iter().flat_map(|l| &l.var_names) {
         put_varint(out, u64::from(sym.0));
     }
-    put_varint(out, v.preds.len() as u64);
-    for &(sym, arity) in &v.preds {
+    put_varint(out, v.num_preds() as u64);
+    for &(sym, arity) in layers.iter().flat_map(|l| &l.preds) {
         put_varint(out, u64::from(sym.0));
         put_varint(out, arity as u64);
     }
@@ -180,39 +182,42 @@ const MAX_ARITY: u64 = 1 << 16;
 
 /// Decodes a vocabulary, rebuilding the interning maps and validating
 /// every cross-reference (string indexes, duplicate spellings, duplicate
-/// variable names, duplicate predicate signatures).
+/// variable names, duplicate predicate signatures). Every decoded name is
+/// frozen.
 pub fn decode_vocabulary(r: &mut Reader<'_>) -> Result<Vocabulary, CodecError> {
+    let mut names = Names::default();
     let n_strings = r.count(1)?;
-    let mut strings = Vec::with_capacity(n_strings);
-    let mut by_string = HashMap::with_capacity(n_strings);
+    names.strings.reserve(n_strings);
     for i in 0..n_strings {
-        let s = r.str()?.to_owned();
-        if by_string.insert(s.clone(), Symbol(i as u32)).is_some() {
+        let s: Arc<str> = Arc::from(r.str()?);
+        if names
+            .by_string
+            .insert(Arc::clone(&s), Symbol(i as u32))
+            .is_some()
+        {
             return Err(CodecError::Malformed("duplicate interned string"));
         }
-        strings.push(s);
+        names.strings.push(s);
     }
     let n_vars = r.count(1)?;
-    let mut var_names = Vec::with_capacity(n_vars);
-    let mut var_by_name = HashMap::with_capacity(n_vars);
+    names.var_names.reserve(n_vars);
     for i in 0..n_vars {
         let sym = Symbol(check_index(
             r.varint()?,
-            strings.len(),
+            n_strings,
             "variable name out of range",
         )?);
-        if var_by_name.insert(sym, Var(i as u32)).is_some() {
+        if names.var_by_name.insert(sym, Var(i as u32)).is_some() {
             return Err(CodecError::Malformed("duplicate variable name"));
         }
-        var_names.push(sym);
+        names.var_names.push(sym);
     }
     let n_preds = r.count(1)?;
-    let mut preds = Vec::with_capacity(n_preds);
-    let mut pred_by_sig = HashMap::with_capacity(n_preds);
+    names.preds.reserve(n_preds);
     for i in 0..n_preds {
         let sym = Symbol(check_index(
             r.varint()?,
-            strings.len(),
+            n_strings,
             "predicate name out of range",
         )?);
         let arity = r.varint()?;
@@ -220,21 +225,17 @@ pub fn decode_vocabulary(r: &mut Reader<'_>) -> Result<Vocabulary, CodecError> {
             return Err(CodecError::Malformed("predicate arity out of range"));
         }
         let arity = arity as usize;
-        if pred_by_sig.insert((sym, arity), Pred(i as u32)).is_some() {
+        if names
+            .pred_by_sig
+            .insert((sym, arity), Pred(i as u32))
+            .is_some()
+        {
             return Err(CodecError::Malformed("duplicate predicate signature"));
         }
-        preds.push((sym, arity));
+        names.preds.push((sym, arity));
     }
     let fresh_counter = r.varint()?;
-    Ok(Vocabulary {
-        strings,
-        by_string,
-        var_names,
-        var_by_name,
-        preds,
-        pred_by_sig,
-        fresh_counter,
-    })
+    Ok(Vocabulary::from_frozen(names, fresh_counter))
 }
 
 const TAG_CST_DATA: u8 = 0;
@@ -261,12 +262,12 @@ pub fn decode_cst(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<Cst, CodecEr
     match r.u8()? {
         TAG_CST_DATA => Ok(Cst::Data(Symbol(check_index(
             r.varint()?,
-            vocab.strings.len(),
+            vocab.num_strings(),
             "constant symbol out of range",
         )?))),
         TAG_CST_FROZEN => Ok(Cst::Frozen(Var(check_index(
             r.varint()?,
-            vocab.var_names.len(),
+            vocab.num_vars(),
             "frozen variable out of range",
         )?))),
         _ => Err(CodecError::Malformed("unknown constant tag")),
@@ -292,7 +293,7 @@ pub fn decode_term(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<Term, Codec
     match r.u8()? {
         TAG_TERM_VAR => Ok(Term::Var(Var(check_index(
             r.varint()?,
-            vocab.var_names.len(),
+            vocab.num_vars(),
             "variable out of range",
         )?))),
         TAG_TERM_CST => Ok(Term::Cst(decode_cst(r, vocab)?)),
@@ -303,7 +304,7 @@ pub fn decode_term(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<Term, Codec
 fn decode_pred(r: &mut Reader<'_>, vocab: &Vocabulary) -> Result<Pred, CodecError> {
     Ok(Pred(check_index(
         r.varint()?,
-        vocab.preds.len(),
+        vocab.num_preds(),
         "predicate out of range",
     )?))
 }
@@ -413,6 +414,34 @@ mod tests {
         let mut back = back;
         let mut v = v;
         assert_eq!(back.fresh_var("N"), v.fresh_var("N"));
+    }
+
+    #[test]
+    fn layered_vocabulary_encodes_like_a_flat_one() {
+        // The same names, interned flat and interned with freezes between
+        // them (one folding the delta into the base, a local tail left).
+        let intern = |freezes: &[usize]| {
+            let mut v = Vocabulary::new();
+            for i in 0..120 {
+                if freezes.contains(&i) {
+                    v.freeze();
+                }
+                v.pred(&format!("p{}", i % 7), i % 3);
+                v.var(&format!("V{i}"));
+                v.cst(&format!("c{}", i % 50));
+            }
+            v.fresh_var("F");
+            v
+        };
+        let encode = |v: &Vocabulary| {
+            let mut buf = Vec::new();
+            encode_vocabulary(v, &mut buf);
+            buf
+        };
+        let flat = encode(&intern(&[]));
+        assert_eq!(encode(&intern(&[3, 10, 90, 100])), flat);
+        let back = decode_vocabulary(&mut Reader::new(&flat)).unwrap();
+        assert_eq!(encode(&back), flat);
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!
 //! Every logged op ticks a counter; when it reaches
 //! [`DurabilityOptions::checkpoint_every`] the mutation path captures
-//! the freshly published snapshot (plus a vocabulary clone — taken
-//! *after* the snapshot, so it is a superset of the names the snapshot
-//! uses) and hands it to a one-worker background pool. The worker
+//! the freshly published snapshot, which carries its vocabulary, and
+//! hands it to a one-worker background pool. The worker
 //! builds the image from the snapshot, serializes and fsyncs it while
 //! the engine keeps serving; it serializes against shutdown's final
 //! checkpoint on the store mutex. Old checkpoint generations and fully

@@ -5,11 +5,11 @@
 //! **snapshot** behind a swap point:
 //!
 //! * `current: Mutex<Arc<StateSnapshot>>` — the swap point. Read-only
-//!   requests (`check`, `eval`, `generalize`, `specialize`, `guaranteed`,
-//!   `analyze`) lock it just long enough to clone the `Arc`, then
-//!   evaluate entirely on the snapshot: **no lock is held during
-//!   reasoning**, so a slow `specialize` never blocks a concurrent
-//!   `check` or a writer.
+//!   requests (`check`, `why`, `eval`, `generalize`, `specialize`,
+//!   `guaranteed`, `analyze`) lock it just long enough to clone the
+//!   `Arc`, then evaluate entirely on the snapshot: **no lock is held
+//!   during reasoning**, so a slow `specialize` never blocks a
+//!   concurrent `check` or a writer.
 //! * `writer: Mutex<WriterState>` — the mutable master copy (database,
 //!   TCS set, incrementally maintained T_C materialization). Mutations
 //!   (`assert`, `retract`, `compl`) serialize on it, apply their change,
@@ -22,12 +22,30 @@
 //!   write copies the delta, not the relation — O(change) in the
 //!   database and again in the T_C model. Freeing the replaced snapshot
 //!   frees only such deltas.
-//! * `vocab: Mutex<Vocabulary>` — parsing interns names, so every request
-//!   briefly serializes on the vocabulary; it is released (or cloned, for
-//!   `specialize`) before any expensive reasoning. Acquired before
-//!   `writer` when both are needed.
 //! * one `Mutex` per cache ([`Cache`]) — held only for the probe or
 //!   insert itself.
+//!
+//! The lock order is writer → current → caches.
+//!
+//! # The vocabulary
+//!
+//! The writer owns the session [`Vocabulary`], and every snapshot
+//! carries a frozen copy of it (O(1): see the relalg vocab module). Only
+//! logged writes intern names — `assert`, `retract` and `compl`, and so
+//! also recovery and replica apply through [`Engine::apply_logged`] —
+//! and only once the op is applied: a write parses into a clone of the
+//! writer's vocabulary and keeps it only if it changes state, so a
+//! refused, duplicate or absent write interns nothing. Publishing then
+//! costs O(names added), and checkpoints encode the snapshot's copy.
+//!
+//! A read parses into a throwaway **overlay** of its snapshot's
+//! vocabulary and renders from it, with no lock held; `specialize` also
+//! names its scratch variables there. A name the snapshot does not know
+//! is local to the request, and two concurrent reads may give their
+//! local names the same id, so nothing that outlives a request holds
+//! one: a query that mentions a local predicate or constant bypasses
+//! the verdict, answer, plan and `why` caches (its canonical form, which
+//! has no variable names, could collide with another request's).
 //!
 //! # Epochs and caching
 //!
@@ -82,7 +100,9 @@ use magik_completeness::{
 use magik_datalog::Materialized;
 use magik_exec::{CompiledQuery, ExecStats, Executor, LruCache};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
-use magik_relalg::{Answer, DisplayWith, Fact, Instance, Pred, Snapshot, Vocabulary};
+use magik_relalg::{
+    Answer, Cst, DisplayWith, Fact, Instance, Pred, Query, Snapshot, Term, Vocabulary,
+};
 use magik_storage::{
     CheckpointImage, OpKind, Recovery, StorageError, Store, StoreOptions, WalRecord,
 };
@@ -172,16 +192,42 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
         let lru = self.lock();
         (lru.hits(), lru.misses())
     }
+
+    /// The value cached under `key`, or `compute()`'s, then cached. With
+    /// no key the cache is neither probed nor filled.
+    fn get_or_insert_with(&self, key: Option<K>, compute: impl FnOnce() -> V) -> V {
+        let Some(key) = key else {
+            return compute();
+        };
+        if let Some(value) = self.get(&key) {
+            return value;
+        }
+        let value = compute();
+        self.insert(key, value.clone());
+        value
+    }
 }
 
 /// A request handler: the reply, or an `(error code, message)` pair.
 type Handler = fn(&Engine, &str) -> Result<String, (&'static str, String)>;
+
+/// A cached compiled plan, with the name of the query it was compiled
+/// from rendered at insert time: the query's head name may be local to
+/// the request that compiled it.
+#[derive(Debug)]
+struct CachedPlan {
+    head: String,
+    compiled: CompiledQuery,
+}
 
 /// The writer's mutable master state, guarded by the engine's writer
 /// mutex. Mutations edit it in place, then [`WriterState::publish`] a
 /// fresh immutable snapshot.
 #[derive(Debug)]
 struct WriterState {
+    /// The session vocabulary, frozen between writes so that publishing
+    /// and cloning it are O(1).
+    vocab: Vocabulary,
     /// The stored (available) database.
     db: Instance,
     /// The table-completeness statements (shared with snapshots; writers
@@ -203,6 +249,9 @@ struct WriterState {
 /// against, lock-free, after cloning the `Arc` out of the swap point.
 #[derive(Debug)]
 struct StateSnapshot {
+    /// The frozen vocabulary at publish time: every name `db` and `tcs`
+    /// use. Reads parse into overlays of it.
+    vocab: Vocabulary,
     /// The stored database at publish time.
     db: Snapshot,
     /// The TCS set at publish time.
@@ -218,11 +267,10 @@ struct StateSnapshot {
 }
 
 impl StateSnapshot {
-    /// The checkpoint image of this snapshot. `vocab` must be taken
-    /// *after* the snapshot, so it is a superset of the names it uses.
-    fn checkpoint_image(&self, vocab: Vocabulary) -> CheckpointImage {
+    /// The checkpoint image of this snapshot.
+    fn checkpoint_image(&self) -> CheckpointImage {
         CheckpointImage {
-            vocab,
+            vocab: self.vocab.clone(),
             tcs: (*self.tcs).clone(),
             db: self.db.to_instance(),
             tcs_epoch: self.tcs_epoch,
@@ -232,9 +280,11 @@ impl StateSnapshot {
 }
 
 impl WriterState {
-    /// Rebuilds the T_C materialization after the TCS set changed.
-    fn rebuild_tc(&mut self, vocab: &mut Vocabulary, exec: &Executor) {
-        let (program, ideal, avail) = tc_encoding(&self.tcs, vocab);
+    /// Rebuilds the T_C materialization after the TCS set changed; the
+    /// encoding's predicates are interned and frozen.
+    fn rebuild_tc(&mut self, exec: &Executor) {
+        let (program, ideal, avail) = tc_encoding(&self.tcs, &mut self.vocab);
+        self.vocab.freeze();
         let mut edb = Instance::new();
         for fact in self.db.iter_facts() {
             if let Some(&pi) = ideal.get(&fact.pred) {
@@ -248,10 +298,11 @@ impl WriterState {
     }
 
     /// Builds the immutable snapshot of the current state. O(#relations):
-    /// both stores are copy-on-write, and the TCS and encoding maps are
-    /// shared by `Arc`.
+    /// both stores are copy-on-write, and the vocabulary, the TCS and the
+    /// encoding maps are shared by `Arc`.
     fn publish(&self) -> Arc<StateSnapshot> {
         Arc::new(StateSnapshot {
+            vocab: self.vocab.clone(),
             db: self.db.snapshot(),
             tcs: Arc::clone(&self.tcs),
             tcs_epoch: self.tcs_epoch,
@@ -269,7 +320,6 @@ impl WriterState {
 /// any number of worker threads.
 #[derive(Debug)]
 pub struct Engine {
-    vocab: Mutex<Vocabulary>,
     writer: Mutex<WriterState>,
     /// The swap point: the latest published snapshot. Readers lock it
     /// only to clone the `Arc`; writers (holding the writer mutex)
@@ -284,17 +334,15 @@ pub struct Engine {
     /// invalidation rides the existing writer-mutex mutation path for
     /// free.
     analysis: Cache<(u64, u64), String>,
-    /// Cached `why` replies (rendered, already-validated certificates).
-    /// A certificate itself depends only on the query and the TCS set,
-    /// but the key conservatively carries both epochs so any mutation
-    /// makes the old entry unreachable, matching the protocol contract
-    /// that `why` replies are stable per `(tcs_epoch, data_epoch)`.
-    why_cache: Cache<(CanonicalQuery, u64, u64), String>,
+    /// Cached `why` replies (rendered, already-validated certificates),
+    /// keyed like verdicts: by Theorem 3 a certificate depends only on
+    /// the query and the TCS set, so only `compl` makes an entry stale.
+    why_cache: Cache<(CanonicalQuery, u64), String>,
     /// Compiled plans keyed by canonical query form alone: canonical
     /// equality implies query equivalence, so a cached plan stays correct
     /// across data-epoch bumps (statistics drift affects only speed). The
     /// cache is cleared on TCS/vocabulary-shaping events (`compl`).
-    plans: Cache<CanonicalQuery, Arc<CompiledQuery>>,
+    plans: Cache<CanonicalQuery, Arc<CachedPlan>>,
     metrics: Arc<Metrics>,
     /// The optional durability layer ([`Engine::open_durable`]): WAL
     /// appended under the writer mutex before every applied mutation,
@@ -339,13 +387,9 @@ impl Engine {
     /// Like [`Engine::with_session`], but reasoning on `exec`: pooled
     /// executors parallelize the T_C fixpoint and the `specialize`
     /// search.
-    pub fn with_session_on(
-        mut vocab: Vocabulary,
-        tcs: TcSet,
-        db: Instance,
-        exec: Executor,
-    ) -> Engine {
+    pub fn with_session_on(vocab: Vocabulary, tcs: TcSet, db: Instance, exec: Executor) -> Engine {
         let mut writer = WriterState {
+            vocab,
             db,
             tcs: Arc::new(tcs),
             tcs_epoch: 0,
@@ -358,11 +402,10 @@ impl Engine {
             ideal: BTreeMap::new(),
             avail: Arc::new(BTreeMap::new()),
         };
-        writer.rebuild_tc(&mut vocab, &exec);
+        writer.rebuild_tc(&exec);
         let current = writer.publish();
         let metrics = Arc::new(Metrics::new());
         Engine {
-            vocab: Mutex::new(vocab),
             writer: Mutex::new(writer),
             current: Mutex::new(current),
             verdicts: Cache::new(VERDICT_CACHE_CAP, &metrics),
@@ -487,13 +530,6 @@ impl Engine {
         Ok(())
     }
 
-    /// The vocabulary, poison-recovering: interning is append-only, so
-    /// state abandoned mid-parse is at worst a superset of the names any
-    /// request needs — safe to keep.
-    fn lock_vocab(&self) -> MutexGuard<'_, Vocabulary> {
-        lock_recovering(&self.vocab, &self.metrics, |_| {})
-    }
-
     /// The writer state, poison-recovering. Mutations publish only at
     /// the end of their critical section, so a panic mid-mutation leaves
     /// the last *published* snapshot (what every reader sees) intact;
@@ -534,7 +570,6 @@ impl Engine {
             )));
         }
         let snap = self.snapshot();
-        let vocab = self.lock_vocab().clone();
         // One store guard across mark + flush + checkpoint serializes
         // against any in-flight background checkpoint.
         let mut store = d.store()?;
@@ -543,7 +578,7 @@ impl Engine {
             data_epoch: snap.data_epoch,
         })?;
         store.flush()?;
-        write_checkpoint(&mut store, &snap.checkpoint_image(vocab), &self.metrics)
+        write_checkpoint(&mut store, &snap.checkpoint_image(), &self.metrics)
     }
 
     /// Logs one mutation (with its post-op epochs) before it is applied.
@@ -579,9 +614,8 @@ impl Engine {
 
     /// Post-mutation housekeeping: ticks the checkpoint counter and, when
     /// the threshold is reached, captures the freshly published snapshot
-    /// (plus a vocabulary clone, taken *after* the snapshot so it is a
-    /// superset of the names the snapshot uses) and hands it to the
-    /// background checkpointer. Called with **no** engine lock held.
+    /// (its vocabulary included) and hands it to the background
+    /// checkpointer. Called with **no** engine lock held.
     fn after_mutation(&self) {
         let Some(d) = &self.durability else {
             return;
@@ -601,11 +635,10 @@ impl Engine {
         }
         let pending = d.since_checkpoint.swap(0, Ordering::SeqCst);
         let snap = self.snapshot();
-        let vocab = self.lock_vocab().clone();
         let worker = Arc::clone(d);
         let metrics = Arc::clone(&self.metrics);
         pool.execute(move || {
-            let image = snap.checkpoint_image(vocab);
+            let image = snap.checkpoint_image();
             let written = worker
                 .store()
                 .and_then(|mut store| write_checkpoint(&mut store, &image, &metrics));
@@ -726,14 +759,17 @@ impl Engine {
                 // Plan-cache introspection: one `<query>:joins=[...]` item
                 // per cached entry, recording the join operator the cost
                 // model chose for each join op of the plan.
-                let vocab = self.lock_vocab();
                 let plans = self.plans.lock();
                 let mut items: Vec<String> = plans
                     .entries()
                     .map(|(_, p)| {
-                        let joins: Vec<&str> =
-                            p.join_strategies().iter().map(|s| s.name()).collect();
-                        format!("{}:joins=[{}]", vocab.name(p.query().name), joins.join(","))
+                        let joins: Vec<&str> = p
+                            .compiled
+                            .join_strategies()
+                            .iter()
+                            .map(|s| s.name())
+                            .collect();
+                        format!("{}:joins=[{}]", p.head, joins.join(","))
                     })
                     .collect();
                 items.sort();
@@ -797,20 +833,25 @@ impl Engine {
         }
     }
 
+    /// The latest snapshot, and `src` parsed into a request-local
+    /// overlay of its vocabulary, which the read renders from.
+    fn parse_read(
+        &self,
+        src: &str,
+    ) -> Result<(Arc<StateSnapshot>, Vocabulary, Query), (&'static str, String)> {
+        let snap = self.snapshot();
+        let mut vocab = snap.vocab.clone();
+        let q = parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
+        Ok((snap, vocab, q))
+    }
+
     /// `check <query>` — is the query complete under the current TCS set?
     fn req_check(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let q = {
-            let mut vocab = self.lock_vocab();
-            parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?
-        };
-        let canon = CanonicalQuery::of(&q);
-        let snap = self.snapshot();
-        let key = (canon, snap.tcs_epoch);
-        if let Some(verdict) = self.verdicts.get(&key) {
-            return Ok(render_verdict(verdict));
-        }
-        let verdict = is_complete(&q, &snap.tcs);
-        self.verdicts.insert(key, verdict);
+        let (snap, vocab, q) = self.parse_read(src)?;
+        let key = shared_form(&q, &vocab).map(|canon| (canon, snap.tcs_epoch));
+        let verdict = self
+            .verdicts
+            .get_or_insert_with(key, || is_complete(&q, &snap.tcs));
         Ok(render_verdict(verdict))
     }
 
@@ -819,19 +860,18 @@ impl Engine {
     /// rendered (an engine bug that forges an unsound certificate comes
     /// back as `cert=INVALID`, never as a silently wrong `ok`).
     fn req_why(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let q = {
-            let mut vocab = self.lock_vocab();
-            parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?
-        };
-        let canon = CanonicalQuery::of(&q);
-        let snap = self.snapshot();
-        let key = (canon, snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.why_cache.get(&key) {
-            return Ok(reply);
-        }
-        let cert = certify(&q, &snap.tcs);
-        let statements = cert_statements(&snap.tcs);
-        let valid = check_certificate(&q, &statements, &cert).is_ok();
+        let (snap, vocab, q) = self.parse_read(src)?;
+        let key = shared_form(&q, &vocab).map(|canon| (canon, snap.tcs_epoch));
+        Ok(self
+            .why_cache
+            .get_or_insert_with(key, || self.certified_reply(&q, &snap.tcs, &vocab)))
+    }
+
+    /// Certifies `q` against `tcs`, checks the certificate and renders
+    /// the `why` reply.
+    fn certified_reply(&self, q: &Query, tcs: &TcSet, vocab: &Vocabulary) -> String {
+        let cert = certify(q, tcs);
+        let valid = check_certificate(q, &cert_statements(tcs), &cert).is_ok();
         let validity = if valid { "valid" } else { "INVALID" };
         self.metrics.add(
             match cert {
@@ -840,61 +880,44 @@ impl Engine {
             },
             1,
         );
-        let reply = {
-            let vocab = self.lock_vocab();
-            match &cert {
-                Certificate::Complete(c) => format!(
-                    "ok complete cert={validity} derivations={}",
-                    c.derivations.len()
-                ),
-                Certificate::Incomplete {
-                    counterexample,
-                    repair,
-                } => {
-                    let suggestions = match repair {
-                        Some(r) => r
-                            .additions
-                            .iter()
-                            .map(|a| format!("compl {} ; true", a.display(&vocab)))
-                            .collect::<Vec<_>>()
-                            .join(" | "),
-                        None => String::new(),
-                    };
-                    format!(
-                        "ok incomplete cert={validity} lost={} repair=[{suggestions}]",
-                        counterexample.target.display(&vocab)
-                    )
-                }
+        match &cert {
+            Certificate::Complete(c) => format!(
+                "ok complete cert={validity} derivations={}",
+                c.derivations.len()
+            ),
+            Certificate::Incomplete {
+                counterexample,
+                repair,
+            } => {
+                let suggestions = match repair {
+                    Some(r) => r
+                        .additions
+                        .iter()
+                        .map(|a| format!("compl {} ; true", a.display(vocab)))
+                        .collect::<Vec<_>>()
+                        .join(" | "),
+                    None => String::new(),
+                };
+                format!(
+                    "ok incomplete cert={validity} lost={} repair=[{suggestions}]",
+                    counterexample.target.display(vocab)
+                )
             }
-        };
-        self.why_cache.insert(key, reply.clone());
-        Ok(reply)
+        }
     }
 
     /// `generalize <query>` — the minimal complete generalization.
     fn req_generalize(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let q = {
-            let mut vocab = self.lock_vocab();
-            parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?
-        };
-        let snap = self.snapshot();
-        // Generalization only drops atoms, so rendering needs no names
-        // beyond those the parse interned.
-        let result = mcg(&q, &snap.tcs);
-        let vocab = self.lock_vocab();
-        Ok(match result {
+        let (snap, vocab, q) = self.parse_read(src)?;
+        Ok(match mcg(&q, &snap.tcs) {
             Some(g) => format!("ok {}", print_query(&g, &vocab)),
             None => "ok none".to_string(),
         })
     }
 
-    /// `specialize <k> <query>` — the k-MCSs, `|`-separated.
-    ///
-    /// The search's scratch variables are named in a **clone** of the
-    /// vocabulary: the shared vocabulary stays untouched (and unlocked)
-    /// for the duration, and the clone renders the response. The snapshot
-    /// is taken before the clone, under the vocabulary lock, so the clone
-    /// names everything the snapshot's statements mention.
+    /// `specialize <k> <query>` — the k-MCSs, `|`-separated. The search
+    /// names its scratch variables in the request's overlay, numbered
+    /// from the snapshot's fresh counter.
     fn req_specialize(&self, rest: &str) -> Result<String, (&'static str, String)> {
         let (k_str, src) = rest
             .split_once(char::is_whitespace)
@@ -902,11 +925,7 @@ impl Engine {
         let k: usize = k_str
             .parse()
             .map_err(|_| ("proto", format!("invalid k `{k_str}`")))?;
-        let (q, snap, mut vocab) = {
-            let mut vocab = self.lock_vocab();
-            let q = parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
-            (q, self.snapshot(), vocab.clone())
-        };
+        let (snap, mut vocab, q) = self.parse_read(src)?;
         if q.size().checked_add(k).is_none() {
             return Err((
                 "proto",
@@ -932,37 +951,41 @@ impl Engine {
     /// compiled once and its plan kept for the session. Evaluation runs
     /// on the snapshot — concurrent writers proceed undisturbed.
     fn req_eval(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let q = {
-            let mut vocab = self.lock_vocab();
-            parse_query(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?
-        };
-        let canon = CanonicalQuery::of(&q);
-        let snap = self.snapshot();
-        let key = (canon.clone(), snap.data_epoch);
-        let answer_list = match self.answer_cache.get(&key) {
+        let (snap, vocab, q) = self.parse_read(src)?;
+        let canon = shared_form(&q, &vocab);
+        let key = canon.clone().map(|canon| (canon, snap.data_epoch));
+        let cached = key.as_ref().and_then(|key| self.answer_cache.get(key));
+        let answer_list = match cached {
             Some(list) => list,
             None => {
-                let plan = match self.plans.get(&canon) {
+                let cached = canon.as_ref().and_then(|canon| self.plans.get(canon));
+                let plan = match cached {
                     Some(plan) => plan,
                     None => {
                         // Failed compiles (unsafe queries) are not cached:
                         // the error must be re-reported per request.
                         let compiled = CompiledQuery::compile(&q, Some(&snap.db))
                             .map_err(|e| ("eval", format!("{e:?}")))?;
-                        let plan = Arc::new(compiled);
-                        self.plans.insert(canon, Arc::clone(&plan));
+                        let plan = Arc::new(CachedPlan {
+                            head: vocab.name(q.name).to_string(),
+                            compiled,
+                        });
+                        if let Some(canon) = canon {
+                            self.plans.insert(canon, Arc::clone(&plan));
+                        }
                         plan
                     }
                 };
                 let mut stats = ExecStats::default();
-                let set = plan.answers(&snap.db, &mut stats);
+                let set = plan.compiled.answers(&snap.db, &mut stats);
                 self.metrics.add_exec(&stats);
                 let list: Vec<Answer> = set.into_iter().collect();
-                self.answer_cache.insert(key, list.clone());
+                if let Some(key) = key {
+                    self.answer_cache.insert(key, list.clone());
+                }
                 list
             }
         };
-        let vocab = self.lock_vocab();
         let rendered: Vec<String> = answer_list
             .iter()
             .map(|t| t.display(&vocab).to_string())
@@ -976,12 +999,15 @@ impl Engine {
     /// On a durable engine the op is logged (and fsynced per policy)
     /// *before* it is applied: an append failure leaves memory untouched.
     fn req_assert(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let fact = self.parse_fact(src)?;
         let mut writer = self.lock_writer();
+        let mut vocab = writer.vocab.clone();
+        let fact = parse_fact(src, &mut vocab)?;
         if writer.db.contains(&fact) {
             return Ok("ok duplicate".to_string());
         }
         self.log_mutation(OpKind::Assert, src, writer.tcs_epoch, writer.data_epoch + 1)?;
+        writer.vocab = vocab;
+        writer.vocab.freeze();
         writer.db.insert(fact.clone());
         writer.data_epoch += 1;
         let pi = writer.ideal.get(&fact.pred).copied();
@@ -996,10 +1022,11 @@ impl Engine {
 
     /// `retract <atom>` — remove a ground fact; maintains T_C by DRed
     /// (over-delete, then re-derive) and records the pass sizes in the
-    /// `dred.*` metrics.
+    /// `dred.*` metrics. A fact with a name the session does not know is
+    /// absent, so a retract never interns.
     fn req_retract(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let fact = self.parse_fact(src)?;
         let mut writer = self.lock_writer();
+        let fact = parse_fact(src, &mut writer.vocab.clone())?;
         if !writer.db.contains(&fact) {
             return Ok("ok absent".to_string());
         }
@@ -1030,13 +1057,14 @@ impl Engine {
     /// `compl <tcs>` — add a TC statement; bumps the TCS epoch and
     /// rebuilds the T_C encoding.
     fn req_compl(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let mut vocab = self.lock_vocab();
-        let stmt = parse_tcs(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
         let mut writer = self.lock_writer();
+        let mut vocab = writer.vocab.clone();
+        let stmt = parse_tcs(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
         self.log_mutation(OpKind::Compl, src, writer.tcs_epoch + 1, writer.data_epoch)?;
+        writer.vocab = vocab;
         Arc::make_mut(&mut writer.tcs).push(stmt);
         writer.tcs_epoch += 1;
-        writer.rebuild_tc(&mut vocab, &self.exec);
+        writer.rebuild_tc(&self.exec);
         self.swap(&writer);
         // Stale verdict keys are unreachable after the epoch bump; drop
         // them eagerly so they stop occupying cache capacity. Plans are
@@ -1047,7 +1075,6 @@ impl Engine {
         self.plans.clear();
         let epoch = writer.tcs_epoch;
         drop(writer);
-        drop(vocab);
         self.after_mutation();
         Ok(format!("ok epoch={epoch}"))
     }
@@ -1055,8 +1082,8 @@ impl Engine {
     /// `guaranteed <atom>` — is this fact certain to be available, i.e.
     /// derived by the materialized T_C fixpoint?
     fn req_guaranteed(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let fact = self.parse_fact(src)?;
         let snap = self.snapshot();
+        let fact = parse_fact(src, &mut snap.vocab.clone())?;
         let guaranteed = match snap.avail.get(&fact.pred) {
             Some(&pa) => snap.tc_model.contains(&Fact::new(pa, fact.args)),
             None => false,
@@ -1081,29 +1108,20 @@ impl Engine {
     /// vacuous.
     fn req_analyze(&self, rest: &str) -> Result<String, (&'static str, String)> {
         if rest == "state" {
-            return self.analyze_state_cached();
+            return Ok(self.analyze_state_cached());
         }
         if let Some(qsrc) = rest.strip_prefix("state ") {
-            let q = {
-                let mut vocab = self.lock_vocab();
-                parse_query(qsrc, &mut vocab).map_err(|e| ("parse", e.to_string()))?
-            };
-            let snap = self.snapshot();
-            let vocab = self.lock_vocab();
+            let (snap, vocab, q) = self.parse_read(qsrc)?;
             return Ok(render_diags(&analyze_check(0, &q, &snap.tcs, &vocab)));
         }
         let constraints = ConstraintSet::default();
-        let mut vocab = self.lock_vocab();
-        let query = if rest.is_empty() {
-            None
-        } else {
-            Some(parse_query(rest, &mut vocab).map_err(|e| ("parse", e.to_string()))?)
-        };
-        let snap = self.snapshot();
-        let diags = match &query {
-            Some(q) => analyze_query(0, q, &snap.tcs, &constraints, &vocab),
-            None => analyze_statements(&snap.tcs, &constraints, &vocab),
-        };
+        if rest.is_empty() {
+            let snap = self.snapshot();
+            let diags = analyze_statements(&snap.tcs, &constraints, &snap.vocab);
+            return Ok(render_diags(&diags));
+        }
+        let (snap, vocab, q) = self.parse_read(rest)?;
+        let diags = analyze_query(0, &q, &snap.tcs, &constraints, &vocab);
         Ok(render_diags(&diags))
     }
 
@@ -1111,28 +1129,41 @@ impl Engine {
     /// snapshot's epoch pair, computing (and caching) the live-session
     /// diagnostics on a miss. Probes land in the `analysis_cache.*`
     /// metrics.
-    fn analyze_state_cached(&self) -> Result<String, (&'static str, String)> {
+    fn analyze_state_cached(&self) -> String {
         let snap = self.snapshot();
         let key = (snap.tcs_epoch, snap.data_epoch);
-        if let Some(reply) = self.analysis.get(&key) {
-            return Ok(reply);
-        }
-        let facts: Vec<Fact> = snap.db.iter_facts().collect();
-        let vocab = self.lock_vocab();
-        let diags = analyze_state(&snap.tcs, &ConstraintSet::default(), &facts, &vocab);
-        drop(vocab);
-        let reply = render_diags(&diags);
-        self.analysis.insert(key, reply.clone());
-        Ok(reply)
+        self.analysis.get_or_insert_with(Some(key), || {
+            let facts: Vec<Fact> = snap.db.iter_facts().collect();
+            render_diags(&analyze_state(
+                &snap.tcs,
+                &ConstraintSet::default(),
+                &facts,
+                &snap.vocab,
+            ))
+        })
     }
+}
 
-    fn parse_fact(&self, src: &str) -> Result<Fact, (&'static str, String)> {
-        let mut vocab = self.lock_vocab();
-        let src = src.strip_suffix('.').unwrap_or(src);
-        let atom = parse_atom(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
-        atom.to_fact()
-            .ok_or_else(|| ("proto", "fact must be ground (no variables)".to_string()))
-    }
+/// Parses a ground fact (a trailing `.` is optional) into `vocab`.
+fn parse_fact(src: &str, vocab: &mut Vocabulary) -> Result<Fact, (&'static str, String)> {
+    let src = src.strip_suffix('.').unwrap_or(src);
+    let atom = parse_atom(src, vocab).map_err(|e| ("parse", e.to_string()))?;
+    atom.to_fact()
+        .ok_or_else(|| ("proto", "fact must be ground (no variables)".to_string()))
+}
+
+/// The canonical form of `q` as a cache key, or `None` when `q` mentions
+/// a predicate or constant local to `vocab`, the request's overlay:
+/// another request may give a different name the same local id.
+/// Minimization only drops atoms that map onto kept ones, so the form
+/// mentions a local name exactly when `q` does.
+fn shared_form(q: &Query, vocab: &Vocabulary) -> Option<CanonicalQuery> {
+    let local = |t: &Term| matches!(*t, Term::Cst(Cst::Data(s)) if vocab.is_local(s));
+    let mentions_local = q.head.iter().any(local)
+        || q.body
+            .iter()
+            .any(|a| vocab.is_local_pred(a.pred) || a.args.iter().any(local));
+    (!mentions_local).then(|| CanonicalQuery::of(q))
 }
 
 /// Writes `image` through `store`, counting it in `checkpoint.*` unless
@@ -1250,13 +1281,13 @@ mod tests {
             metrics.contains("cert.cache.hits=1 cert.cache.misses=1"),
             "{metrics}"
         );
-        // A data-epoch bump invalidates the cached reply (conservative:
-        // the protocol pins `why` replies to the epoch pair).
+        // A certificate depends on the query and the TCS set only
+        // (Theorem 3), so a data-epoch bump keeps the cached reply.
         e.handle("assert school(hofer, primary, merano).");
         assert_eq!(e.handle(q), "ok complete cert=valid derivations=2");
         let metrics = e.handle("metrics");
         assert!(
-            metrics.contains("cert.cache.hits=1 cert.cache.misses=2"),
+            metrics.contains("cert.cache.hits=2 cert.cache.misses=1"),
             "{metrics}"
         );
         // A TCS change flips the verdict itself — no stale reply.
@@ -1701,6 +1732,119 @@ mod tests {
         }
         let metrics = pooled.handle("metrics");
         assert!(!metrics.contains("runtime.tasks=0"), "{metrics}");
+    }
+
+    /// The encoded vocabularies of the writer and of the published
+    /// snapshot.
+    fn vocab_bytes(e: &Engine) -> (Vec<u8>, Vec<u8>) {
+        let encode = |v: &Vocabulary| {
+            let mut out = Vec::new();
+            magik_relalg::codec::encode_vocabulary(v, &mut out);
+            out
+        };
+        (encode(&e.lock_writer().vocab), encode(&e.snapshot().vocab))
+    }
+
+    #[test]
+    fn request_local_names_never_reach_a_cache() {
+        // `foo` and `bar` are never written, so each request parses its
+        // name as local to it, and both get the same local id.
+        let e = Engine::new();
+        e.handle("assert p(a).");
+        let foo = e.handle("why q(X) :- foo(X).");
+        let bar = e.handle("why q(X) :- bar(X).");
+        assert_eq!(
+            foo,
+            "ok incomplete cert=valid lost=(X') repair=[compl foo(X) ; true]"
+        );
+        assert_eq!(
+            bar,
+            "ok incomplete cert=valid lost=(X') repair=[compl bar(X) ; true]"
+        );
+        assert_eq!(e.handle("eval q(X, foo) :- p(X)."), "ok 1 (a, foo)");
+        assert_eq!(e.handle("eval q(X, bar) :- p(X)."), "ok 1 (a, bar)");
+        assert_eq!(e.handle("check q(X) :- foo(X)."), "ok incomplete");
+        let metrics = e.handle("metrics");
+        for cache in ["verdict_cache", "answer_cache", "plan_cache", "cert.cache"] {
+            assert_eq!(field(&metrics, &format!("{cache}.hits")), 0, "{metrics}");
+            assert_eq!(field(&metrics, &format!("{cache}.misses")), 0, "{metrics}");
+        }
+        // A query over written names only is cached, even when its head
+        // name and variables are local: the plan listing shows the head
+        // name the compiling request gave it.
+        assert_eq!(e.handle("eval q(X) :- p(X)."), "ok 1 (a)");
+        assert_eq!(e.handle("eval r(Y) :- p(Y)."), "ok 1 (a)");
+        assert!(e.handle("plans").starts_with("ok 1 q:joins=["));
+        let metrics = e.handle("metrics");
+        assert_eq!(field(&metrics, "answer_cache.hits"), 1, "{metrics}");
+    }
+
+    #[test]
+    fn refused_duplicate_and_absent_writes_intern_nothing() {
+        let e = paper_engine();
+        e.handle("assert pupil(anna, c1, hofer).");
+        let before = vocab_bytes(&e);
+        assert!(e.handle("assert p(X).").starts_with("err proto "));
+        assert!(e.handle("assert p(zed, .").starts_with("err parse "));
+        assert!(e.handle("compl p(X) ; .").starts_with("err parse "));
+        assert_eq!(e.handle("assert pupil(anna, c1, hofer)."), "ok duplicate");
+        assert_eq!(e.handle("retract pupil(zed, c9, nowhere)."), "ok absent");
+        assert_eq!(e.handle("retract ghost(zed)."), "ok absent");
+        for read in [
+            "check q(Z) :- pupil(Z, c7, elsewhere).",
+            "why q(Z) :- ghost(Z).",
+            "eval q(Z, W) :- pupil(Z, W, hofer).",
+            "generalize q(Z) :- ghost(Z), pupil(Z, C, S).",
+            "specialize 1 q(Z) :- pupil(Z, C, S), school(S, T, bolzano).",
+            "guaranteed pupil(zed, c9, nowhere).",
+            "analyze q(Z) :- ghost(Z).",
+            "analyze state q(Z) :- ghost(Z).",
+            "analyze",
+            "analyze state",
+        ] {
+            assert!(e.handle(read).starts_with("ok "), "{read}");
+        }
+        assert_eq!(vocab_bytes(&e), before);
+        // An applied write interns its new names and publishes them.
+        assert_eq!(e.handle("assert pupil(zed, c9, hofer)."), "ok inserted");
+        let (writer, published) = vocab_bytes(&e);
+        assert_ne!(writer, before.0);
+        assert_eq!(writer, published);
+        assert_eq!(e.handle("eval q(N) :- pupil(N, c9, S)."), "ok 1 (zed)");
+    }
+
+    #[test]
+    fn pooled_and_sequential_specialize_agree_in_request_overlays() {
+        let pooled = Engine::with_session_on(
+            Vocabulary::new(),
+            TcSet::new(Vec::new()),
+            Instance::new(),
+            Executor::with_threads(4),
+        );
+        let seq = Engine::new();
+        for e in [&pooled, &seq] {
+            e.handle("compl pupil(N, C, S) ; true.");
+            e.handle("compl learns(N, L) ; pupil(N, C, S).");
+        }
+        let before = [vocab_bytes(&pooled), vocab_bytes(&seq)];
+        // The scratch variables are named in each request's overlay, from
+        // the published fresh counter: every request starts from `F#0`.
+        for _ in 0..2 {
+            assert_eq!(
+                pooled.handle("specialize 1 q(N) :- learns(N, L)."),
+                "ok 1 q(F#4) :- learns(F#4, L), pupil(F#4, F#5, F#6)"
+            );
+        }
+        for req in [
+            "specialize 0 q(N) :- learns(N, L).",
+            "specialize 1 q(N) :- learns(N, L).",
+            "specialize 2 q(N) :- learns(N, L), pupil(N, C, S).",
+            "specialize 1 q(N) :- learns(N, klingon), ghost(N).",
+            "specialize 1 r(F#0) :- learns(F#0, L).",
+        ] {
+            assert_eq!(pooled.handle(req), seq.handle(req), "{req}");
+        }
+        assert_eq!([vocab_bytes(&pooled), vocab_bytes(&seq)], before);
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! shutdown (simulating a crash of a process whose WAL reached the OS),
 //! and the state recovered from disk must agree with a fresh in-memory
 //! engine fed the same ops — facts, completeness verdicts, and epochs.
+//! A second property feeds random read-only streams to a durable engine:
+//! its next checkpoint image must not change by a byte.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -13,8 +15,10 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use magik_relalg::{DisplayWith, Vocabulary};
 use magik_server::{DurabilityOptions, Engine, Server};
 use magik_storage::{FsyncPolicy, OpKind, StorageError, Store, StoreOptions, WalRecord};
+use magik_workload::random::{query, QueryShape, RandomQueryConfig};
 
 /// A fresh scratch directory per call (process id + counter keyed, so
 /// parallel test binaries never collide).
@@ -400,5 +404,147 @@ proptest! {
             prop_assert_eq!(recovered.handle(&ck), reference.handle(&ck), "{}", ck);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reads write no durable state: after any stream of read-only requests
+// and writes that change nothing, the next checkpoint image is the one a
+// twin engine that never saw the stream writes, byte for byte.
+
+/// The writes both twins apply before the stream. `r0`, `r1`, `a` and
+/// `k0` are the only names they write (besides the statements'
+/// variables and the encoding's predicates).
+const TWIN_WRITES: [&str; 4] = [
+    "compl r0(X, Y) ; r1(Y, Z).",
+    "compl r1(X, Y) ; true.",
+    "assert r0(a, k0).",
+    "assert r1(k0, a).",
+];
+
+/// The newest checkpoint file under `dir`, as bytes.
+fn newest_checkpoint(dir: &Path) -> Vec<u8> {
+    let mut snaps: Vec<PathBuf> = std::fs::read_dir(dir)
+        .expect("read data dir")
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "snap"))
+        .collect();
+    snaps.sort();
+    std::fs::read(snaps.last().expect("a checkpoint was written")).expect("read checkpoint")
+}
+
+/// Runs the twin writes, `requests` and one more write on a fresh
+/// durable engine, shuts it down cleanly, and returns the bytes of the
+/// checkpoint the shutdown wrote, with the replies to `requests`.
+fn checkpoint_after(name: &str, requests: &[String]) -> (Vec<u8>, Vec<String>) {
+    let dir = data_dir(name);
+    let (engine, _) = open(&dir, FsyncPolicy::Never, 0);
+    for write in TWIN_WRITES {
+        assert!(engine.handle(write).starts_with("ok "), "{write}");
+    }
+    let replies = requests.iter().map(|r| engine.handle(r)).collect();
+    assert_eq!(engine.handle("assert r1(a, a)."), "ok inserted");
+    engine.shutdown_durability().expect("clean shutdown");
+    drop(engine);
+    let image = newest_checkpoint(&dir);
+    std::fs::remove_dir_all(&dir).ok();
+    (image, replies)
+}
+
+/// Every read verb over a query naming a predicate, a constant, a head
+/// name and variables (all tagged with `i`) that no twin writes, plus a
+/// duplicate `assert`, an absent `retract` and a refused `assert`.
+fn fresh_name_requests(i: usize) -> Vec<String> {
+    let q = format!("q{i}(V{i}) :- r0(V{i}, W{i}), fresh{i}(W{i}, c{i}).");
+    vec![
+        format!("check {q}"),
+        format!("why {q}"),
+        format!("eval {q}"),
+        format!("generalize {q}"),
+        format!("specialize 1 {q}"),
+        format!("analyze {q}"),
+        format!("analyze state {q}"),
+        format!("guaranteed fresh{i}(c{i}, k0)."),
+        "assert r0(a, k0).".to_string(),
+        format!("retract r0(a, c{i})."),
+        format!("assert fresh{i}(V{i}, c{i})."),
+    ]
+}
+
+#[test]
+fn read_only_requests_leave_the_next_checkpoint_image_byte_identical() {
+    let requests: Vec<String> = (0..100).flat_map(fresh_name_requests).collect();
+    let (image, replies) = checkpoint_after("fresh-reads", &requests);
+    for (request, reply) in requests.iter().zip(&replies) {
+        let refused = request.starts_with("assert fresh");
+        assert_eq!(reply.starts_with("ok "), !refused, "{request} -> {reply}");
+    }
+    assert_same_image(&image, &checkpoint_after("no-reads", &[]).0);
+}
+
+/// Fails, naming the sizes, unless the two checkpoint images are equal.
+fn assert_same_image(image: &[u8], expected: &[u8]) {
+    assert!(
+        image == expected,
+        "checkpoint image of {} bytes differs from the {} bytes expected",
+        image.len(),
+        expected.len()
+    );
+}
+
+/// One request of a random stream: verb `verb` over a random query from
+/// `magik-workload` (relations `r0`–`r3`, constants `k0`–`k2`), with its
+/// variables renamed apart by `tag`, or a fact naming `n<tag>`.
+fn random_request(verb: usize, seed: u64, tag: usize) -> String {
+    let shapes = [
+        QueryShape::Chain,
+        QueryShape::Star,
+        QueryShape::Cycle,
+        QueryShape::Random,
+    ];
+    let mut vocab = Vocabulary::new();
+    let q = query(
+        RandomQueryConfig {
+            shape: shapes[(seed % 4) as usize],
+            atoms: 1 + (seed / 4 % 3) as usize,
+            relations: 4,
+            constant_prob: 0.4,
+            seed,
+        },
+        &mut vocab,
+    );
+    let q = format!("{}.", q.display(&vocab)).replace('X', &format!("X{tag}_"));
+    let fact = format!("r{}(k{}, n{tag}).", seed % 4, seed % 3);
+    match verb {
+        0 => format!("check {q}"),
+        1 => format!("why {q}"),
+        2 => format!("eval {q}"),
+        3 => format!("generalize {q}"),
+        4 => format!("specialize {} {q}", seed % 2),
+        5 => format!("analyze {q}"),
+        6 => format!("analyze state {q}"),
+        7 => "analyze".to_string(),
+        8 => "analyze state".to_string(),
+        9 => format!("guaranteed {fact}"),
+        10 => format!("retract {fact}"),
+        11 => "assert r0(a, k0).".to_string(),
+        _ => format!("assert r{}(X, n{tag}).", seed % 4),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn random_read_streams_leave_the_checkpoint_image_byte_identical(
+        stream in proptest::collection::vec((0..13usize, 0..u64::MAX), 1..40)
+    ) {
+        let requests: Vec<String> = stream
+            .iter()
+            .enumerate()
+            .map(|(tag, &(verb, seed))| random_request(verb, seed, tag))
+            .collect();
+        let (image, _) = checkpoint_after("stream", &requests);
+        assert_same_image(&image, &checkpoint_after("no-stream", &[]).0);
     }
 }

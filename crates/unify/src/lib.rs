@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 
-use magik_relalg::{Atom, Query, Substitution, Term, Var, Vocabulary};
+use magik_relalg::{Atom, Substitution, Term, Var};
 
 /// An incremental unifier with checkpoint/rollback support.
 ///
@@ -167,42 +167,10 @@ pub fn mgu_pairs(pairs: &[(Term, Term)]) -> Option<Substitution> {
     Some(u.to_substitution())
 }
 
-/// Renames all variables of `q` to fresh ones, returning the renamed query
-/// and the renaming. Used to take TC statements (and query extensions)
-/// "apart" before unification.
-pub fn rename_apart(q: &Query, vocab: &mut Vocabulary) -> (Query, Substitution) {
-    let renaming: Substitution = q
-        .all_vars()
-        .into_iter()
-        .map(|v| {
-            let name = vocab.var_name(v).to_owned();
-            (v, Term::Var(vocab.fresh_var(&name)))
-        })
-        .collect();
-    (renaming.apply_query(q), renaming)
-}
-
-/// Renames all variables of a slice of atoms to fresh ones.
-pub fn rename_atoms_apart(atoms: &[Atom], vocab: &mut Vocabulary) -> (Vec<Atom>, Substitution) {
-    let mut vars = std::collections::BTreeSet::new();
-    for a in atoms {
-        vars.extend(a.vars());
-    }
-    let renaming: Substitution = vars
-        .into_iter()
-        .map(|v| {
-            let name = vocab.var_name(v).to_owned();
-            (v, Term::Var(vocab.fresh_var(&name)))
-        })
-        .collect();
-    let renamed = atoms.iter().map(|a| renaming.apply_atom(a)).collect();
-    (renamed, renaming)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magik_relalg::Cst;
+    use magik_relalg::{Cst, Vocabulary};
 
     fn setup() -> (Vocabulary, magik_relalg::Pred, Var, Var, Cst, Cst) {
         let mut v = Vocabulary::new();
@@ -315,38 +283,6 @@ mod tests {
             let once = mgu.apply_term(Term::Var(var));
             assert_eq!(mgu.apply_term(once), once);
         }
-    }
-
-    #[test]
-    fn rename_apart_produces_variable_disjoint_query() {
-        let (mut v, p, x, y, _, _) = setup();
-        let q = Query::new(
-            v.sym("q"),
-            vec![Term::Var(x)],
-            vec![Atom::new(p, vec![Term::Var(x), Term::Var(y)])],
-        );
-        let (renamed, renaming) = rename_apart(&q, &mut v);
-        let original_vars = q.all_vars();
-        for var in renamed.all_vars() {
-            assert!(!original_vars.contains(&var));
-        }
-        // The renaming maps old to new bijectively.
-        assert_eq!(renaming.len(), 2);
-        assert_eq!(renaming.apply_query(&q), renamed);
-    }
-
-    #[test]
-    fn rename_atoms_apart_is_consistent_across_atoms() {
-        let (mut v, p, x, y, _, _) = setup();
-        let atoms = vec![
-            Atom::new(p, vec![Term::Var(x), Term::Var(y)]),
-            Atom::new(p, vec![Term::Var(y), Term::Var(x)]),
-        ];
-        let (renamed, _) = rename_atoms_apart(&atoms, &mut v);
-        // The shared variables stay shared after renaming.
-        assert_eq!(renamed[0].args[0], renamed[1].args[1]);
-        assert_eq!(renamed[0].args[1], renamed[1].args[0]);
-        assert_ne!(renamed[0].args[0], atoms[0].args[0]);
     }
 
     #[test]
