@@ -1,38 +1,29 @@
 //! Experiment A14 — certificate-emission overhead.
 //!
 //! Proof-carrying verdicts must not tax callers that never look at the
-//! evidence. Three layers are measured:
+//! evidence. Two polarities are measured:
 //!
 //! * **complete polarity** — the plain Theorem 3 decision
 //!   (`is_complete`) against `certify` on a query every atom of which
 //!   is covered, so the certificate is the witnessing binding plus one
-//!   derivation tree per atom and no repair search runs. This is the
+//!   recorded derivation per atom and no repair search runs. This is the
 //!   pure emission overhead, expected within a small constant factor
 //!   (≤2x) of the bare verdict, and against `certify` +
 //!   `check_certificate` (emission plus independent re-validation by
 //!   the trusted checker).
 //! * **incomplete polarity** — the same pair on random workloads that
 //!   fail the check. Here `certify` deliberately does more than decide:
-//!   the greedy-then-minimize repair search costs up to 2·|C| extra
-//!   Theorem 3 checks, so the measured factor tracks |C|, not the
-//!   emission machinery. Reported separately so that cost is never
+//!   the greedy-then-minimize repair search evaluates the query once per
+//!   candidate, over the one witnessed `T_C(D_Q)` pass plus the
+//!   candidates' matches. Reported separately so that cost is never
 //!   confused with proof-recording overhead.
-//! * **provenance** — the Datalog fixpoint with proofs off
-//!   (`eval_semi_naive`, the allocation-free hot path) against the
-//!   proof-recording run (`provenance`) on a transitive-closure chain.
-//!   Proofs-off must be unaffected by the existence of the provenance
-//!   machinery; proofs-on pays one justification per derived fact.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use magik::datalog::{Program, Rule};
 use magik::workload::random::{
     acyclic_tcs, covering_tcs, query, QueryShape, RandomQueryConfig, RandomTcsConfig,
 };
-use magik::{
-    cert_statements, certify, check_certificate, is_complete, Atom, Certificate, Fact, Instance,
-    Term, Vocabulary,
-};
+use magik::{cert_statements, certify, check_certificate, is_complete, Certificate, Vocabulary};
 
 fn bench_polarity(
     c: &mut Criterion,
@@ -115,61 +106,5 @@ fn bench_incomplete_polarity(c: &mut Criterion) {
     bench_polarity(c, "incomplete", &workloads);
 }
 
-/// One transitive-closure chain of `len` edges: a model whose derived
-/// paths grow quadratically, so proof recording has real work to do.
-fn chain(len: usize) -> (Program, Instance) {
-    let mut v = Vocabulary::new();
-    let edge = v.pred("edge", 2);
-    let path = v.pred("path", 2);
-    let (x, y, z) = (v.var("X"), v.var("Y"), v.var("Z"));
-    let program = Program::new(vec![
-        Rule::new(
-            Atom::new(path, vec![Term::Var(x), Term::Var(y)]),
-            vec![Atom::new(edge, vec![Term::Var(x), Term::Var(y)])],
-        ),
-        Rule::new(
-            Atom::new(path, vec![Term::Var(x), Term::Var(z)]),
-            vec![
-                Atom::new(path, vec![Term::Var(x), Term::Var(y)]),
-                Atom::new(edge, vec![Term::Var(y), Term::Var(z)]),
-            ],
-        ),
-    ])
-    .unwrap();
-    let mut edb = Instance::new();
-    for i in 0..len {
-        edb.insert(Fact::new(
-            edge,
-            vec![v.cst(&format!("n{i}")), v.cst(&format!("n{}", i + 1))],
-        ));
-    }
-    (program, edb)
-}
-
-fn bench_provenance_overhead(c: &mut Criterion) {
-    let mut group = c.benchmark_group("cert_overhead/provenance");
-    for len in [16usize, 64] {
-        let (program, edb) = chain(len);
-        let model_len = program.eval_semi_naive(&edb).model.len();
-        group.throughput(Throughput::Elements(model_len as u64));
-        group.bench_with_input(
-            BenchmarkId::new("proofs_off", model_len),
-            &model_len,
-            |b, _| b.iter(|| program.eval_semi_naive(&edb)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("proofs_on", model_len),
-            &model_len,
-            |b, _| b.iter(|| program.provenance(&edb)),
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_complete_polarity,
-    bench_incomplete_polarity,
-    bench_provenance_overhead
-);
+criterion_group!(benches, bench_complete_polarity, bench_incomplete_polarity);
 criterion_main!(benches);

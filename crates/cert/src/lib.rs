@@ -25,9 +25,6 @@
 //! * [`RepairCert`] carries a minimal repair: statement additions that
 //!   flip the verdict to complete, with a per-element incompleteness
 //!   certificate proving that dropping any one addition flips it back.
-//!
-//! Datalog derivation trees ([`DerivationNode`]) are checked by
-//! [`check_derivation`] against positive rules and an EDB.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -162,23 +159,6 @@ pub enum CertError {
     /// The minimality witness for one addition failed: the repair is not
     /// minimal (or the witness is wrong).
     RepairNotMinimal(usize, Box<CertError>),
-    /// A leaf node's fact is not in the EDB.
-    NotAnEdbFact(Fact),
-    /// A leaf (EDB) node has children.
-    LeafHasChildren,
-    /// A derivation node names a rule index out of range.
-    RuleIndex(usize),
-    /// The binding applied to the rule head does not give the node's fact.
-    RuleHeadMismatch,
-    /// The number of children differs from the rule's body length.
-    BodyLenMismatch {
-        /// Body atoms in the rule.
-        expected: usize,
-        /// Children of the node.
-        got: usize,
-    },
-    /// A child's fact is not the binding's image of its body atom.
-    ChildFactMismatch(usize),
 }
 
 impl fmt::Display for CertError {
@@ -236,22 +216,6 @@ impl fmt::Display for CertError {
             CertError::RepairNotComplete(e) => write!(f, "repair incomplete: {e}"),
             CertError::RepairNotMinimal(i, e) => {
                 write!(f, "dropping addition {i} did not flip the verdict: {e}")
-            }
-            CertError::NotAnEdbFact(_) => write!(f, "leaf fact is not in the EDB"),
-            CertError::LeafHasChildren => write!(f, "EDB leaf has children"),
-            CertError::RuleIndex(i) => write!(f, "rule index {i} out of range"),
-            CertError::RuleHeadMismatch => write!(f, "binding(rule head) is not the node's fact"),
-            CertError::BodyLenMismatch { expected, got } => {
-                write!(
-                    f,
-                    "rule body has {expected} atoms but node has {got} children"
-                )
-            }
-            CertError::ChildFactMismatch(i) => {
-                write!(
-                    f,
-                    "child {i} does not match the binding's image of body atom {i}"
-                )
             }
         }
     }
@@ -536,70 +500,6 @@ pub fn check_certificate(
     }
 }
 
-/// The checker's view of a positive Datalog rule `head ← body`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CertRule {
-    /// The rule head.
-    pub head: Atom,
-    /// The positive body atoms.
-    pub body: Vec<Atom>,
-}
-
-/// One node of a derivation tree: how a fact was derived — from the EDB
-/// (`rule: None`, no children) or by a rule application whose children
-/// derive the body facts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DerivationNode {
-    /// The derived fact.
-    pub fact: Fact,
-    /// The applied rule, or `None` for an EDB fact.
-    pub rule: Option<usize>,
-    /// The grounding of the rule's variables (empty for EDB facts).
-    pub binding: Binding,
-    /// One child per body atom, in body order (empty for EDB facts).
-    pub children: Vec<DerivationNode>,
-}
-
-/// Validates a Datalog derivation tree bottom-up: leaves must be EDB
-/// facts, inner nodes must be instances of their rule whose children
-/// derive exactly the grounded body atoms.
-pub fn check_derivation(
-    node: &DerivationNode,
-    rules: &[CertRule],
-    edb: &BTreeSet<Fact>,
-) -> Result<(), CertError> {
-    match node.rule {
-        None => {
-            if !node.children.is_empty() {
-                return Err(CertError::LeafHasChildren);
-            }
-            if !edb.contains(&node.fact) {
-                return Err(CertError::NotAnEdbFact(node.fact.clone()));
-            }
-            Ok(())
-        }
-        Some(r) => {
-            let rule = rules.get(r).ok_or(CertError::RuleIndex(r))?;
-            if apply_atom(&node.binding, &rule.head)? != node.fact {
-                return Err(CertError::RuleHeadMismatch);
-            }
-            if node.children.len() != rule.body.len() {
-                return Err(CertError::BodyLenMismatch {
-                    expected: rule.body.len(),
-                    got: node.children.len(),
-                });
-            }
-            for (i, (atom, child)) in rule.body.iter().zip(&node.children).enumerate() {
-                if apply_atom(&node.binding, atom)? != child.fact {
-                    return Err(CertError::ChildFactMismatch(i));
-                }
-                check_derivation(child, rules, edb)?;
-            }
-            Ok(())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -797,66 +697,5 @@ mod tests {
             minimality: vec![],
         };
         assert_eq!(check_repair(&q, &weak, &empty), Err(CertError::EmptyRepair));
-    }
-
-    #[test]
-    fn derivation_trees_check_rule_instances() {
-        let mut v = Vocabulary::new();
-        let edge = v.pred("edge", 2);
-        let path = v.pred("path", 2);
-        let (x, y, z) = (v.var("X"), v.var("Y"), v.var("Z"));
-        let (a, b, c) = (v.cst("a"), v.cst("b"), v.cst("c"));
-        let rules = vec![
-            CertRule {
-                head: Atom::new(path, vec![Term::Var(x), Term::Var(y)]),
-                body: vec![Atom::new(edge, vec![Term::Var(x), Term::Var(y)])],
-            },
-            CertRule {
-                head: Atom::new(path, vec![Term::Var(x), Term::Var(z)]),
-                body: vec![
-                    Atom::new(edge, vec![Term::Var(x), Term::Var(y)]),
-                    Atom::new(path, vec![Term::Var(y), Term::Var(z)]),
-                ],
-            },
-        ];
-        let edb: BTreeSet<Fact> = [Fact::new(edge, vec![a, b]), Fact::new(edge, vec![b, c])]
-            .into_iter()
-            .collect();
-        // path(a,c) via edge(a,b), path(b,c) via edge(b,c).
-        let leaf = |f: Fact| DerivationNode {
-            fact: f,
-            rule: None,
-            binding: vec![],
-            children: vec![],
-        };
-        let tree = DerivationNode {
-            fact: Fact::new(path, vec![a, c]),
-            rule: Some(1),
-            binding: vec![(x, a), (y, b), (z, c)],
-            children: vec![
-                leaf(Fact::new(edge, vec![a, b])),
-                DerivationNode {
-                    fact: Fact::new(path, vec![b, c]),
-                    rule: Some(0),
-                    binding: vec![(x, b), (y, c)],
-                    children: vec![leaf(Fact::new(edge, vec![b, c]))],
-                },
-            ],
-        };
-        assert_eq!(check_derivation(&tree, &rules, &edb), Ok(()));
-        // A fabricated leaf is caught.
-        let mut forged = tree.clone();
-        forged.children[0] = leaf(Fact::new(edge, vec![a, c]));
-        assert!(matches!(
-            check_derivation(&forged, &rules, &edb),
-            Err(CertError::ChildFactMismatch(0))
-        ));
-        // A head that doesn't follow from the binding is caught.
-        let mut forged = tree.clone();
-        forged.fact = Fact::new(path, vec![a, b]);
-        assert_eq!(
-            check_derivation(&forged, &rules, &edb),
-            Err(CertError::RuleHeadMismatch)
-        );
     }
 }

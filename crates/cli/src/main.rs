@@ -195,10 +195,15 @@ fn cmd_check_why(vocab: &Vocabulary, doc: &Document, src: &str, json: bool) {
                 doc, &index, i
             ))
         );
-        if let Certificate::Incomplete { repair, .. } = &cert {
-            if let Some(db) = counterexample(q, &doc.tcs) {
-                print!("{}", render_counterexample(q, &db, vocab));
-            }
+        if let Certificate::Incomplete {
+            counterexample: ce,
+            repair,
+        } = &cert
+        {
+            let available = ce.available.iter().cloned().collect();
+            let db = IncompleteDatabase::new(magik::canonical_database(q), available)
+                .expect("a certified available state lies inside D_Q");
+            print!("{}", render_counterexample(q, &db, vocab));
             if let Some(r) = repair {
                 let adds: Vec<String> = r
                     .additions

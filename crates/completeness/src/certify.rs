@@ -14,6 +14,14 @@
 //!   the verdict, computed greedy-then-minimize over the canonical
 //!   database so that removing any single element flips it back.
 //!
+//! Everything is read from one witnessed `T_C(D_Q)` pass, which records
+//! each guaranteed fact's first statement and grounding; complete
+//! certificates take their derivations from that record. `T_C` is a
+//! union over statements, so adding `Compl(a; true)` adds exactly the
+//! facts of `D_Q` that match `a`: the repair search and the minimality
+//! witnesses evaluate the query over the pass plus each candidate's
+//! matches, with the candidates numbered after the statements of `C`.
+//!
 //! The emitter lives on the engine side and may use every engine
 //! shortcut; soundness is the checker's problem, which is the point of
 //! the split.
@@ -22,12 +30,11 @@ use magik_cert::{
     Binding, CertStatement, Certificate, CompleteCert, FactDerivation, IncompleteCert, RepairCert,
 };
 use magik_relalg::{
-    canonical_database, freeze_term, has_answer_witness, homomorphisms, Atom, Cst, Instance, Query,
-    Substitution, Term, Var,
+    canonical_database, freeze_term, has_answer, has_answer_witness, Atom, Cst, Fact, Instance,
+    Query, Substitution, Term, Var,
 };
 
-use crate::check::is_complete;
-use crate::tc_op::tc_apply;
+use crate::tc_op::{tc_witnessed, WitnessedTc};
 use crate::tcs::{TcSet, TcStatement};
 
 /// Converts a TCS into the checker's statement representation, preserving
@@ -55,65 +62,146 @@ fn subst_of(binding: &[(Var, Cst)]) -> Substitution {
     Substitution::from_pairs(binding.iter().map(|&(v, c)| (v, Term::Cst(c))))
 }
 
-/// Finds, for one guaranteed fact, a statement and grounding that put it
-/// into `T_C(D_Q)` — by re-enumerating each statement's associated-query
-/// homomorphisms over the canonical database.
-fn derive_fact(fact: &magik_relalg::Fact, tcs: &TcSet, db: &Instance) -> Option<(usize, Binding)> {
-    for (si, stmt) in tcs.statements().iter().enumerate() {
-        let assoc = stmt.associated_query();
-        for hom in homomorphisms(&assoc.body, db) {
-            if hom.apply_atom(&stmt.head).to_fact().as_ref() == Some(fact) {
-                return Some((si, binding_of(&hom)));
-            }
+/// A repair candidate `Compl(atom; true)` and the facts of `D_Q` it
+/// guarantees: the atom's matches.
+struct Addition {
+    atom: Atom,
+    matches: WitnessedTc,
+}
+
+/// A query's canonical database, frozen head and witnessed `T_C(D_Q)`
+/// pass: everything its certificate and repair read.
+struct Frozen<'a> {
+    q: &'a Query,
+    db: Instance,
+    target: Vec<Cst>,
+    tc: WitnessedTc,
+    /// `|C|`, the index the first addition takes.
+    statements: usize,
+}
+
+impl<'a> Frozen<'a> {
+    fn new(q: &'a Query, tcs: &TcSet) -> Self {
+        let db = canonical_database(q);
+        Frozen {
+            q,
+            target: q.head.iter().map(|&t| freeze_term(t)).collect(),
+            tc: tc_witnessed(tcs.statements(), &db),
+            db,
+            statements: tcs.len(),
         }
     }
-    None
-}
 
-/// Emits a completeness witness, or `None` when `C ⊭ Compl(Q)`.
-fn complete_cert(q: &Query, tcs: &TcSet) -> Option<CompleteCert> {
-    let db = canonical_database(q);
-    let guaranteed = tc_apply(tcs, &db);
-    let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
-    let witness = has_answer_witness(q, &guaranteed, &target)?;
-    let theta = witness.binding;
-    let sub = subst_of(&theta);
-    let mut derivations = Vec::with_capacity(q.body.len());
-    for atom in &q.body {
-        let fact = sub
-            .apply_atom(atom)
-            .to_fact()
-            .expect("θ grounds every body atom");
-        let (statement, binding) =
-            derive_fact(&fact, tcs, &db).expect("θ-images of body atoms are in T_C(D_Q)");
-        derivations.push(FactDerivation {
-            fact,
-            statement,
-            binding,
-        });
+    /// `T_C(D_Q)` for `C` plus `Compl(a; true)` for each of `additions`,
+    /// built as [`crate::tc_apply`] builds it for the extended set.
+    fn repaired<'b>(&self, additions: impl IntoIterator<Item = &'b Addition>) -> Instance {
+        let mut facts = self.tc.facts.clone();
+        for a in additions {
+            facts.extend_from(&a.matches.facts);
+        }
+        facts
     }
-    Some(CompleteCert { theta, derivations })
-}
 
-/// Emits the canonical counterexample for an incomplete verdict: ideal
-/// state `D_Q`, available state `T_C(D_Q)`, lost answer `θū`.
-fn incomplete_cert(q: &Query, tcs: &TcSet) -> IncompleteCert {
-    let db = canonical_database(q);
-    let guaranteed = tc_apply(tcs, &db);
-    IncompleteCert {
-        available: guaranteed.iter_facts().collect(),
-        target: q.head.iter().map(|&t| freeze_term(t)).collect(),
+    /// The first derivation of a guaranteed fact, with `additions`
+    /// numbered after the statements of `C`.
+    fn derivation(&self, fact: &Fact, additions: &[Addition]) -> Option<(usize, Binding)> {
+        if let Some((statement, hom)) = self.tc.first.get(fact) {
+            return Some((*statement, binding_of(hom)));
+        }
+        additions.iter().enumerate().find_map(|(j, a)| {
+            let (_, hom) = a.matches.first.get(fact)?;
+            Some((self.statements + j, binding_of(hom)))
+        })
     }
-}
 
-fn with_statements(tcs: &TcSet, extra: &[Atom]) -> TcSet {
-    let mut statements: Vec<TcStatement> = tcs.statements().to_vec();
-    statements.extend(
-        extra
+    /// A completeness witness for `C` plus `additions`, or `None` when
+    /// the head is lost over the facts they guarantee.
+    fn complete_cert(&self, additions: &[Addition]) -> Option<CompleteCert> {
+        let available = self.repaired(additions);
+        let theta = has_answer_witness(self.q, &available, &self.target)?.binding;
+        let sub = subst_of(&theta);
+        let derivations = self
+            .q
+            .body
             .iter()
-            .map(|a| TcStatement::new(a.clone(), Vec::new())),
-    );
-    TcSet::new(statements)
+            .map(|atom| {
+                let fact = sub
+                    .apply_atom(atom)
+                    .to_fact()
+                    .expect("θ grounds every body atom");
+                let (statement, binding) = self
+                    .derivation(&fact, additions)
+                    .expect("θ-images of body atoms are in T_C(D_Q)");
+                FactDerivation {
+                    fact,
+                    statement,
+                    binding,
+                }
+            })
+            .collect();
+        Some(CompleteCert { theta, derivations })
+    }
+
+    /// The counterexample with available state `available`.
+    fn incomplete_cert(&self, available: &Instance) -> IncompleteCert {
+        IncompleteCert {
+            available: available.iter_facts().collect(),
+            target: self.target.clone(),
+        }
+    }
+
+    /// A 1-minimal repair: one candidate per distinct body atom, then
+    /// greedily drop every candidate whose removal keeps the repaired set
+    /// complete. Empty when `C` alone is complete.
+    fn minimal_repair(&self) -> Vec<Addition> {
+        let mut kept: Vec<Addition> = Vec::new();
+        for a in &self.q.body {
+            if !kept.iter().any(|k| k.atom == *a) {
+                let statement = TcStatement::new(a.clone(), Vec::new());
+                kept.push(Addition {
+                    atom: a.clone(),
+                    matches: tc_witnessed(std::slice::from_ref(&statement), &self.db),
+                });
+            }
+        }
+        let mut i = 0;
+        while i < kept.len() {
+            if has_answer(self.q, &self.repaired(all_but(&kept, i)), &self.target) {
+                kept.remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        kept
+    }
+
+    /// The repair certificate, or `None` when there is nothing to repair.
+    fn repair_cert(&self) -> Option<RepairCert> {
+        let kept = self.minimal_repair();
+        if kept.is_empty() {
+            return None;
+        }
+        let complete = self
+            .complete_cert(&kept)
+            .expect("a repair restores completeness");
+        let minimality = (0..kept.len())
+            .map(|i| self.incomplete_cert(&self.repaired(all_but(&kept, i))))
+            .collect();
+        Some(RepairCert {
+            additions: kept.into_iter().map(|a| a.atom).collect(),
+            complete,
+            minimality,
+        })
+    }
+}
+
+/// Every addition but the `i`-th, in order.
+fn all_but(additions: &[Addition], i: usize) -> impl Iterator<Item = &Addition> {
+    additions
+        .iter()
+        .enumerate()
+        .filter(move |&(j, _)| j != i)
+        .map(|(_, a)| a)
 }
 
 /// Computes a 1-minimal repair for an incomplete verdict: a set of
@@ -125,56 +213,11 @@ fn with_statements(tcs: &TcSet, extra: &[Atom]) -> TcSet {
 /// *every* body atom makes `T_C(D_Q) = D_Q`, under which the identity
 /// assignment witnesses completeness.
 pub fn repair_suggestions(q: &Query, tcs: &TcSet) -> Vec<TcStatement> {
-    let mut candidates: Vec<Atom> = Vec::new();
-    for a in &q.body {
-        if !candidates.contains(a) {
-            candidates.push(a.clone());
-        }
-    }
-    // Greedy minimize: drop every candidate whose removal keeps the
-    // repaired set complete. The survivors form a 1-minimal repair.
-    let mut kept = candidates.clone();
-    let mut i = 0;
-    while i < kept.len() {
-        let mut reduced = kept.clone();
-        reduced.remove(i);
-        if is_complete(q, &with_statements(tcs, &reduced)) {
-            kept = reduced;
-        } else {
-            i += 1;
-        }
-    }
-    kept.into_iter()
-        .map(|a| TcStatement::new(a, Vec::new()))
-        .collect()
-}
-
-/// Emits a full repair certificate for an incomplete verdict, or `None`
-/// when the verdict is complete (nothing to repair).
-fn repair_cert(q: &Query, tcs: &TcSet) -> Option<RepairCert> {
-    let additions: Vec<Atom> = repair_suggestions(q, tcs)
+    Frozen::new(q, tcs)
+        .minimal_repair()
         .into_iter()
-        .map(|s| s.head)
-        .collect();
-    if additions.is_empty() {
-        return None;
-    }
-    let complete = complete_cert(q, &with_statements(tcs, &additions))
-        .expect("the un-minimized repair set restores completeness");
-    let minimality = additions
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let mut reduced = additions.clone();
-            reduced.remove(i);
-            incomplete_cert(q, &with_statements(tcs, &reduced))
-        })
-        .collect();
-    Some(RepairCert {
-        additions,
-        complete,
-        minimality,
-    })
+        .map(|a| TcStatement::new(a.atom, Vec::new()))
+        .collect()
 }
 
 /// Decides `C ⊨ Compl(Q)` and emits a checkable [`Certificate`] for the
@@ -184,44 +227,20 @@ fn repair_cert(q: &Query, tcs: &TcSet) -> Option<RepairCert> {
 /// The certificate validates against
 /// [`magik_cert::check_certificate`]`(q, &cert_statements(tcs), …)`.
 pub fn certify(q: &Query, tcs: &TcSet) -> Certificate {
-    match complete_cert(q, tcs) {
+    let frozen = Frozen::new(q, tcs);
+    match frozen.complete_cert(&[]) {
         Some(c) => Certificate::Complete(c),
         None => Certificate::Incomplete {
-            counterexample: incomplete_cert(q, tcs),
-            repair: repair_cert(q, tcs),
+            counterexample: frozen.incomplete_cert(&frozen.tc.facts),
+            repair: frozen.repair_cert(),
         },
     }
-}
-
-/// Like [`crate::mcg`], but pairs the generalization with its completeness
-/// witness (an MCG is complete by construction).
-pub fn mcg_certified(q: &Query, tcs: &TcSet) -> Option<(Query, CompleteCert)> {
-    let g = crate::generalize::mcg(q, tcs)?;
-    let cert = complete_cert(&g, tcs).expect("the MCG is complete by construction");
-    Some((g, cert))
-}
-
-/// Like [`crate::k_mcs`], but pairs every specialization with its
-/// completeness witness (each k-MCS is complete by construction).
-pub fn k_mcs_certified(
-    q: &Query,
-    tcs: &TcSet,
-    vocab: &mut magik_relalg::Vocabulary,
-    options: crate::specialize::KMcsOptions,
-) -> Vec<(Query, CompleteCert)> {
-    crate::specialize::k_mcs(q, tcs, vocab, options)
-        .queries
-        .into_iter()
-        .map(|s| {
-            let cert = complete_cert(&s, tcs).expect("each k-MCS is complete by construction");
-            (s, cert)
-        })
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::is_complete;
     use crate::testutil::{flight, q_pbl, q_ppb, school_tcs, table1};
     use magik_cert::{check_certificate, check_complete, check_repair, CertError};
     use magik_relalg::Vocabulary;
@@ -307,10 +326,11 @@ mod tests {
         assert!(!repairs.is_empty());
         assert!(is_complete(
             &q,
-            &with_statements(
-                &tcs,
-                &repairs.iter().map(|s| s.head.clone()).collect::<Vec<_>>()
-            )
+            &tcs.statements()
+                .iter()
+                .chain(&repairs)
+                .cloned()
+                .collect::<TcSet>()
         ));
         assert!(matches!(
             certify(&q, &tcs),
@@ -320,19 +340,6 @@ mod tests {
             }
         ));
         assert_valid(&q, &tcs);
-    }
-
-    #[test]
-    fn mcg_and_kmcs_pair_with_valid_complete_certs() {
-        let mut v = Vocabulary::new();
-        let tcs = school_tcs(&mut v);
-        let q = q_pbl(&mut v);
-        let (g, cert) = mcg_certified(&q, &tcs).expect("q_pbl has an MCG");
-        assert_eq!(check_complete(&g, &cert_statements(&tcs), &cert), Ok(()));
-        let specs = k_mcs_certified(&q, &tcs, &mut v, crate::specialize::KMcsOptions::new(1));
-        for (s, cert) in &specs {
-            assert_eq!(check_complete(s, &cert_statements(&tcs), cert), Ok(()));
-        }
     }
 
     #[test]

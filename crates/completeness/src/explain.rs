@@ -2,18 +2,18 @@
 //!
 //! The MAGIK demonstration tool's selling point was explaining its
 //! verdicts: for each query atom, which statement guarantees it (and via
-//! which condition match), or the fact that none does. This module
-//! computes that provenance by re-running the Theorem 3 check with
-//! witnesses recorded, and renders it for humans.
+//! which condition match), or the fact that none does. This module reads
+//! that provenance from the witnessed `T_C(D_Q)` pass of the Theorem 3
+//! check, the record certificates read too, and renders it for humans.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use magik_relalg::{
-    canonical_database, freeze_atom, freeze_term, homomorphisms, unfreeze_fact, Atom, Cst,
-    DisplayWith, Fact, Instance, Query, Vocabulary,
+    canonical_database, freeze_atom, freeze_term, has_answer, unfreeze_atom, unfreeze_fact, Atom,
+    Cst, DisplayWith, Query, Vocabulary,
 };
 
+use crate::tc_op::tc_witnessed;
 use crate::tcs::TcSet;
 
 /// Why one body atom is guaranteed to be available.
@@ -48,42 +48,27 @@ impl CheckExplanation {
 }
 
 /// Runs the Theorem 3 check and records, for every guaranteed body atom,
-/// a covering statement and its instantiated condition.
+/// its first covering statement and that statement's instantiated
+/// condition.
 pub fn explain_check(q: &Query, tcs: &TcSet) -> CheckExplanation {
-    let frozen = canonical_database(q);
-    // fact -> first witness found.
-    let mut witnesses: HashMap<Fact, GuaranteeWitness> = HashMap::new();
-    let mut guaranteed = Instance::new();
-    for (si, c) in tcs.statements().iter().enumerate() {
-        let assoc = c.associated_query();
-        for hom in homomorphisms(&assoc.body, &frozen) {
-            let head = hom.apply_atom(&c.head);
-            let Some(fact) = head.to_fact() else {
-                // Homomorphisms over a ground instance are ground.
-                continue;
-            };
-            guaranteed.insert(fact.clone());
-            witnesses.entry(fact).or_insert_with(|| GuaranteeWitness {
-                statement: si,
-                condition: c
-                    .condition
-                    .iter()
-                    .map(|g| {
-                        let image = hom.apply_atom(g);
-                        // Unfreeze so the witness reads in query terms.
-                        magik_relalg::unfreeze_atom(&image)
-                    })
-                    .collect(),
-            });
-        }
-    }
+    let tc = tc_witnessed(tcs.statements(), &canonical_database(q));
     let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
-    let complete = magik_relalg::has_answer(q, &guaranteed, &target);
+    let complete = has_answer(q, &tc.facts, &target);
     let atoms = q
         .body
         .iter()
         .map(|a| {
-            let witness = witnesses.get(&freeze_atom(a)).cloned();
+            let witness = tc.first.get(&freeze_atom(a)).map(|(si, hom)| {
+                let condition = &tcs.statements()[*si].condition;
+                GuaranteeWitness {
+                    statement: *si,
+                    // Unfreeze so the witness reads in query terms.
+                    condition: condition
+                        .iter()
+                        .map(|g| unfreeze_atom(&hom.apply_atom(g)))
+                        .collect(),
+                }
+            });
             (a.clone(), witness)
         })
         .collect();
@@ -174,7 +159,7 @@ pub fn counterexample(q: &Query, tcs: &TcSet) -> Option<crate::semantics::Incomp
     let ideal = canonical_database(q);
     let db = crate::semantics::IncompleteDatabase::minimal_completion(ideal, tcs);
     let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
-    let lost = !magik_relalg::has_answer(q, db.available(), &target);
+    let lost = !has_answer(q, db.available(), &target);
     lost.then_some(db)
 }
 

@@ -85,7 +85,7 @@ pub use answering::{
     classify_answers, count_bounds, publishable_counts, AnswerReport, CountBounds, PublishableCount,
 };
 pub use canonical::{CanonTerm, CanonicalQuery};
-pub use certify::{cert_statements, certify, k_mcs_certified, mcg_certified, repair_suggestions};
+pub use certify::{cert_statements, certify, repair_suggestions};
 pub use check::{is_complete, is_complete_via_datalog};
 pub use constraints::{is_complete_under, mcg_under, ConstraintSet, DomainViolation, FiniteDomain};
 pub use explain::{

@@ -12,13 +12,16 @@
 //!   dlv).
 //!
 //! Both compute the same function; property tests assert the agreement.
+//! A third, crate-private pass, `tc_witnessed`, computes what
+//! [`tc_apply`] does and also records each fact's first derivation: the
+//! one record that certificates, repairs and explanations read.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use magik_datalog::{Program, Rule};
-use magik_relalg::{answers, Atom, Fact, Instance, Pred, Vocabulary};
+use magik_relalg::{answers, homomorphisms, Atom, Fact, Instance, Pred, Substitution, Vocabulary};
 
-use crate::tcs::TcSet;
+use crate::tcs::{TcSet, TcStatement};
 
 /// Applies `T_C` once to `db` (direct implementation).
 pub fn tc_apply(tcs: &TcSet, db: &Instance) -> Instance {
@@ -31,6 +34,43 @@ pub fn tc_apply(tcs: &TcSet, db: &Instance) -> Instance {
         }
     }
     out
+}
+
+/// `T_C(db)` together with each of its facts' first derivation.
+#[derive(Debug)]
+pub(crate) struct WitnessedTc {
+    /// `T_C(db)`, each statement's facts inserted in sorted order exactly
+    /// as [`tc_apply`] inserts them, so a plan over it runs (and finds
+    /// its first witness) as it does over [`tc_apply`]'s result.
+    pub(crate) facts: Instance,
+    /// For each fact, the first statement (by index) that produces it and
+    /// the homomorphism of that statement's associated query into `db`
+    /// that does, in statement-then-homomorphism order.
+    pub(crate) first: HashMap<Fact, (usize, Substitution)>,
+}
+
+/// Applies `T_C` once to `db` for `statements`, recording each fact's
+/// first derivation.
+pub(crate) fn tc_witnessed(statements: &[TcStatement], db: &Instance) -> WitnessedTc {
+    let mut facts = Instance::new();
+    let mut first = HashMap::new();
+    for (si, c) in statements.iter().enumerate() {
+        let mut produced = BTreeSet::new();
+        for hom in homomorphisms(&c.associated_query().body, db) {
+            let fact = hom
+                .apply_atom(&c.head)
+                .to_fact()
+                .expect("homomorphisms into a ground instance are ground");
+            if !first.contains_key(&fact) {
+                first.insert(fact.clone(), (si, hom));
+            }
+            produced.insert(fact);
+        }
+        for fact in produced {
+            facts.insert(fact);
+        }
+    }
+    WitnessedTc { facts, first }
 }
 
 /// The Section 5 Datalog encoding of a TCS set.
@@ -148,6 +188,27 @@ mod tests {
         bigger.insert(fact(&mut v, "school", 3, &["verdi", "primary", "bolzano"]));
         let big = tc_apply(&tcs, &bigger);
         assert!(small.is_subset_of(&big));
+    }
+
+    #[test]
+    fn witnessed_pass_is_tc_apply_with_first_derivations() {
+        let mut v = Vocabulary::new();
+        let tcs = school_tcs(&mut v);
+        let db = school_instance(&mut v);
+        let w = tc_witnessed(tcs.statements(), &db);
+        let direct = tc_apply(&tcs, &db);
+        assert_eq!(
+            w.facts.iter_facts().collect::<Vec<_>>(),
+            direct.iter_facts().collect::<Vec<_>>()
+        );
+        assert_eq!(w.first.len(), direct.len());
+        for (fact, (si, hom)) in &w.first {
+            let stmt = &tcs.statements()[*si];
+            assert_eq!(hom.apply_atom(&stmt.head).to_fact().as_ref(), Some(fact));
+        }
+        // C_pb (statement 1) guarantees john's pupil fact.
+        let john = fact(&mut v, "pupil", 3, &["john", "c1", "goethe"]);
+        assert_eq!(w.first[&john].0, 1);
     }
 
     #[test]

@@ -10,14 +10,17 @@ use proptest::prelude::*;
 use magik_cert::{check_certificate, check_repair, Certificate};
 use magik_completeness::semantics::IncompleteDatabase;
 use magik_completeness::{
-    cert_statements, certify, complete_unifiers, g_op, is_complete, is_complete_under,
-    is_complete_via_datalog, is_instantiation_of, k_mcs, k_mcs_on, mcg, mcg_under, mcis,
-    repair_suggestions, tc_apply, tc_apply_datalog, ConstraintSet, FiniteDomain, KMcsEngine,
-    KMcsOptions, TcSet, TcStatement,
+    cert_statements, certify, complete_unifiers, explain_check, g_op, is_complete,
+    is_complete_under, is_complete_via_datalog, is_instantiation_of, k_mcs, k_mcs_on, mcg,
+    mcg_under, mcis, repair_suggestions, tc_apply, tc_apply_datalog, ConstraintSet, FiniteDomain,
+    KMcsEngine, KMcsOptions, TcSet, TcStatement,
 };
 use magik_exec::Executor;
 use magik_relalg::{
     are_equivalent, is_contained_in, Atom, Fact, Instance, Query, Term, Vocabulary,
+};
+use magik_workload::random::{
+    acyclic_tcs, cyclic_tcs, query, QueryShape, RandomQueryConfig, RandomTcsConfig,
 };
 
 const NUM_PREDS: u8 = 3;
@@ -129,6 +132,302 @@ impl Ctx {
                 Fact::new(pred, args)
             })
             .collect()
+    }
+}
+
+/// The certificate emitter, repair search and explainer as they were
+/// before they read one witnessed `T_C` pass: each repair candidate and
+/// minimality witness recomputes `T_C(D_Q)` over an extended statement
+/// set, each derivation re-enumerates every statement's homomorphisms,
+/// and the explainer runs its own `T_C` loop. The equivalence properties
+/// compare the engine with these.
+mod oracle {
+    use std::collections::HashMap;
+
+    use magik_cert::{
+        Binding, Certificate, CompleteCert, FactDerivation, IncompleteCert, RepairCert,
+    };
+    use magik_completeness::{
+        is_complete, tc_apply, CheckExplanation, GuaranteeWitness, TcSet, TcStatement,
+    };
+    use magik_relalg::{
+        canonical_database, freeze_atom, freeze_term, has_answer, has_answer_witness,
+        homomorphisms, unfreeze_atom, Atom, Cst, Fact, Instance, Query, Substitution, Term, Var,
+    };
+
+    fn binding_of(sub: &Substitution) -> Binding {
+        sub.iter()
+            .filter_map(|(v, t)| match t {
+                Term::Cst(c) => Some((v, c)),
+                Term::Var(_) => None,
+            })
+            .collect()
+    }
+
+    fn subst_of(binding: &[(Var, Cst)]) -> Substitution {
+        Substitution::from_pairs(binding.iter().map(|&(v, c)| (v, Term::Cst(c))))
+    }
+
+    fn derive_fact(fact: &Fact, tcs: &TcSet, db: &Instance) -> Option<(usize, Binding)> {
+        for (si, stmt) in tcs.statements().iter().enumerate() {
+            let assoc = stmt.associated_query();
+            for hom in homomorphisms(&assoc.body, db) {
+                if hom.apply_atom(&stmt.head).to_fact().as_ref() == Some(fact) {
+                    return Some((si, binding_of(&hom)));
+                }
+            }
+        }
+        None
+    }
+
+    fn complete_cert(q: &Query, tcs: &TcSet) -> Option<CompleteCert> {
+        let db = canonical_database(q);
+        let guaranteed = tc_apply(tcs, &db);
+        let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
+        let witness = has_answer_witness(q, &guaranteed, &target)?;
+        let theta = witness.binding;
+        let sub = subst_of(&theta);
+        let mut derivations = Vec::with_capacity(q.body.len());
+        for atom in &q.body {
+            let fact = sub
+                .apply_atom(atom)
+                .to_fact()
+                .expect("θ grounds every body atom");
+            let (statement, binding) =
+                derive_fact(&fact, tcs, &db).expect("θ-images of body atoms are in T_C(D_Q)");
+            derivations.push(FactDerivation {
+                fact,
+                statement,
+                binding,
+            });
+        }
+        Some(CompleteCert { theta, derivations })
+    }
+
+    fn incomplete_cert(q: &Query, tcs: &TcSet) -> IncompleteCert {
+        let db = canonical_database(q);
+        let guaranteed = tc_apply(tcs, &db);
+        IncompleteCert {
+            available: guaranteed.iter_facts().collect(),
+            target: q.head.iter().map(|&t| freeze_term(t)).collect(),
+        }
+    }
+
+    fn with_statements(tcs: &TcSet, extra: &[Atom]) -> TcSet {
+        let mut statements: Vec<TcStatement> = tcs.statements().to_vec();
+        statements.extend(
+            extra
+                .iter()
+                .map(|a| TcStatement::new(a.clone(), Vec::new())),
+        );
+        TcSet::new(statements)
+    }
+
+    pub fn repair_suggestions(q: &Query, tcs: &TcSet) -> Vec<TcStatement> {
+        let mut candidates: Vec<Atom> = Vec::new();
+        for a in &q.body {
+            if !candidates.contains(a) {
+                candidates.push(a.clone());
+            }
+        }
+        let mut kept = candidates.clone();
+        let mut i = 0;
+        while i < kept.len() {
+            let mut reduced = kept.clone();
+            reduced.remove(i);
+            if is_complete(q, &with_statements(tcs, &reduced)) {
+                kept = reduced;
+            } else {
+                i += 1;
+            }
+        }
+        kept.into_iter()
+            .map(|a| TcStatement::new(a, Vec::new()))
+            .collect()
+    }
+
+    fn repair_cert(q: &Query, tcs: &TcSet) -> Option<RepairCert> {
+        let additions: Vec<Atom> = repair_suggestions(q, tcs)
+            .into_iter()
+            .map(|s| s.head)
+            .collect();
+        if additions.is_empty() {
+            return None;
+        }
+        let complete = complete_cert(q, &with_statements(tcs, &additions))
+            .expect("the un-minimized repair set restores completeness");
+        let minimality = additions
+            .iter()
+            .enumerate()
+            .map(|(i, _)| {
+                let mut reduced = additions.clone();
+                reduced.remove(i);
+                incomplete_cert(q, &with_statements(tcs, &reduced))
+            })
+            .collect();
+        Some(RepairCert {
+            additions,
+            complete,
+            minimality,
+        })
+    }
+
+    pub fn certify(q: &Query, tcs: &TcSet) -> Certificate {
+        match complete_cert(q, tcs) {
+            Some(c) => Certificate::Complete(c),
+            None => Certificate::Incomplete {
+                counterexample: incomplete_cert(q, tcs),
+                repair: repair_cert(q, tcs),
+            },
+        }
+    }
+
+    pub fn explain_check(q: &Query, tcs: &TcSet) -> CheckExplanation {
+        let frozen = canonical_database(q);
+        let mut witnesses: HashMap<Fact, GuaranteeWitness> = HashMap::new();
+        let mut guaranteed = Instance::new();
+        for (si, c) in tcs.statements().iter().enumerate() {
+            let assoc = c.associated_query();
+            for hom in homomorphisms(&assoc.body, &frozen) {
+                let head = hom.apply_atom(&c.head);
+                let Some(fact) = head.to_fact() else {
+                    continue;
+                };
+                guaranteed.insert(fact.clone());
+                witnesses.entry(fact).or_insert_with(|| GuaranteeWitness {
+                    statement: si,
+                    condition: c
+                        .condition
+                        .iter()
+                        .map(|g| unfreeze_atom(&hom.apply_atom(g)))
+                        .collect(),
+                });
+            }
+        }
+        let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
+        let complete = has_answer(q, &guaranteed, &target);
+        let atoms = q
+            .body
+            .iter()
+            .map(|a| (a.clone(), witnesses.get(&freeze_atom(a)).cloned()))
+            .collect();
+        CheckExplanation { complete, atoms }
+    }
+}
+
+/// `certify`, `repair_suggestions` and `explain_check` return exactly
+/// what the oracle returns, and the certificate passes `magik-cert`.
+fn assert_matches_oracle(q: &Query, tcs: &TcSet) {
+    let cert = certify(q, tcs);
+    prop_assert_eq!(&cert, &oracle::certify(q, tcs));
+    prop_assert_eq!(check_certificate(q, &cert_statements(tcs), &cert), Ok(()));
+    prop_assert_eq!(
+        repair_suggestions(q, tcs),
+        oracle::repair_suggestions(q, tcs)
+    );
+    let (explained, expected) = (explain_check(q, tcs), oracle::explain_check(q, tcs));
+    prop_assert_eq!(explained.complete, expected.complete);
+    prop_assert_eq!(explained.atoms, expected.atoms);
+}
+
+/// A `magik-workload` query and statement set: a random body of the
+/// given shape (the `Random` shape draws constants), optionally with one
+/// of its atoms repeated, against an acyclic or a cyclic statement set.
+#[derive(Debug, Clone)]
+struct WorkloadCase {
+    shape: QueryShape,
+    atoms: usize,
+    relations: usize,
+    constant_prob: f64,
+    repeat: Option<usize>,
+    cyclic: bool,
+    statements: usize,
+    max_condition: usize,
+    seed: u64,
+}
+
+fn workload_case() -> impl Strategy<Value = WorkloadCase> {
+    (
+        (0..4u8, 1..5usize, 2..5usize, 0..3u8, 0..6usize),
+        (0..2u8, 0..6usize, 0..3usize, 0..1_000_000u64),
+    )
+        .prop_map(
+            |(
+                (shape, atoms, relations, prob, repeat),
+                (cyclic, statements, max_condition, seed),
+            )| {
+                WorkloadCase {
+                    shape: [
+                        QueryShape::Chain,
+                        QueryShape::Star,
+                        QueryShape::Cycle,
+                        QueryShape::Random,
+                    ][shape as usize],
+                    atoms,
+                    relations,
+                    constant_prob: [0.0, 0.3, 0.6][prob as usize],
+                    repeat: (repeat < atoms).then_some(repeat),
+                    cyclic: cyclic == 1,
+                    statements,
+                    max_condition,
+                    seed,
+                }
+            },
+        )
+}
+
+impl WorkloadCase {
+    fn build(&self) -> (Query, TcSet) {
+        let mut vocab = Vocabulary::new();
+        let mut q = query(
+            RandomQueryConfig {
+                shape: self.shape,
+                atoms: self.atoms,
+                relations: self.relations,
+                constant_prob: self.constant_prob,
+                seed: self.seed,
+            },
+            &mut vocab,
+        );
+        if let Some(i) = self.repeat {
+            let again = q.body[i].clone();
+            q.body.push(again);
+        }
+        let config = RandomTcsConfig {
+            statements: self.statements,
+            relations: self.relations,
+            max_condition: self.max_condition,
+            seed: self.seed.wrapping_add(1),
+        };
+        let tcs = if self.cyclic {
+            cyclic_tcs(config, &mut vocab)
+        } else {
+            acyclic_tcs(config, &mut vocab)
+        };
+        (q, tcs)
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Certificates, repairs and explanations from the one witnessed
+    /// `T_C` pass equal the oracle's on `magik-workload` queries (with
+    /// constants and repeated atoms) against acyclic and cyclic sets.
+    #[test]
+    fn certificates_repairs_and_explanations_match_the_oracle(case in workload_case()) {
+        let (q, tcs) = case.build();
+        assert_matches_oracle(&q, &tcs);
+    }
+
+    /// The same equivalence on statements with constants and
+    /// conditions over unary and binary relations.
+    #[test]
+    fn certificates_match_the_oracle_on_abstract_statements(specs in proptest::collection::vec(atcs(), 0..4), qb in proptest::collection::vec(aatom(), 1..4)) {
+        let mut ctx = Ctx::new();
+        let tcs = ctx.tcs(&specs);
+        let q = ctx.query(&qb);
+        assert_matches_oracle(&q, &tcs);
     }
 }
 

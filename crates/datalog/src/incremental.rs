@@ -155,18 +155,6 @@ impl Materialized {
         &self.program
     }
 
-    /// Reconstructs per-fact provenance for the **current** state by
-    /// running [`Program::provenance`] over the current EDB.
-    ///
-    /// Because the justifications are rebuilt from scratch, they are
-    /// valid after any sequence of [`Materialized::insert`] /
-    /// [`Materialized::retract`] calls — DRed may restore a fact through
-    /// a different rule than first derived it, and reconstruction never
-    /// cites a retracted fact.
-    pub fn provenance(&self) -> crate::provenance::Provenance {
-        self.program.provenance(&self.edb)
-    }
-
     /// Asserts one fact; returns the number of facts the model gained
     /// (the fact itself plus everything newly derivable from it).
     ///

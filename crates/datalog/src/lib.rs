@@ -52,9 +52,7 @@
 mod eval;
 mod incremental;
 mod program;
-mod provenance;
 
 pub use eval::FixpointResult;
 pub use incremental::{MaterializeError, Materialized, RetractStats};
 pub use program::{Program, ProgramError, Rule};
-pub use provenance::{DerivationTree, Justification, Provenance};

@@ -1,14 +1,11 @@
 //! Property-based tests: naive and semi-naive evaluation agree, fixpoints
-//! are fixpoints, evaluation is monotone in the EDB, and every recorded
-//! derivation tree validates against the independent `magik-cert`
-//! checker — including trees read back after DRed retractions.
+//! are fixpoints, and evaluation is monotone in the EDB.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use magik_cert::{check_derivation, CertRule, DerivationNode};
-use magik_datalog::{DerivationTree, Program, Provenance, Rule};
+use magik_datalog::{Program, Rule};
 use magik_relalg::{Atom, Fact, Instance, Term, Vocabulary};
 
 const NUM_PREDS: u8 = 3;
@@ -120,88 +117,8 @@ fn afacts() -> impl Strategy<Value = Vec<(u8, Vec<u8>)>> {
     )
 }
 
-/// Converts an engine derivation tree into the checker's node type and
-/// validates it (the checker shares no code with the engine — the
-/// conversion is field-for-field).
-fn tree_validates(tree: &DerivationTree, program: &Program, edb: &BTreeSet<Fact>) -> bool {
-    fn convert(t: &DerivationTree) -> DerivationNode {
-        DerivationNode {
-            fact: t.fact.clone(),
-            rule: t.rule,
-            binding: t.binding.clone(),
-            children: t.children.iter().map(convert).collect(),
-        }
-    }
-    let rules: Vec<CertRule> = program
-        .rules()
-        .iter()
-        .map(|r| CertRule {
-            head: r.head.clone(),
-            body: r.body.clone(),
-        })
-        .collect();
-    check_derivation(&convert(tree), &rules, edb).is_ok()
-}
-
-/// Every model fact the provenance records must explain itself with a
-/// tree magik-cert accepts.
-fn assert_all_trees_validate(
-    prov: &Provenance,
-    program: &Program,
-    model: &Instance,
-    edb: &Instance,
-) {
-    let edb_set: BTreeSet<Fact> = edb.iter_facts().collect();
-    for fact in model.iter_facts() {
-        assert!(prov.contains(&fact), "provenance misses {fact:?}");
-        let tree = prov.explain(&fact).expect("contained facts explain");
-        assert_eq!(&tree.fact, &fact);
-        assert!(
-            tree_validates(&tree, program, &edb_set),
-            "magik-cert rejected a derivation tree for {fact:?}"
-        );
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Provenance covers exactly the semi-naive model, and every
-    /// derivation tree it reconstructs passes the independent checker.
-    #[test]
-    fn provenance_trees_validate(rules in proptest::collection::vec(arule(), 0..4), facts in afacts()) {
-        let mut v = Vocabulary::new();
-        let program = materialize(&mut v, &rules);
-        let edb = materialize_edb(&mut v, &facts);
-        let model = program.eval_semi_naive(&edb).model;
-        let prov = program.provenance(&edb);
-        assert_all_trees_validate(&prov, &program, &model, &edb);
-    }
-
-    /// After arbitrary insert/retract rounds (DRed repairing the model),
-    /// provenance recomputed from the maintained EDB still explains the
-    /// maintained model with trees the checker accepts.
-    #[test]
-    fn provenance_trees_validate_under_dred(
-        rules in proptest::collection::vec(arule(), 0..4),
-        initial in afacts(),
-        updates in proptest::collection::vec((afacts(), 0..4usize), 0..3),
-    ) {
-        let mut v = Vocabulary::new();
-        let program = materialize(&mut v, &rules);
-        let edb = materialize_edb(&mut v, &initial);
-        let mut m = magik_datalog::Materialized::new(program.clone(), edb).unwrap();
-        for (batch, retract_ix) in updates {
-            let facts = materialize_edb(&mut v, &batch);
-            m.insert_all(facts.iter_facts());
-            let victim = m.edb().iter_facts().nth(retract_ix);
-            if let Some(victim) = victim {
-                m.retract(&victim);
-            }
-        }
-        let prov = m.provenance();
-        assert_all_trees_validate(&prov, &program, m.model(), m.edb());
-    }
 
     #[test]
     fn naive_and_semi_naive_agree(rules in proptest::collection::vec(arule(), 0..4), facts in afacts()) {

@@ -42,10 +42,11 @@
 //! vocabulary and renders from it, with no lock held; `specialize` also
 //! names its scratch variables there. A name the snapshot does not know
 //! is local to the request, and two concurrent reads may give their
-//! local names the same id, so nothing that outlives a request holds
-//! one: a query that mentions a local predicate or constant bypasses
-//! the verdict, answer, plan and `why` caches (its canonical form, which
-//! has no variable names, could collide with another request's).
+//! local names the same id, so no cache key holds a local id alone: the
+//! verdict, answer, plan and `why` caches key a query by its canonical
+//! form, local constants replaced by placeholders of their rank, plus
+//! the spellings of the local predicates and constants it mentions
+//! ([`CacheForm`]).
 //!
 //! # Epochs and caching
 //!
@@ -59,6 +60,8 @@
 //! `assert`/`retract` bump `data_epoch` — making stale cache keys
 //! unreachable. Canonicalization ([`CanonicalQuery`]) makes the cache
 //! robust against renamed variables, reordered atoms, and redundant atoms.
+//! A `why` reply names the query's variables, so a hit renders them as
+//! the alpha-variant that filled the entry named them.
 //!
 //! # Incremental T_C
 //!
@@ -101,12 +104,13 @@ use magik_datalog::Materialized;
 use magik_exec::{CompiledQuery, ExecStats, Executor, LruCache};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
 use magik_relalg::{
-    Answer, Cst, DisplayWith, Fact, Instance, Pred, Query, Snapshot, Term, Vocabulary,
+    Answer, Atom, Cst, DisplayWith, Fact, Instance, Pred, Query, Snapshot, Symbol, Term, Var,
+    Vocabulary,
 };
 use magik_storage::{
     CheckpointImage, OpKind, Recovery, StorageError, Store, StoreOptions, WalRecord,
 };
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
@@ -193,12 +197,8 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
         (lru.hits(), lru.misses())
     }
 
-    /// The value cached under `key`, or `compute()`'s, then cached. With
-    /// no key the cache is neither probed nor filled.
-    fn get_or_insert_with(&self, key: Option<K>, compute: impl FnOnce() -> V) -> V {
-        let Some(key) = key else {
-            return compute();
-        };
+    /// The value cached under `key`, or `compute()`'s, then cached.
+    fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
         if let Some(value) = self.get(&key) {
             return value;
         }
@@ -325,8 +325,8 @@ pub struct Engine {
     /// only to clone the `Arc`; writers (holding the writer mutex)
     /// lock it only to store the next snapshot.
     current: Mutex<Arc<StateSnapshot>>,
-    verdicts: Cache<(CanonicalQuery, u64), bool>,
-    answer_cache: Cache<(CanonicalQuery, u64), Vec<Answer>>,
+    verdicts: Cache<(QueryKey, u64), bool>,
+    answer_cache: Cache<(QueryKey, u64), Vec<Answer>>,
     /// Cached `analyze state` replies, keyed by the `(tcs_epoch,
     /// data_epoch)` pair they were computed against. The live-session
     /// diagnostics (M018–M024) depend on the TCS set *and* the stored
@@ -337,12 +337,12 @@ pub struct Engine {
     /// Cached `why` replies (rendered, already-validated certificates),
     /// keyed like verdicts: by Theorem 3 a certificate depends only on
     /// the query and the TCS set, so only `compl` makes an entry stale.
-    why_cache: Cache<(CanonicalQuery, u64), String>,
-    /// Compiled plans keyed by canonical query form alone: canonical
-    /// equality implies query equivalence, so a cached plan stays correct
+    why_cache: Cache<(QueryKey, u64), String>,
+    /// Compiled plans keyed by the query's cache key alone: equal keys
+    /// imply query equivalence, so a cached plan stays correct
     /// across data-epoch bumps (statistics drift affects only speed). The
     /// cache is cleared on TCS/vocabulary-shaping events (`compl`).
-    plans: Cache<CanonicalQuery, Arc<CachedPlan>>,
+    plans: Cache<QueryKey, Arc<CachedPlan>>,
     metrics: Arc<Metrics>,
     /// The optional durability layer ([`Engine::open_durable`]): WAL
     /// appended under the writer mutex before every applied mutation,
@@ -848,7 +848,7 @@ impl Engine {
     /// `check <query>` — is the query complete under the current TCS set?
     fn req_check(&self, src: &str) -> Result<String, (&'static str, String)> {
         let (snap, vocab, q) = self.parse_read(src)?;
-        let key = shared_form(&q, &vocab).map(|canon| (canon, snap.tcs_epoch));
+        let key = (CacheForm::of(&q, &vocab).key, snap.tcs_epoch);
         let verdict = self
             .verdicts
             .get_or_insert_with(key, || is_complete(&q, &snap.tcs));
@@ -861,7 +861,7 @@ impl Engine {
     /// back as `cert=INVALID`, never as a silently wrong `ok`).
     fn req_why(&self, src: &str) -> Result<String, (&'static str, String)> {
         let (snap, vocab, q) = self.parse_read(src)?;
-        let key = shared_form(&q, &vocab).map(|canon| (canon, snap.tcs_epoch));
+        let key = (CacheForm::of(&q, &vocab).key, snap.tcs_epoch);
         Ok(self
             .why_cache
             .get_or_insert_with(key, || self.certified_reply(&q, &snap.tcs, &vocab)))
@@ -952,27 +952,23 @@ impl Engine {
     /// on the snapshot — concurrent writers proceed undisturbed.
     fn req_eval(&self, src: &str) -> Result<String, (&'static str, String)> {
         let (snap, vocab, q) = self.parse_read(src)?;
-        let canon = shared_form(&q, &vocab);
-        let key = canon.clone().map(|canon| (canon, snap.data_epoch));
-        let cached = key.as_ref().and_then(|key| self.answer_cache.get(key));
-        let answer_list = match cached {
+        let form = CacheForm::of(&q, &vocab);
+        let key = (form.key.clone(), snap.data_epoch);
+        let answer_list = match self.answer_cache.get(&key) {
             Some(list) => list,
             None => {
-                let cached = canon.as_ref().and_then(|canon| self.plans.get(canon));
-                let plan = match cached {
+                let plan = match self.plans.get(&form.key) {
                     Some(plan) => plan,
                     None => {
                         // Failed compiles (unsafe queries) are not cached:
                         // the error must be re-reported per request.
-                        let compiled = CompiledQuery::compile(&q, Some(&snap.db))
+                        let compiled = CompiledQuery::compile(&form.query, Some(&snap.db))
                             .map_err(|e| ("eval", format!("{e:?}")))?;
                         let plan = Arc::new(CachedPlan {
                             head: vocab.name(q.name).to_string(),
                             compiled,
                         });
-                        if let Some(canon) = canon {
-                            self.plans.insert(canon, Arc::clone(&plan));
-                        }
+                        self.plans.insert(form.key.clone(), Arc::clone(&plan));
                         plan
                     }
                 };
@@ -980,15 +976,19 @@ impl Engine {
                 let set = plan.compiled.answers(&snap.db, &mut stats);
                 self.metrics.add_exec(&stats);
                 let list: Vec<Answer> = set.into_iter().collect();
-                if let Some(key) = key {
-                    self.answer_cache.insert(key, list.clone());
-                }
+                self.answer_cache.insert(key, list.clone());
                 list
             }
         };
         let rendered: Vec<String> = answer_list
             .iter()
-            .map(|t| t.display(&vocab).to_string())
+            .map(|t| {
+                if form.locals.is_empty() {
+                    t.display(&vocab).to_string()
+                } else {
+                    form.restore(t).display(&vocab).to_string()
+                }
+            })
             .collect();
         Ok(format!("ok {} {}", rendered.len(), rendered.join("; "))
             .trim_end()
@@ -1132,7 +1132,7 @@ impl Engine {
     fn analyze_state_cached(&self) -> String {
         let snap = self.snapshot();
         let key = (snap.tcs_epoch, snap.data_epoch);
-        self.analysis.get_or_insert_with(Some(key), || {
+        self.analysis.get_or_insert_with(key, || {
             let facts: Vec<Fact> = snap.db.iter_facts().collect();
             render_diags(&analyze_state(
                 &snap.tcs,
@@ -1152,18 +1152,100 @@ fn parse_fact(src: &str, vocab: &mut Vocabulary) -> Result<Fact, (&'static str, 
         .ok_or_else(|| ("proto", "fact must be ground (no variables)".to_string()))
 }
 
-/// The canonical form of `q` as a cache key, or `None` when `q` mentions
-/// a predicate or constant local to `vocab`, the request's overlay:
-/// another request may give a different name the same local id.
-/// Minimization only drops atoms that map onto kept ones, so the form
-/// mentions a local name exactly when `q` does.
-fn shared_form(q: &Query, vocab: &Vocabulary) -> Option<CanonicalQuery> {
-    let local = |t: &Term| matches!(*t, Term::Cst(Cst::Data(s)) if vocab.is_local(s));
-    let mentions_local = q.head.iter().any(local)
-        || q.body
+/// A query's key in the verdict, answer, plan and `why` caches: the
+/// canonical form of its [`CacheForm`], plus the spellings of the
+/// predicates (name and arity) and constants local to the request's
+/// overlay that it mentions, in id order. Two requests may give different
+/// local names the same id; their keys then differ in the spellings.
+/// Equal keys name the same query: the forms agree on every shared name,
+/// a local constant is the placeholder of its rank, and a predicate id
+/// that one request holds local and the other shares (written in
+/// between) would give the first key one spelling more. Minimization
+/// only drops atoms that map onto kept ones, so the form mentions a local
+/// name exactly when the query does.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct QueryKey {
+    canon: CanonicalQuery,
+    local_preds: Vec<(String, usize)>,
+    local_csts: Vec<String>,
+}
+
+/// A read's query as the caches see it. Every write may intern new
+/// constants, and a local name's id is the next free one, so local
+/// constants are replaced by placeholders that depend only on their rank:
+/// a session that never writes `bolzano` still shares one entry for the
+/// queries that name it. Local predicate ids move only when a write adds
+/// a predicate, and stay in the form as they are.
+#[derive(Debug)]
+struct CacheForm {
+    key: QueryKey,
+    /// The query with its `r`-th local constant (in id order) replaced by
+    /// the frozen constant of scratch variable `r`, which no parsed query
+    /// holds. It matches no stored fact, as the local constant does not.
+    query: Query,
+    /// The request's local constants, in id order.
+    locals: Vec<Cst>,
+}
+
+impl CacheForm {
+    fn of(q: &Query, vocab: &Vocabulary) -> CacheForm {
+        let local_preds: BTreeSet<Pred> = q
+            .body
             .iter()
-            .any(|a| vocab.is_local_pred(a.pred) || a.args.iter().any(local));
-    (!mentions_local).then(|| CanonicalQuery::of(q))
+            .map(|a| a.pred)
+            .filter(|&p| vocab.is_local_pred(p))
+            .collect();
+        let local = |t: &Term| match *t {
+            Term::Cst(Cst::Data(s)) if vocab.is_local(s) => Some(s),
+            _ => None,
+        };
+        let local_csts: BTreeSet<Symbol> = q
+            .head
+            .iter()
+            .chain(q.body.iter().flat_map(|a| &a.args))
+            .filter_map(local)
+            .collect();
+        let locals: Vec<Symbol> = local_csts.into_iter().collect();
+        let relabel = |t: &Term| match local(t) {
+            Some(s) => {
+                let rank = locals.binary_search(&s).expect("collected above");
+                Term::Cst(Cst::Frozen(Var::scratch(0, rank)))
+            }
+            None => *t,
+        };
+        let query = Query::new(
+            q.name,
+            q.head.iter().map(relabel).collect(),
+            q.body
+                .iter()
+                .map(|a| Atom::new(a.pred, a.args.iter().map(relabel).collect()))
+                .collect(),
+        );
+        CacheForm {
+            key: QueryKey {
+                canon: CanonicalQuery::of(&query),
+                local_preds: local_preds
+                    .into_iter()
+                    .map(|p| (vocab.pred_name(p).to_string(), vocab.arity(p)))
+                    .collect(),
+                local_csts: locals.iter().map(|&s| vocab.name(s).to_string()).collect(),
+            },
+            query,
+            locals: locals.into_iter().map(Cst::Data).collect(),
+        }
+    }
+
+    /// `answer` with each placeholder replaced by the request's own local
+    /// constant of that rank.
+    fn restore(&self, answer: &[Cst]) -> Vec<Cst> {
+        answer
+            .iter()
+            .map(|&c| match c {
+                Cst::Frozen(v) => self.locals[v.index()],
+                Cst::Data(_) => c,
+            })
+            .collect()
+    }
 }
 
 /// Writes `image` through `store`, counting it in `checkpoint.*` unless
@@ -1746,37 +1828,65 @@ mod tests {
     }
 
     #[test]
-    fn request_local_names_never_reach_a_cache() {
+    fn request_local_names_are_cached_by_spelling() {
         // `foo` and `bar` are never written, so each request parses its
-        // name as local to it, and both get the same local id.
+        // name as local to it, and both get the same local id: only the
+        // spellings in the key keep their entries apart.
         let e = Engine::new();
         e.handle("assert p(a).");
-        let foo = e.handle("why q(X) :- foo(X).");
-        let bar = e.handle("why q(X) :- bar(X).");
-        assert_eq!(
-            foo,
-            "ok incomplete cert=valid lost=(X') repair=[compl foo(X) ; true]"
-        );
-        assert_eq!(
-            bar,
-            "ok incomplete cert=valid lost=(X') repair=[compl bar(X) ; true]"
-        );
-        assert_eq!(e.handle("eval q(X, foo) :- p(X)."), "ok 1 (a, foo)");
-        assert_eq!(e.handle("eval q(X, bar) :- p(X)."), "ok 1 (a, bar)");
-        assert_eq!(e.handle("check q(X) :- foo(X)."), "ok incomplete");
-        let metrics = e.handle("metrics");
-        for cache in ["verdict_cache", "answer_cache", "plan_cache", "cert.cache"] {
-            assert_eq!(field(&metrics, &format!("{cache}.hits")), 0, "{metrics}");
-            assert_eq!(field(&metrics, &format!("{cache}.misses")), 0, "{metrics}");
+        let requests = [
+            (
+                "why q(X) :- foo(X).",
+                "ok incomplete cert=valid lost=(X') repair=[compl foo(X) ; true]",
+            ),
+            (
+                "why q(X) :- bar(X).",
+                "ok incomplete cert=valid lost=(X') repair=[compl bar(X) ; true]",
+            ),
+            ("eval q(X, foo) :- p(X).", "ok 1 (a, foo)"),
+            ("eval q(X, bar) :- p(X).", "ok 1 (a, bar)"),
+            ("check q(X) :- foo(X).", "ok incomplete"),
+            ("check q(X) :- bar(X).", "ok incomplete"),
+        ];
+        let counts = |e: &Engine| {
+            let metrics = e.handle("metrics");
+            ["verdict_cache", "answer_cache", "plan_cache", "cert.cache"].map(|cache| {
+                (
+                    field(&metrics, &format!("{cache}.hits")),
+                    field(&metrics, &format!("{cache}.misses")),
+                )
+            })
+        };
+        // One miss each, then a hit on each repeat (an answer hit never
+        // reaches the plan cache).
+        for (request, reply) in requests {
+            assert_eq!(e.handle(request), reply);
         }
-        // A query over written names only is cached, even when its head
-        // name and variables are local: the plan listing shows the head
-        // name the compiling request gave it.
+        assert_eq!(counts(&e), [(0, 2), (0, 2), (0, 2), (0, 2)]);
+        for (request, reply) in requests {
+            assert_eq!(e.handle(request), reply);
+        }
+        assert_eq!(counts(&e), [(2, 2), (2, 2), (0, 2), (2, 2)]);
+        // A query over written names only shares its entries with its
+        // alpha-variants, whatever its head name: the plan listing shows
+        // the head name the compiling request gave it.
         assert_eq!(e.handle("eval q(X) :- p(X)."), "ok 1 (a)");
         assert_eq!(e.handle("eval r(Y) :- p(Y)."), "ok 1 (a)");
-        assert!(e.handle("plans").starts_with("ok 1 q:joins=["));
-        let metrics = e.handle("metrics");
-        assert_eq!(field(&metrics, "answer_cache.hits"), 1, "{metrics}");
+        assert!(e.handle("plans").starts_with("ok 3 q:joins=["));
+        assert_eq!(counts(&e)[1], (3, 3));
+        // Writes that intern names shift the next local ids, and hand the
+        // ids `foo` had to written names. Entries stay shared, and a
+        // cached plan emits the request's own `foo`, not what its old id
+        // names now.
+        for fact in ["assert p(b).", "assert p(c).", "assert p(d)."] {
+            assert_eq!(e.handle(fact), "ok inserted");
+        }
+        assert_eq!(
+            e.handle("eval q(X, foo) :- p(X)."),
+            "ok 4 (a, foo); (b, foo); (c, foo); (d, foo)"
+        );
+        assert_eq!(e.handle("check q(X) :- foo(X)."), "ok incomplete");
+        assert_eq!(counts(&e), [(3, 2), (3, 4), (1, 3), (2, 2)]);
     }
 
     #[test]

@@ -117,14 +117,13 @@ fn concurrent_clients_agree_with_single_shot_reasoning() {
     let reply = verify.request("eval q(N) :- pupil(N, C, S).");
     assert!(reply.starts_with("ok 30 "), "eval reply: {reply}");
 
-    // The verdict cache served every client check of the complete query:
-    // its warm-up check missed, and the clients' 30 hit. The incomplete
-    // query names `bolzano`, which the session never wrote, so each
-    // request parses it as a name local to that request, and such a
-    // query bypasses the cache.
+    // The verdict cache served every client check: each query's warm-up
+    // check missed, and the clients' 60 hit. The incomplete query names
+    // `bolzano`, which the session never wrote, so each request parses it
+    // as a name local to that request; its key carries the spelling.
     let metrics = verify.request("metrics");
     assert!(
-        metrics.contains("verdict_cache.hits=30 verdict_cache.misses=1 "),
+        metrics.contains("verdict_cache.hits=60 verdict_cache.misses=2 "),
         "{metrics}"
     );
 

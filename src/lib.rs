@@ -28,7 +28,7 @@
 //! | [`unify`] | unification, MGUs, renaming apart |
 //! | [`datalog`] | forward-chaining Datalog engine (naive + semi-naive) |
 //! | [`completeness`] | TCSs, `T_C`/`G_C`, completeness check, MCG, MCI, k-MCS; finite-domain + key constraints, answering with guarantees, explanations, lints; certificate emission |
-//! | [`cert`] | trusted certificate checker: validates completeness verdicts, repairs and derivation trees by direct definition-checking, sharing no reasoning code with the engine |
+//! | [`cert`] | trusted certificate checker: validates completeness verdicts and repairs by direct definition-checking, sharing no reasoning code with the engine |
 //! | [`parser`] | text syntax for queries, statements and facts, with byte-span tracking |
 //! | [`analyze`] | span-aware static analysis: `M0xx` diagnostics over statements, queries, facts and the Datalog encoding |
 //! | [`server`] | concurrent completeness service: session engine, verdict cache, TCP front end, optional durability |
@@ -88,25 +88,21 @@ pub use magik_analyze::{
     FixReport, SarifFile, Severity, SourceFile, Suggestion, CATALOGUE,
 };
 pub use magik_cert::{
-    check_certificate, check_complete, check_derivation, check_incomplete, check_repair, CertError,
-    CertRule, CertStatement, Certificate, CompleteCert, DerivationNode, FactDerivation,
-    IncompleteCert, RepairCert,
+    check_certificate, check_complete, check_incomplete, check_repair, CertError, CertStatement,
+    Certificate, CompleteCert, FactDerivation, IncompleteCert, RepairCert,
 };
 pub use magik_completeness::{
     answering, cert_statements, certify, chase_query, classify_answers, complete_unifiers,
     constraints, count_bounds, counterexample, explain, explain_check, g_op, is_complete,
     is_complete_under, is_complete_via_datalog, is_instantiation_of, is_mcg, is_mci, k_mcs,
-    k_mcs_certified, k_mcs_on, lint, mcg, mcg_certified, mcg_under, mcg_with_stats, mcis,
-    mcis_bounded, publishable_counts, render_counterexample, render_explanation,
-    render_explanation_with_locations, repair_suggestions, semantics, tc_apply, tc_apply_datalog,
-    tc_encoding, AnswerReport, CanonTerm, CanonicalQuery, ChaseOutcome, CheckExplanation,
-    ConstraintSet, CountBounds, FiniteDomain, GuaranteeWitness, KMcsEngine, KMcsOptions,
-    KMcsOutcome, KMcsStats, Key, KeyViolation, Lint, McgStats, PublishableCount, TcSet,
-    TcStatement,
+    k_mcs_on, lint, mcg, mcg_under, mcg_with_stats, mcis, mcis_bounded, publishable_counts,
+    render_counterexample, render_explanation, render_explanation_with_locations,
+    repair_suggestions, semantics, tc_apply, tc_apply_datalog, tc_encoding, AnswerReport,
+    CanonTerm, CanonicalQuery, ChaseOutcome, CheckExplanation, ConstraintSet, CountBounds,
+    FiniteDomain, GuaranteeWitness, KMcsEngine, KMcsOptions, KMcsOutcome, KMcsStats, Key,
+    KeyViolation, Lint, McgStats, PublishableCount, TcSet, TcStatement,
 };
-pub use magik_datalog::{
-    DerivationTree, Justification, MaterializeError, Materialized, Provenance, RetractStats,
-};
+pub use magik_datalog::{MaterializeError, Materialized, RetractStats};
 pub use magik_exec::{
     available_parallelism, explain_json, explain_text, CompiledBody, CompiledQuery, ExecStats,
     Executor, Plan, PlanCache, PoolCounters, ThreadPool,
