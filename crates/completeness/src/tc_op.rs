@@ -15,6 +15,16 @@
 //! A third, crate-private pass, `tc_witnessed`, computes what
 //! [`tc_apply`] does and also records each fact's first derivation: the
 //! one record that certificates, repairs and explanations read.
+//!
+//! [`tc_apply`] keeps its own loop because recording is not free on
+//! data. It enumerates answers, where the witnessed pass enumerates every
+//! homomorphism and keeps a grounding per fact. Timed in one process on a
+//! 2-vCPU Xeon host, alternating the two over 21 rounds, the witnessed
+//! pass took 1.7–1.8× [`tc_apply`]'s median on A2's school instances
+//! (215–3,419 facts), data like that which
+//! [`crate::semantics::IncompleteDatabase::minimal_completion`] and
+//! `magik simulate` apply `T_C` to. On A14's canonical databases, as
+//! [`crate::is_complete`] sees them, the two were within 0.89–1.13×.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 

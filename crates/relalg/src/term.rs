@@ -20,6 +20,21 @@ impl Var {
         let index = floor.checked_add(n).and_then(|i| u32::try_from(i).ok());
         Var(index.expect("variable overflow"))
     }
+
+    /// The reserved variable `n`: a bare id counted down from the top of
+    /// the id space, which vocabularies and scratch floors count up
+    /// towards and never reach (it would take four billion variables).
+    /// Its frozen constant is a placeholder that no frozen variable of a
+    /// query equals. [`Var::reserved_rank`] inverts it.
+    pub fn reserved(n: usize) -> Var {
+        let index = u32::try_from(n).ok().and_then(|n| u32::MAX.checked_sub(n));
+        Var(index.expect("variable overflow"))
+    }
+
+    /// The `n` of [`Var::reserved`]`(n)`.
+    pub fn reserved_rank(self) -> usize {
+        (u32::MAX - self.0) as usize
+    }
 }
 
 /// A constant.
@@ -133,6 +148,19 @@ mod tests {
         assert_ne!(Term::Cst(frozen), Term::Cst(data));
         assert!(frozen.is_frozen());
         assert!(!data.is_frozen());
+    }
+
+    #[test]
+    fn reserved_variables_count_down_from_the_top() {
+        let mut v = Vocabulary::new();
+        let x = v.var("X");
+        for n in 0..4 {
+            let r = Var::reserved(n);
+            assert_eq!(r.reserved_rank(), n);
+            assert_ne!(r, x);
+            assert_ne!(r, Var::scratch(v.num_vars(), n));
+        }
+        assert!(Var::reserved(1) < Var::reserved(0));
     }
 
     #[test]

@@ -110,6 +110,7 @@ use magik_relalg::{
 use magik_storage::{
     CheckpointImage, OpKind, Recovery, StorageError, Store, StoreOptions, WalRecord,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -982,13 +983,7 @@ impl Engine {
         };
         let rendered: Vec<String> = answer_list
             .iter()
-            .map(|t| {
-                if form.locals.is_empty() {
-                    t.display(&vocab).to_string()
-                } else {
-                    form.restore(t).display(&vocab).to_string()
-                }
-            })
+            .map(|t| form.restore(t).display(&vocab).to_string())
             .collect();
         Ok(format!("ok {} {}", rendered.len(), rendered.join("; "))
             .trim_end()
@@ -1177,18 +1172,21 @@ struct QueryKey {
 /// queries that name it. Local predicate ids move only when a write adds
 /// a predicate, and stay in the form as they are.
 #[derive(Debug)]
-struct CacheForm {
+struct CacheForm<'q> {
     key: QueryKey,
     /// The query with its `r`-th local constant (in id order) replaced by
-    /// the frozen constant of scratch variable `r`, which no parsed query
-    /// holds. It matches no stored fact, as the local constant does not.
-    query: Query,
+    /// the frozen constant of [`Var::reserved`]`(r)`, which equals no
+    /// frozen variable of the query: minimization keeps it apart from the
+    /// query's variables, as it keeps the local constant. It matches no
+    /// stored fact, as the local constant does not. The request's own
+    /// query when it names no local constant.
+    query: Cow<'q, Query>,
     /// The request's local constants, in id order.
     locals: Vec<Cst>,
 }
 
-impl CacheForm {
-    fn of(q: &Query, vocab: &Vocabulary) -> CacheForm {
+impl<'q> CacheForm<'q> {
+    fn of(q: &'q Query, vocab: &Vocabulary) -> CacheForm<'q> {
         let local_preds: BTreeSet<Pred> = q
             .body
             .iter()
@@ -1206,21 +1204,25 @@ impl CacheForm {
             .filter_map(local)
             .collect();
         let locals: Vec<Symbol> = local_csts.into_iter().collect();
-        let relabel = |t: &Term| match local(t) {
-            Some(s) => {
-                let rank = locals.binary_search(&s).expect("collected above");
-                Term::Cst(Cst::Frozen(Var::scratch(0, rank)))
-            }
-            None => *t,
+        let query = if locals.is_empty() {
+            Cow::Borrowed(q)
+        } else {
+            let relabel = |t: &Term| match local(t) {
+                Some(s) => {
+                    let rank = locals.binary_search(&s).expect("collected above");
+                    Term::Cst(Cst::Frozen(Var::reserved(rank)))
+                }
+                None => *t,
+            };
+            Cow::Owned(Query::new(
+                q.name,
+                q.head.iter().map(relabel).collect(),
+                q.body
+                    .iter()
+                    .map(|a| Atom::new(a.pred, a.args.iter().map(relabel).collect()))
+                    .collect(),
+            ))
         };
-        let query = Query::new(
-            q.name,
-            q.head.iter().map(relabel).collect(),
-            q.body
-                .iter()
-                .map(|a| Atom::new(a.pred, a.args.iter().map(relabel).collect()))
-                .collect(),
-        );
         CacheForm {
             key: QueryKey {
                 canon: CanonicalQuery::of(&query),
@@ -1236,15 +1238,20 @@ impl CacheForm {
     }
 
     /// `answer` with each placeholder replaced by the request's own local
-    /// constant of that rank.
-    fn restore(&self, answer: &[Cst]) -> Vec<Cst> {
-        answer
-            .iter()
-            .map(|&c| match c {
-                Cst::Frozen(v) => self.locals[v.index()],
-                Cst::Data(_) => c,
-            })
-            .collect()
+    /// constant of that rank (`answer` itself when there is none).
+    fn restore<'a>(&self, answer: &'a Answer) -> Cow<'a, Answer> {
+        if self.locals.is_empty() {
+            return Cow::Borrowed(answer);
+        }
+        Cow::Owned(
+            answer
+                .iter()
+                .map(|&c| match c {
+                    Cst::Frozen(v) => self.locals[v.reserved_rank()],
+                    Cst::Data(_) => c,
+                })
+                .collect(),
+        )
     }
 }
 
@@ -1887,6 +1894,29 @@ mod tests {
         );
         assert_eq!(e.handle("check q(X) :- foo(X)."), "ok incomplete");
         assert_eq!(counts(&e), [(3, 2), (3, 4), (1, 3), (2, 2)]);
+    }
+
+    #[test]
+    fn local_constant_placeholders_never_equal_a_frozen_variable() {
+        // The write interns `X` as the session's first variable, and
+        // `foo` is never written. Minimizing either query keeps its `foo`
+        // atom: the first is complete (T_C keeps both of its frozen
+        // facts), the second is not (p(x', foo) needs p(foo, foo)).
+        let complete = ("q(X) :- p(foo, X), p(X, X).", "complete");
+        let incomplete = ("q(X) :- p(X, foo), p(X, X).", "incomplete");
+        for order in [[complete, incomplete], [incomplete, complete]] {
+            let e = Engine::new();
+            assert_eq!(e.handle("compl p(X, Y) ; p(Y, Y)."), "ok epoch=1");
+            for (q, verdict) in order.into_iter().chain(order) {
+                assert_eq!(e.handle(&format!("check {q}")), format!("ok {verdict}"));
+                let why = e.handle(&format!("why {q}"));
+                let expected = format!("ok {verdict} cert=valid");
+                assert!(why.starts_with(&expected), "{why}");
+            }
+            let metrics = e.handle("metrics");
+            assert_eq!(field(&metrics, "verdict_cache.misses"), 2, "{metrics}");
+            assert_eq!(field(&metrics, "cert.cache.misses"), 2, "{metrics}");
+        }
     }
 
     #[test]
