@@ -33,8 +33,8 @@ mod repl;
 
 use magik::relalg::json_escape;
 use magik::{
-    allow_directives, analyze_document, answers, cert_statements, certify, check_certificate,
-    classify_answers, count_bounds, counterexample, explain_check, explain_code, explain_json,
+    allow_directives, analyze_document, answers, cert_statements, certify_explained,
+    check_certificate, classify_answers, count_bounds, explain_check, explain_code, explain_json,
     explain_text, filter_suppressed, fix_source, initial_sync, is_complete, is_complete_under,
     k_mcs, lint, mcg_under, mcg_with_stats, parse_document, publishable_counts,
     render_counterexample, render_explanation_with_locations, render_json, render_report,
@@ -186,37 +186,32 @@ fn cmd_check_why(vocab: &Vocabulary, doc: &Document, src: &str, json: bool) {
     }
     let statements = cert_statements(&doc.tcs);
     for q in &doc.queries {
-        let cert = certify(q, &doc.tcs);
+        let (cert, e) = certify_explained(q, &doc.tcs);
         let valid = check_certificate(q, &statements, &cert).is_ok();
-        let e = explain_check(q, &doc.tcs);
         print!(
             "{}",
             render_explanation_with_locations(q, &doc.tcs, &e, vocab, |i| statement_location(
                 doc, &index, i
             ))
         );
+        if let Some(db) = &e.counterexample {
+            print!("{}", render_counterexample(q, db, vocab));
+        }
         if let Certificate::Incomplete {
-            counterexample: ce,
-            repair,
+            repair: Some(r), ..
         } = &cert
         {
-            let available = ce.available.iter().cloned().collect();
-            let db = IncompleteDatabase::new(magik::canonical_database(q), available)
-                .expect("a certified available state lies inside D_Q");
-            print!("{}", render_counterexample(q, &db, vocab));
-            if let Some(r) = repair {
-                let adds: Vec<String> = r
-                    .additions
-                    .iter()
-                    .map(|a| {
-                        TcStatement::new(a.clone(), vec![])
-                            .display(vocab)
-                            .to_string()
-                    })
-                    .collect();
-                println!("  minimal repair: add {}", adds.join(", add "));
-                println!("    (removing any one suggested statement leaves the query incomplete)");
-            }
+            let adds: Vec<String> = r
+                .additions
+                .iter()
+                .map(|a| {
+                    TcStatement::new(a.clone(), vec![])
+                        .display(vocab)
+                        .to_string()
+                })
+                .collect();
+            println!("  minimal repair: add {}", adds.join(", add "));
+            println!("    (removing any one suggested statement leaves the query incomplete)");
         }
         println!(
             "  certificate: {}",
@@ -240,9 +235,8 @@ fn check_why_json(vocab: &Vocabulary, doc: &Document, index: &LineIndex) -> Stri
         if qi > 0 {
             out.push(',');
         }
-        let cert = certify(q, &doc.tcs);
+        let (cert, e) = certify_explained(q, &doc.tcs);
         let valid = check_certificate(q, &statements, &cert).is_ok();
-        let e = explain_check(q, &doc.tcs);
         let verdict = match &cert {
             Certificate::Complete(_) => "complete",
             Certificate::Incomplete { .. } => "incomplete",
@@ -384,7 +378,10 @@ fn cmd_specialize(vocab: &mut Vocabulary, doc: &Document, k: usize, naive: bool)
             },
         );
         if outcome.queries.is_empty() {
-            println!("  no complete specialization within {} atoms", q.size() + k);
+            println!(
+                "  no complete specialization within {} atoms",
+                q.size().saturating_add(k)
+            );
         }
         for m in &outcome.queries {
             println!("  {k}-MCS: {}", m.display(vocab));
@@ -454,7 +451,7 @@ fn cmd_bounds(vocab: &mut Vocabulary, doc: &Document, k: usize) {
             Ok(rows) if rows.is_empty() => {
                 println!(
                     "  no publishable partial statistics within {} atoms",
-                    q.size() + k
+                    q.size().saturating_add(k)
                 );
             }
             Ok(rows) => {
@@ -478,10 +475,8 @@ fn cmd_why(vocab: &Vocabulary, doc: &Document, src: &str) {
                 doc, &index, i
             ))
         );
-        if !e.complete {
-            if let Some(db) = counterexample(q, &doc.tcs) {
-                print!("{}", render_counterexample(q, &db, vocab));
-            }
+        if let Some(db) = &e.counterexample {
+            print!("{}", render_counterexample(q, db, vocab));
         }
         println!();
     }

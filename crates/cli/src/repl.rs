@@ -4,9 +4,9 @@
 use std::io::{BufRead, Write};
 
 use magik::{
-    answers, count_bounds, counterexample, explain_check, is_complete, is_complete_under, k_mcs,
-    mcg, mcg_under, parse_document, parse_query, print_document, render_counterexample,
-    render_explanation, DisplayWith, Document, KMcsOptions, Query, Vocabulary,
+    answers, count_bounds, explain_check, is_complete, is_complete_under, k_mcs, mcg, mcg_under,
+    parse_document, parse_query, print_document, render_counterexample, render_explanation,
+    DisplayWith, Document, KMcsOptions, Query, Vocabulary,
 };
 
 const REPL_HELP: &str = "commands:
@@ -166,7 +166,7 @@ impl Repl {
                             writeln!(
                                 out,
                                 "no complete specialization within {} atoms",
-                                q.size() + k
+                                q.size().saturating_add(k)
                             )?;
                         }
                         for m in &outcome.queries {
@@ -184,10 +184,8 @@ impl Repl {
                         "{}",
                         render_explanation(&q, &self.doc.tcs, &e, &self.vocab)
                     )?;
-                    if !e.complete {
-                        if let Some(db) = counterexample(&q, &self.doc.tcs) {
-                            write!(out, "{}", render_counterexample(&q, &db, &self.vocab))?;
-                        }
+                    if let Some(db) = &e.counterexample {
+                        write!(out, "{}", render_counterexample(&q, db, &self.vocab))?;
                     }
                 }
                 Err(e) => writeln!(out, "error: {e}")?,
@@ -269,6 +267,25 @@ mod tests {
         );
         assert!(out.contains("q(N) :- pupil(N, C, S), school(S, primary, merano)\n"));
         assert!(out.contains("learns(N, english)"));
+    }
+
+    #[test]
+    fn mcs_with_the_largest_k_prints_a_saturated_atom_bound() {
+        // No statements, so the search returns at once at any k; a
+        // deadline, since walking every size up to |Q| + k never returned.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let session = std::thread::spawn(move || {
+            let _ = tx.send(run_script(&format!(
+                "mcs {} q(X) :- p(X).\nquit",
+                usize::MAX
+            )));
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("the session finishes within 10 s");
+        session.join().expect("the session thread finished");
+        let bound = format!("no complete specialization within {} atoms", usize::MAX);
+        assert!(out.contains(&bound), "{out}");
     }
 
     #[test]

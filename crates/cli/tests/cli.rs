@@ -2,12 +2,33 @@
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 fn magik(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_magik"))
         .args(args)
         .output()
         .expect("binary runs")
+}
+
+/// Like [`magik`], but fails (and kills the process) after `limit`.
+fn magik_within(args: &[&str], limit: Duration) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_magik"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("child status").is_none() {
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("magik {args:?} did not finish within {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("child output")
 }
 
 fn school_file() -> String {
@@ -43,6 +64,33 @@ fn specialize_prints_mcss_and_stats() {
     let naive = magik(&["specialize", &school_file(), "--naive"]);
     let naive_out = String::from_utf8_lossy(&naive.stdout);
     assert!(naive_out.contains("learns(N, english)"));
+}
+
+#[test]
+fn the_largest_k_prints_a_saturated_atom_bound() {
+    // With no statements the k-MCS search stops after size 0, so even
+    // k = usize::MAX returns at once (walking every size never returned).
+    // |Q| + k then saturates: unchecked, it panicked in a debug build and
+    // printed "within 0 atoms" in release.
+    let dir = std::env::temp_dir().join("magik-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let doc = dir.join("no_statements.magik");
+    std::fs::write(&doc, "fact p(a). query q(X) :- p(X).").unwrap();
+    let k = usize::MAX.to_string();
+    for (command, line) in [
+        ("specialize", "no complete specialization"),
+        ("bounds", "no publishable partial statistics"),
+    ] {
+        let args = [command, doc.to_str().unwrap(), "-k", &k];
+        let out = magik_within(&args, Duration::from_secs(30));
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{command}: {stdout}{stderr}");
+        assert!(
+            stdout.contains(&format!("{line} within {k} atoms")),
+            "{command}: {stdout}"
+        );
+    }
 }
 
 #[test]

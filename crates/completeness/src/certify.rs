@@ -34,6 +34,7 @@ use magik_relalg::{
     Query, Substitution, Term, Var,
 };
 
+use crate::explain::{explained, CheckExplanation};
 use crate::tc_op::{tc_witnessed, WitnessedTc};
 use crate::tcs::{TcSet, TcStatement};
 
@@ -175,6 +176,17 @@ impl<'a> Frozen<'a> {
         kept
     }
 
+    /// The certificate of the verdict.
+    fn certificate(&self) -> Certificate {
+        match self.complete_cert(&[]) {
+            Some(c) => Certificate::Complete(c),
+            None => Certificate::Incomplete {
+                counterexample: self.incomplete_cert(&self.tc.facts),
+                repair: self.repair_cert(),
+            },
+        }
+    }
+
     /// The repair certificate, or `None` when there is nothing to repair.
     fn repair_cert(&self) -> Option<RepairCert> {
         let kept = self.minimal_repair();
@@ -227,14 +239,15 @@ pub fn repair_suggestions(q: &Query, tcs: &TcSet) -> Vec<TcStatement> {
 /// The certificate validates against
 /// [`magik_cert::check_certificate`]`(q, &cert_statements(tcs), …)`.
 pub fn certify(q: &Query, tcs: &TcSet) -> Certificate {
+    Frozen::new(q, tcs).certificate()
+}
+
+/// [`certify`] and [`crate::explain_check`] of `q` together, read from
+/// one witnessed `T_C(D_Q)` pass instead of two.
+pub fn certify_explained(q: &Query, tcs: &TcSet) -> (Certificate, CheckExplanation) {
     let frozen = Frozen::new(q, tcs);
-    match frozen.complete_cert(&[]) {
-        Some(c) => Certificate::Complete(c),
-        None => Certificate::Incomplete {
-            counterexample: frozen.incomplete_cert(&frozen.tc.facts),
-            repair: frozen.repair_cert(),
-        },
-    }
+    let cert = frozen.certificate();
+    (cert, explained(q, tcs, frozen.db, frozen.tc))
 }
 
 #[cfg(test)]

@@ -2,18 +2,21 @@
 //!
 //! The MAGIK demonstration tool's selling point was explaining its
 //! verdicts: for each query atom, which statement guarantees it (and via
-//! which condition match), or the fact that none does. This module reads
-//! that provenance from the witnessed `T_C(D_Q)` pass of the Theorem 3
-//! check, the record certificates read too, and renders it for humans.
+//! which condition match), or the fact that none does, and for an
+//! incomplete query a counterexample. This module reads both from the
+//! witnessed `T_C(D_Q)` pass of the Theorem 3 check, the record
+//! certificates read too ([`crate::certify_explained`] returns both from
+//! one pass), and renders them for humans.
 
 use std::fmt::Write as _;
 
 use magik_relalg::{
     canonical_database, freeze_atom, freeze_term, has_answer, unfreeze_atom, unfreeze_fact, Atom,
-    Cst, DisplayWith, Query, Vocabulary,
+    Cst, DisplayWith, Instance, Query, Vocabulary,
 };
 
-use crate::tc_op::tc_witnessed;
+use crate::semantics::IncompleteDatabase;
+use crate::tc_op::{tc_witnessed, WitnessedTc};
 use crate::tcs::TcSet;
 
 /// Why one body atom is guaranteed to be available.
@@ -35,6 +38,12 @@ pub struct CheckExplanation {
     /// For each body atom, in body order: a witness if the atom is
     /// guaranteed, `None` otherwise.
     pub atoms: Vec<(Atom, Option<GuaranteeWitness>)>,
+    /// For an incomplete verdict, the canonical counterexample: the
+    /// query's canonical database `D_Q` as the ideal state and what the
+    /// statements guarantee of it, `T_C(D_Q)`, as the available one. It
+    /// satisfies every statement, and the query loses its frozen head
+    /// answer on it. `None` when the query is complete.
+    pub counterexample: Option<IncompleteDatabase>,
 }
 
 impl CheckExplanation {
@@ -49,9 +58,16 @@ impl CheckExplanation {
 
 /// Runs the Theorem 3 check and records, for every guaranteed body atom,
 /// its first covering statement and that statement's instantiated
-/// condition.
+/// condition, and for an incomplete verdict the counterexample.
 pub fn explain_check(q: &Query, tcs: &TcSet) -> CheckExplanation {
-    let tc = tc_witnessed(tcs.statements(), &canonical_database(q));
+    let db = canonical_database(q);
+    let tc = tc_witnessed(tcs.statements(), &db);
+    explained(q, tcs, db, tc)
+}
+
+/// The explanation of `q`'s verdict read from `tc`, the witnessed pass
+/// over its canonical database `db`.
+pub(crate) fn explained(q: &Query, tcs: &TcSet, db: Instance, tc: WitnessedTc) -> CheckExplanation {
     let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
     let complete = has_answer(q, &tc.facts, &target);
     let atoms = q
@@ -72,7 +88,13 @@ pub fn explain_check(q: &Query, tcs: &TcSet) -> CheckExplanation {
             (a.clone(), witness)
         })
         .collect();
-    CheckExplanation { complete, atoms }
+    let counterexample = (!complete)
+        .then(|| IncompleteDatabase::new(db, tc.facts).expect("T_C only keeps facts of D_Q"));
+    CheckExplanation {
+        complete,
+        atoms,
+        counterexample,
+    }
 }
 
 /// Renders an explanation as indented text.
@@ -152,24 +174,9 @@ pub fn render_explanation_with_locations(
     out
 }
 
-/// A concrete counterexample for an incomplete query: an incomplete
-/// database satisfying all statements on which the query loses the
-/// frozen head answer. Returns `None` when the query is complete.
-pub fn counterexample(q: &Query, tcs: &TcSet) -> Option<crate::semantics::IncompleteDatabase> {
-    let ideal = canonical_database(q);
-    let db = crate::semantics::IncompleteDatabase::minimal_completion(ideal, tcs);
-    let target: Vec<Cst> = q.head.iter().map(|&t| freeze_term(t)).collect();
-    let lost = !has_answer(q, db.available(), &target);
-    lost.then_some(db)
-}
-
 /// Renders a counterexample: the ideal and available states and the lost
 /// answer.
-pub fn render_counterexample(
-    q: &Query,
-    db: &crate::semantics::IncompleteDatabase,
-    vocab: &Vocabulary,
-) -> String {
+pub fn render_counterexample(q: &Query, db: &IncompleteDatabase, vocab: &Vocabulary) -> String {
     let ideal_facts: Vec<String> = db
         .ideal()
         .iter_facts()
@@ -290,7 +297,13 @@ mod tests {
         let mut v = Vocabulary::new();
         let tcs = school_tcs(&mut v);
         let q = q_pbl(&mut v);
-        let db = counterexample(&q, &tcs).expect("incomplete query has a counterexample");
+        let db = explain_check(&q, &tcs)
+            .counterexample
+            .expect("incomplete query has a counterexample");
+        assert_eq!(
+            db,
+            IncompleteDatabase::minimal_completion(canonical_database(&q), &tcs)
+        );
         assert!(db.satisfies_all(&tcs));
         assert!(!db.query_complete(&q).unwrap());
         let rendered = render_counterexample(&q, &db, &v);
@@ -303,7 +316,7 @@ mod tests {
         let mut v = Vocabulary::new();
         let tcs = school_tcs(&mut v);
         let q = q_ppb(&mut v);
-        assert!(counterexample(&q, &tcs).is_none());
+        assert!(explain_check(&q, &tcs).counterexample.is_none());
     }
 
     #[test]

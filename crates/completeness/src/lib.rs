@@ -85,12 +85,12 @@ pub use answering::{
     classify_answers, count_bounds, publishable_counts, AnswerReport, CountBounds, PublishableCount,
 };
 pub use canonical::{CanonTerm, CanonicalQuery};
-pub use certify::{cert_statements, certify, repair_suggestions};
+pub use certify::{cert_statements, certify, certify_explained, repair_suggestions};
 pub use check::{is_complete, is_complete_via_datalog};
 pub use constraints::{is_complete_under, mcg_under, ConstraintSet, DomainViolation, FiniteDomain};
 pub use explain::{
-    counterexample, explain_check, render_counterexample, render_explanation,
-    render_explanation_with_locations, CheckExplanation, GuaranteeWitness,
+    explain_check, render_counterexample, render_explanation, render_explanation_with_locations,
+    CheckExplanation, GuaranteeWitness,
 };
 pub use generalize::{g_op, is_mcg, mcg, mcg_with_stats, McgStats};
 pub use keys::{chase_query, ChaseOutcome, Key, KeyViolation};

@@ -105,10 +105,15 @@ pub struct KMcsOutcome {
 
 /// The extensions of `len` atoms over the sorted `preds`, in
 /// lexicographic order: every ordered tuple when `ordered`, otherwise
-/// only the non-decreasing ones, one per multiset.
+/// only the non-decreasing ones, one per multiset. Over no predicates
+/// there is none past length 0, so the loop stops at the first empty
+/// level rather than walk all `len` of them.
 fn extensions(preds: &[Pred], len: usize, ordered: bool) -> Vec<Vec<Pred>> {
     let mut out = vec![Vec::new()];
     for _ in 0..len {
+        if out.is_empty() {
+            break;
+        }
         let mut next = Vec::with_capacity(out.len() * preds.len());
         for tuple in &out {
             let from = match tuple.last() {
@@ -226,7 +231,13 @@ pub fn k_mcs_on(
     // increasing size.
     let smallest = if naive { max_extension } else { 0 };
     'sizes: for size in smallest..=max_extension {
-        for wave in extensions(&sigma, size, naive).chunks(wave_len) {
+        let tuples = extensions(&sigma, size, naive);
+        if tuples.is_empty() {
+            // Only an empty Σ_C has an empty size, and every size past
+            // it is empty too: stop rather than walk up to |Q| + k.
+            break;
+        }
+        for wave in tuples.chunks(wave_len) {
             let budget = merge.budget_left;
             let batch: Vec<Vec<Pred>> = wave.iter().filter(|t| searched(t)).cloned().collect();
             let shared = Arc::clone(&task);
@@ -388,6 +399,38 @@ mod tests {
             assert!(is_complete(mcs, &tcs));
             assert!(is_contained_in(mcs, &q));
         }
+    }
+
+    #[test]
+    fn k_mcs_over_no_statements_stops_after_size_0() {
+        // With no statements Σ_C is empty, so no extension has an atom:
+        // the optimized engine searches the query alone and the naive one
+        // nothing, whatever k is. Walking every size up to |Q| + k never
+        // returned at this k, hence the deadline.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let search = std::thread::spawn(move || {
+            let mut v = Vocabulary::new();
+            let q = q_pbl(&mut v);
+            let k = usize::MAX - q.size();
+            for engine in [KMcsEngine::Naive, KMcsEngine::Optimized] {
+                let options = KMcsOptions {
+                    engine,
+                    ..KMcsOptions::new(k)
+                };
+                let outcome = k_mcs(&q, &TcSet::default(), &mut v, options);
+                let _ = tx.send((engine, outcome));
+            }
+        });
+        for (engine, extensions) in [(KMcsEngine::Naive, 0), (KMcsEngine::Optimized, 1)] {
+            let (ran, outcome) = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("{engine:?} k-MCS did not return within 10 s"));
+            assert_eq!(ran, engine);
+            assert!(outcome.queries.is_empty(), "{engine:?}");
+            assert!(outcome.complete_search, "{engine:?}");
+            assert_eq!(outcome.stats.extensions, extensions, "{engine:?}");
+        }
+        search.join().expect("the search thread finished");
     }
 
     /// A directed cycle query of length `len` over `conn`.

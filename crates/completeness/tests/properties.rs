@@ -10,10 +10,10 @@ use proptest::prelude::*;
 use magik_cert::{check_certificate, check_repair, Certificate};
 use magik_completeness::semantics::IncompleteDatabase;
 use magik_completeness::{
-    cert_statements, certify, complete_unifiers, explain_check, g_op, is_complete,
-    is_complete_under, is_complete_via_datalog, is_instantiation_of, k_mcs, k_mcs_on, mcg,
-    mcg_under, mcis, repair_suggestions, tc_apply, tc_apply_datalog, ConstraintSet, FiniteDomain,
-    KMcsEngine, KMcsOptions, TcSet, TcStatement,
+    cert_statements, certify, certify_explained, complete_unifiers, explain_check, g_op,
+    is_complete, is_complete_under, is_complete_via_datalog, is_instantiation_of, k_mcs, k_mcs_on,
+    mcg, mcg_under, mcis, repair_suggestions, tc_apply, tc_apply_datalog, ConstraintSet,
+    FiniteDomain, KMcsEngine, KMcsOptions, TcSet, TcStatement,
 };
 use magik_exec::Executor;
 use magik_relalg::{
@@ -147,6 +147,7 @@ mod oracle {
     use magik_cert::{
         Binding, Certificate, CompleteCert, FactDerivation, IncompleteCert, RepairCert,
     };
+    use magik_completeness::semantics::IncompleteDatabase;
     use magik_completeness::{
         is_complete, tc_apply, CheckExplanation, GuaranteeWitness, TcSet, TcStatement,
     };
@@ -311,12 +312,21 @@ mod oracle {
             .iter()
             .map(|a| (a.clone(), witnesses.get(&freeze_atom(a)).cloned()))
             .collect();
-        CheckExplanation { complete, atoms }
+        // What the retired `counterexample()` returned: the minimal
+        // completion of D_Q, when it loses the frozen head.
+        let counterexample =
+            (!complete).then(|| IncompleteDatabase::minimal_completion(frozen, tcs));
+        CheckExplanation {
+            complete,
+            atoms,
+            counterexample,
+        }
     }
 }
 
 /// `certify`, `repair_suggestions` and `explain_check` return exactly
-/// what the oracle returns, and the certificate passes `magik-cert`.
+/// what the oracle returns, the certificate passes `magik-cert`, and
+/// `certify_explained` returns what the two return apart.
 fn assert_matches_oracle(q: &Query, tcs: &TcSet) {
     let cert = certify(q, tcs);
     prop_assert_eq!(&cert, &oracle::certify(q, tcs));
@@ -325,9 +335,14 @@ fn assert_matches_oracle(q: &Query, tcs: &TcSet) {
         repair_suggestions(q, tcs),
         oracle::repair_suggestions(q, tcs)
     );
-    let (explained, expected) = (explain_check(q, tcs), oracle::explain_check(q, tcs));
-    prop_assert_eq!(explained.complete, expected.complete);
-    prop_assert_eq!(explained.atoms, expected.atoms);
+    let expected = oracle::explain_check(q, tcs);
+    let (together, explained_together) = certify_explained(q, tcs);
+    prop_assert_eq!(&together, &cert);
+    for explained in [explain_check(q, tcs), explained_together] {
+        prop_assert_eq!(explained.complete, expected.complete);
+        prop_assert_eq!(&explained.atoms, &expected.atoms);
+        prop_assert_eq!(&explained.counterexample, &expected.counterexample);
+    }
 }
 
 /// A `magik-workload` query and statement set: a random body of the

@@ -31,12 +31,11 @@
 //!
 //! The writer owns the session [`Vocabulary`], and every snapshot
 //! carries a frozen copy of it (O(1): see the relalg vocab module). Only
-//! logged writes intern names — `assert`, `retract` and `compl`, and so
-//! also recovery and replica apply through [`Engine::apply_logged`] —
-//! and only once the op is applied: a write parses into a clone of the
-//! writer's vocabulary and keeps it only if it changes state, so a
-//! refused, duplicate or absent write interns nothing. Publishing then
-//! costs O(names added), and checkpoints encode the snapshot's copy.
+//! the write path interns names, and only once the op is applied: it
+//! parses into a clone of the writer's vocabulary and keeps it only if
+//! the op changes state, so a refused, duplicate or absent write interns
+//! nothing. Publishing then costs O(names added), and checkpoints encode
+//! the snapshot's copy.
 //!
 //! A read parses into a throwaway **overlay** of its snapshot's
 //! vocabulary and renders from it, with no lock held; `specialize` also
@@ -77,10 +76,11 @@
 //!
 //! # Logged ops and the replica role
 //!
-//! Crash recovery and replica apply share one function for logged ops,
-//! [`Engine::apply_logged`]. A replica ([`Engine::open_replica`])
-//! changes state only through it, refuses client mutations, and answers
-//! `replication` from its [`ReplicaStatus`].
+//! Client writes, crash recovery and replica apply (the last two through
+//! [`Engine::apply_logged`]) run one write path. A replica
+//! ([`Engine::open_replica`]) changes state only by applying its
+//! primary's log, refuses client mutations, and answers `replication`
+//! from its [`ReplicaStatus`].
 //!
 //! # Parallelism
 //!
@@ -98,7 +98,7 @@ use magik_analyze::{analyze_check, analyze_query, analyze_state, analyze_stateme
 use magik_cert::{check_certificate, Certificate};
 use magik_completeness::{
     cert_statements, certify, is_complete, k_mcs_on, mcg, tc_encoding, CanonicalQuery,
-    ConstraintSet, KMcsOptions, TcSet,
+    ConstraintSet, KMcsOptions, TcSet, TcStatement,
 };
 use magik_datalog::Materialized;
 use magik_exec::{CompiledQuery, ExecStats, Executor, LruCache};
@@ -117,6 +117,7 @@ use std::sync::Arc;
 use crate::durability::{Durability, DurabilityOptions, RecoveryReport};
 use crate::metrics::{CacheCounts, Counter, Metrics, Op};
 use crate::replication::{ReplicaStatus, ReplicationHub};
+use crate::request::{unknown, Request};
 
 /// Default capacity of the verdict cache.
 const VERDICT_CACHE_CAP: usize = 1024;
@@ -208,9 +209,6 @@ impl<K: Eq + Hash + Clone, V: Clone> Cache<K, V> {
         value
     }
 }
-
-/// A request handler: the reply, or an `(error code, message)` pair.
-type Handler = fn(&Engine, &str) -> Result<String, (&'static str, String)>;
 
 /// A cached compiled plan, with the name of the query it was compiled
 /// from rendered at insert time: the query's head name may be local to
@@ -509,20 +507,14 @@ impl Engine {
     }
 
     /// Applies one logged record (a WAL-tail record at recovery, or one a
-    /// primary shipped): an op runs its own mutation code on the logged
-    /// text, then the engine must stand at the record's epochs (a mark
-    /// asserts the current ones). A refused op or an epoch mismatch is an
-    /// error. Not a client request, so `<op>.*` does not count it.
+    /// primary shipped): an op runs the write path on the logged text,
+    /// then the engine must stand at the record's epochs (a mark asserts
+    /// the current ones). A refused op or an epoch mismatch is an error.
+    /// Not a client request, so `<op>.*` does not count it.
     pub(crate) fn apply_logged(&self, rec: &WalRecord) -> Result<(), String> {
         if let WalRecord::Op { kind, text, .. } = rec {
-            let applied = match kind {
-                OpKind::Assert => self.req_assert(text),
-                OpKind::Retract => self.req_retract(text),
-                OpKind::Compl => self.req_compl(text),
-            };
-            if let Err((code, msg)) = applied {
-                return Err(format!("engine replied `err {code} {msg}`"));
-            }
+            self.write(*kind, text)
+                .map_err(|(code, msg)| format!("engine replied `err {code} {msg}`"))?;
         }
         let epochs = self.epochs();
         if epochs != rec.epochs() {
@@ -580,37 +572,6 @@ impl Engine {
         })?;
         store.flush()?;
         write_checkpoint(&mut store, &snap.checkpoint_image(), &self.metrics)
-    }
-
-    /// Logs one mutation (with its post-op epochs) before it is applied.
-    /// Called with the writer mutex held, so log order is publish order.
-    /// On a memory-only engine this is free.
-    fn log_mutation(
-        &self,
-        kind: OpKind,
-        text: &str,
-        tcs_epoch: u64,
-        data_epoch: u64,
-    ) -> Result<(), (&'static str, String)> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let rec = WalRecord::Op {
-            kind,
-            text: text.to_string(),
-            tcs_epoch,
-            data_epoch,
-        };
-        let append = d.append(&rec).map_err(|e| ("storage", e.to_string()))?;
-        self.metrics.add(Counter::WalAppends, 1);
-        self.metrics.add(Counter::WalBytes, append.bytes);
-        self.metrics
-            .add(Counter::WalFsyncs, u64::from(append.synced));
-        // Feed the record to replication streamers after it is safely in
-        // the log; still under the writer mutex, so feed order is log
-        // order and the live stream is gap-free.
-        self.repl.publish(&rec);
-        Ok(())
     }
 
     /// Post-mutation housekeeping: ticks the checkpoint counter and, when
@@ -728,24 +689,18 @@ impl Engine {
     /// (without a trailing newline). Never panics on malformed input —
     /// errors come back as `err <code> <message>` responses.
     pub fn handle(&self, line: &str) -> String {
+        self.execute(&Request::parse(line))
+    }
+
+    /// Executes one tokenized request and returns its response line,
+    /// counting it under its op in `metrics`.
+    pub(crate) fn execute(&self, request: &Request) -> String {
         let start = Instant::now();
-        let line = line.trim();
-        let (verb, rest) = match line.split_once(char::is_whitespace) {
-            Some((v, r)) => (v, r.trim()),
-            None => (line, ""),
-        };
-        let (op, result) = match verb {
-            "check" => (Op::Check, self.req_check(rest)),
-            "generalize" => (Op::Generalize, self.req_generalize(rest)),
-            "specialize" => (Op::Specialize, self.req_specialize(rest)),
-            "eval" => (Op::Eval, self.req_eval(rest)),
-            "assert" => (Op::Assert, self.client_write(rest, Engine::req_assert)),
-            "retract" => (Op::Retract, self.client_write(rest, Engine::req_retract)),
-            "compl" => (Op::Compl, self.client_write(rest, Engine::req_compl)),
-            "guaranteed" => (Op::Guaranteed, self.req_guaranteed(rest)),
-            "analyze" => (Op::Analyze, self.req_analyze(rest)),
-            "why" => (Op::Why, self.req_why(rest)),
-            "metrics" => {
+        let (op, result) = match request {
+            Request::Payload(op, text) => (*op, self.run(*op, text)),
+            Request::Specialize(k, query) => (Op::Specialize, self.req_specialize(*k, query)),
+            Request::Analyze(state, query) => (Op::Analyze, self.req_analyze(*state, query)),
+            Request::Metrics => {
                 let caches = CacheCounts {
                     verdict: self.verdicts.counts(),
                     answer: self.answer_cache.counts(),
@@ -756,7 +711,7 @@ impl Engine {
                 let fields = self.metrics.render(&caches, &self.exec.counters());
                 (Op::Other, Ok(format!("ok {fields}")))
             }
-            "plans" => {
+            Request::Plans => {
                 // Plan-cache introspection: one `<query>:joins=[...]` item
                 // per cached entry, recording the join operator the cost
                 // model chose for each join op of the plan.
@@ -781,17 +736,17 @@ impl Engine {
                         .to_string()),
                 )
             }
-            "epochs" => {
+            Request::Epochs => {
                 let (te, de) = self.epochs();
                 (Op::Other, Ok(format!("ok tcs={te} data={de}")))
             }
-            "replication" => (Op::Other, Ok(self.req_replication())),
-            "ping" => (Op::Other, Ok("ok pong".to_string())),
-            "" => (Op::Other, Err(("proto", "empty request".to_string()))),
-            other => (
-                Op::Other,
-                Err(("proto", format!("unknown command `{other}`"))),
-            ),
+            Request::Replication => (Op::Other, Ok(self.req_replication())),
+            Request::Ping => (Op::Other, Ok("ok pong".to_string())),
+            Request::Invalid(op, msg) => (*op, Err(("proto", msg.clone()))),
+            // The front end answers these itself.
+            Request::Quit => (Op::Other, Err(("proto", unknown("quit")))),
+            Request::Frames(_) => (Op::Other, Err(("proto", unknown("frames")))),
+            Request::Replicate(_) => (Op::Other, Err(("proto", unknown("replicate")))),
         };
         let is_error = result.is_err();
         self.metrics.record(op, start.elapsed(), is_error);
@@ -801,16 +756,26 @@ impl Engine {
         }
     }
 
-    /// Runs the client mutation `apply` on `src`. A replica refuses it:
-    /// its state changes only by applying its primary's log.
-    fn client_write(&self, src: &str, apply: Handler) -> Result<String, (&'static str, String)> {
-        if self.replica.is_some() {
-            return Err((
+    /// Runs the request `op` on its payload `text`.
+    fn run(&self, op: Op, text: &str) -> Result<String, (&'static str, String)> {
+        match op {
+            Op::Check => self.req_check(text),
+            Op::Why => self.req_why(text),
+            Op::Generalize => self.req_generalize(text),
+            Op::Eval => self.req_eval(text),
+            Op::Guaranteed => self.req_guaranteed(text),
+            // A replica's state changes only by applying its primary's log.
+            Op::Assert | Op::Retract | Op::Compl if self.replica.is_some() => Err((
                 "readonly",
                 "this replica serves reads only; send writes to the primary".to_string(),
-            ));
+            )),
+            Op::Assert => self.write(OpKind::Assert, text),
+            Op::Retract => self.write(OpKind::Retract, text),
+            Op::Compl => self.write(OpKind::Compl, text),
+            Op::Specialize | Op::Analyze | Op::Other => {
+                unreachable!("tokenized into their own requests")
+            }
         }
-        apply(self, src)
     }
 
     /// `replication` — this node's role, epochs, and lag or subscribers.
@@ -919,18 +884,12 @@ impl Engine {
     /// `specialize <k> <query>` — the k-MCSs, `|`-separated. The search
     /// names its scratch variables in the request's overlay, numbered
     /// from the snapshot's fresh counter.
-    fn req_specialize(&self, rest: &str) -> Result<String, (&'static str, String)> {
-        let (k_str, src) = rest
-            .split_once(char::is_whitespace)
-            .ok_or_else(|| ("proto", "usage: specialize <k> <query>".to_string()))?;
-        let k: usize = k_str
-            .parse()
-            .map_err(|_| ("proto", format!("invalid k `{k_str}`")))?;
+    fn req_specialize(&self, k: usize, src: &str) -> Result<String, (&'static str, String)> {
         let (snap, mut vocab, q) = self.parse_read(src)?;
         if q.size().checked_add(k).is_none() {
             return Err((
                 "proto",
-                format!("invalid k `{k_str}`: the bound |Q| + k overflows"),
+                format!("invalid k `{k}`: the bound |Q| + k overflows"),
             ));
         }
         let outcome = k_mcs_on(&q, &snap.tcs, &mut vocab, KMcsOptions::new(k), &self.exec);
@@ -990,88 +949,88 @@ impl Engine {
             .to_string())
     }
 
-    /// `assert <atom>` — insert a ground fact; maintains T_C incrementally.
-    /// On a durable engine the op is logged (and fsynced per policy)
-    /// *before* it is applied: an append failure leaves memory untouched.
-    fn req_assert(&self, src: &str) -> Result<String, (&'static str, String)> {
+    /// The one write path of client writes, WAL replay and replica apply.
+    /// Under the writer mutex: parse `text` into a clone of the writer's
+    /// vocabulary, answer a duplicate `assert` or an absent `retract` as a
+    /// no-op, log the op with its post-op epochs (an append failure leaves
+    /// memory untouched), apply it, keep the clone and publish.
+    fn write(&self, kind: OpKind, text: &str) -> Result<String, (&'static str, String)> {
         let mut writer = self.lock_writer();
         let mut vocab = writer.vocab.clone();
-        let fact = parse_fact(src, &mut vocab)?;
-        if writer.db.contains(&fact) {
-            return Ok("ok duplicate".to_string());
+        let edit = match kind {
+            OpKind::Compl => {
+                Edit::Add(parse_tcs(text, &mut vocab).map_err(|e| ("parse", e.to_string()))?)
+            }
+            OpKind::Assert | OpKind::Retract => {
+                let fact = parse_fact(text, &mut vocab)?;
+                match (kind, writer.db.contains(&fact)) {
+                    (OpKind::Assert, true) => return Ok("ok duplicate".to_string()),
+                    (OpKind::Retract, false) => return Ok("ok absent".to_string()),
+                    (OpKind::Assert, false) => Edit::Insert(fact),
+                    _ => Edit::Remove(fact),
+                }
+            }
+        };
+        let (tcs_epoch, data_epoch) = match edit {
+            Edit::Add(_) => (writer.tcs_epoch + 1, writer.data_epoch),
+            Edit::Insert(_) | Edit::Remove(_) => (writer.tcs_epoch, writer.data_epoch + 1),
+        };
+        if let Some(d) = &self.durability {
+            let rec = WalRecord::Op {
+                kind,
+                text: text.to_string(),
+                tcs_epoch,
+                data_epoch,
+            };
+            let append = d.append(&rec).map_err(|e| ("storage", e.to_string()))?;
+            self.metrics.add(Counter::WalAppends, 1);
+            self.metrics.add(Counter::WalBytes, append.bytes);
+            self.metrics
+                .add(Counter::WalFsyncs, u64::from(append.synced));
+            // Still under the writer mutex, so the replication feed is in
+            // log order and gap-free.
+            self.repl.publish(&rec);
         }
-        self.log_mutation(OpKind::Assert, src, writer.tcs_epoch, writer.data_epoch + 1)?;
         writer.vocab = vocab;
         writer.vocab.freeze();
-        writer.db.insert(fact.clone());
-        writer.data_epoch += 1;
-        let pi = writer.ideal.get(&fact.pred).copied();
-        if let Some(pi) = pi {
-            writer.tc_mat.insert(Fact::new(pi, fact.args));
-        }
+        writer.tcs_epoch = tcs_epoch;
+        writer.data_epoch = data_epoch;
+        let reply = match edit {
+            Edit::Insert(fact) => {
+                writer.db.insert(fact.clone());
+                if let Some(&pi) = writer.ideal.get(&fact.pred) {
+                    writer.tc_mat.insert(Fact::new(pi, fact.args));
+                }
+                "ok inserted".to_string()
+            }
+            Edit::Remove(fact) => {
+                writer.db.remove(&fact);
+                if let Some(&pi) = writer.ideal.get(&fact.pred) {
+                    let stats = writer.tc_mat.retract_all([Fact::new(pi, fact.args)]);
+                    self.metrics
+                        .add(Counter::DredOverdeleted, stats.overdeleted as u64);
+                    self.metrics
+                        .add(Counter::DredRederived, stats.rederived as u64);
+                }
+                "ok retracted".to_string()
+            }
+            Edit::Add(stmt) => {
+                Arc::make_mut(&mut writer.tcs).push(stmt);
+                writer.rebuild_tc(&self.exec);
+                format!("ok epoch={tcs_epoch}")
+            }
+        };
         self.swap(&writer);
+        if kind == OpKind::Compl {
+            // Stale verdict keys are unreachable after the epoch bump, and a
+            // `compl` reshapes the predicate landscape plans were built
+            // for: drop both rather than let them occupy capacity.
+            self.verdicts.clear();
+            self.plans.clear();
+        }
         drop(writer);
         self.after_mutation();
-        Ok("ok inserted".to_string())
-    }
-
-    /// `retract <atom>` — remove a ground fact; maintains T_C by DRed
-    /// (over-delete, then re-derive) and records the pass sizes in the
-    /// `dred.*` metrics. A fact with a name the session does not know is
-    /// absent, so a retract never interns.
-    fn req_retract(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let mut writer = self.lock_writer();
-        let fact = parse_fact(src, &mut writer.vocab.clone())?;
-        if !writer.db.contains(&fact) {
-            return Ok("ok absent".to_string());
-        }
-        self.log_mutation(
-            OpKind::Retract,
-            src,
-            writer.tcs_epoch,
-            writer.data_epoch + 1,
-        )?;
-        writer.db.remove(&fact);
-        writer.data_epoch += 1;
-        let pi = writer.ideal.get(&fact.pred).copied();
-        if let Some(pi) = pi {
-            let stats = writer
-                .tc_mat
-                .retract_all(std::iter::once(Fact::new(pi, fact.args)));
-            self.metrics
-                .add(Counter::DredOverdeleted, stats.overdeleted as u64);
-            self.metrics
-                .add(Counter::DredRederived, stats.rederived as u64);
-        }
-        self.swap(&writer);
-        drop(writer);
-        self.after_mutation();
-        Ok("ok retracted".to_string())
-    }
-
-    /// `compl <tcs>` — add a TC statement; bumps the TCS epoch and
-    /// rebuilds the T_C encoding.
-    fn req_compl(&self, src: &str) -> Result<String, (&'static str, String)> {
-        let mut writer = self.lock_writer();
-        let mut vocab = writer.vocab.clone();
-        let stmt = parse_tcs(src, &mut vocab).map_err(|e| ("parse", e.to_string()))?;
-        self.log_mutation(OpKind::Compl, src, writer.tcs_epoch + 1, writer.data_epoch)?;
-        writer.vocab = vocab;
-        Arc::make_mut(&mut writer.tcs).push(stmt);
-        writer.tcs_epoch += 1;
-        writer.rebuild_tc(&self.exec);
-        self.swap(&writer);
-        // Stale verdict keys are unreachable after the epoch bump; drop
-        // them eagerly so they stop occupying cache capacity. Plans are
-        // dropped too: `compl` is the one request that reshapes the
-        // session's predicate landscape, and a cold plan cache costs only
-        // one recompile per canonical query.
-        self.verdicts.clear();
-        self.plans.clear();
-        let epoch = writer.tcs_epoch;
-        drop(writer);
-        self.after_mutation();
-        Ok(format!("ok epoch={epoch}"))
+        Ok(reply)
     }
 
     /// `guaranteed <atom>` — is this fact certain to be available, i.e.
@@ -1101,42 +1060,34 @@ impl Engine {
     /// Diagnostics come back `|`-separated on one line; the session holds
     /// no integrity constraints, so the constraint-dependent checks are
     /// vacuous.
-    fn req_analyze(&self, rest: &str) -> Result<String, (&'static str, String)> {
-        if rest == "state" {
-            return Ok(self.analyze_state_cached());
-        }
-        if let Some(qsrc) = rest.strip_prefix("state ") {
-            let (snap, vocab, q) = self.parse_read(qsrc)?;
-            return Ok(render_diags(&analyze_check(0, &q, &snap.tcs, &vocab)));
-        }
+    fn req_analyze(&self, state: bool, src: &str) -> Result<String, (&'static str, String)> {
         let constraints = ConstraintSet::default();
-        if rest.is_empty() {
-            let snap = self.snapshot();
+        if !src.is_empty() {
+            let (snap, vocab, q) = self.parse_read(src)?;
+            return Ok(render_diags(&if state {
+                analyze_check(0, &q, &snap.tcs, &vocab)
+            } else {
+                analyze_query(0, &q, &snap.tcs, &constraints, &vocab)
+            }));
+        }
+        let snap = self.snapshot();
+        if !state {
             let diags = analyze_statements(&snap.tcs, &constraints, &snap.vocab);
             return Ok(render_diags(&diags));
         }
-        let (snap, vocab, q) = self.parse_read(rest)?;
-        let diags = analyze_query(0, &q, &snap.tcs, &constraints, &vocab);
-        Ok(render_diags(&diags))
-    }
-
-    /// The cached `analyze state` path: probe the analysis cache at the
-    /// snapshot's epoch pair, computing (and caching) the live-session
-    /// diagnostics on a miss. Probes land in the `analysis_cache.*`
-    /// metrics.
-    fn analyze_state_cached(&self) -> String {
-        let snap = self.snapshot();
         let key = (snap.tcs_epoch, snap.data_epoch);
-        self.analysis.get_or_insert_with(key, || {
+        Ok(self.analysis.get_or_insert_with(key, || {
             let facts: Vec<Fact> = snap.db.iter_facts().collect();
-            render_diags(&analyze_state(
-                &snap.tcs,
-                &ConstraintSet::default(),
-                &facts,
-                &snap.vocab,
-            ))
-        })
+            render_diags(&analyze_state(&snap.tcs, &constraints, &facts, &snap.vocab))
+        }))
     }
+}
+
+/// The change one write makes: `assert`, `retract` or `compl`.
+enum Edit {
+    Insert(Fact),
+    Remove(Fact),
+    Add(TcStatement),
 }
 
 /// Parses a ground fact (a trailing `.` is optional) into `vocab`.
@@ -1997,6 +1948,38 @@ mod tests {
         ));
         assert!(reply.starts_with("err proto invalid k"), "{reply}");
         assert_eq!(e.handle("ping"), "ok pong");
+    }
+
+    #[test]
+    fn specialize_over_no_statements_answers_at_once_for_any_k() {
+        // The largest k whose bound |Q| + k fits: with no statements the
+        // search stops after size 0 instead of walking every size up to it.
+        let request = format!("specialize {} q(X) :- p(X).", usize::MAX - 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let workers: Vec<_> = [Executor::Sequential, Executor::with_threads(2)]
+            .into_iter()
+            .map(|exec| {
+                let (tx, request) = (tx.clone(), request.clone());
+                std::thread::spawn(move || {
+                    let e = Engine::with_session_on(
+                        Vocabulary::new(),
+                        TcSet::new(Vec::new()),
+                        Instance::new(),
+                        exec,
+                    );
+                    let _ = tx.send(e.handle(&request));
+                })
+            })
+            .collect();
+        for _ in &workers {
+            let reply = rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .expect("answered within a second");
+            assert_eq!(reply, "ok 0");
+        }
+        for worker in workers {
+            worker.join().expect("the request thread finished");
+        }
     }
 
     #[test]

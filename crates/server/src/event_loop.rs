@@ -1,22 +1,24 @@
 //! The event-loop (reactor) front end.
 //!
 //! One thread owns every connection: it multiplexes readiness through a
-//! level-triggered [`Poller`], parses complete requests out of
-//! per-connection read buffers, and dispatches them to a fixed
+//! level-triggered [`Poller`], tokenizes each complete request in the
+//! per-connection read buffers once ([`Request`]), answers `quit`,
+//! `frames` and `replicate` itself, and dispatches the rest to a fixed
 //! [`ThreadPool`] of request workers. Workers hand finished replies back
 //! over a channel and wake the reactor.
 //!
 //! Each connection keeps one queue of reply slots in request order. A
 //! slot holds a finished reply (inline, a protocol violation, or a
-//! worker's), or an engine request that is waiting or running. Finished
-//! slots flush from the front, so replies leave **strictly in request
-//! order** and clients may pipeline many requests and still match
-//! replies positionally. Only the front slot can be a waiting engine
-//! request ready to start, because everything ahead of it has flushed:
-//! a connection runs one engine request at a time, so a pipelined
-//! `compl` + `check` pair behaves exactly as it would back-to-back. A
-//! handler that panics is answered `err internal …` and counted in
-//! `pool.panics`; its connection keeps serving.
+//! worker's), or a tokenized engine request that is waiting or running;
+//! nothing is parsed after a closing reply. Finished slots flush from the
+//! front, so replies leave **strictly in request order** and clients may
+//! pipeline many requests and still match replies positionally. Only the
+//! front slot can be a waiting engine request ready to start, because
+//! everything ahead of it has flushed: a connection runs one engine
+//! request at a time, so a pipelined `compl` + `check` pair behaves
+//! exactly as it would back-to-back. A handler that panics is answered
+//! `err internal …` and counted in `pool.panics`; its connection keeps
+//! serving.
 //!
 //! A connection costs two buffers, not a pool worker: thousands of idle
 //! or slow connections coexist with a handful of threads, and a
@@ -55,8 +57,9 @@ use magik_runtime::ThreadPool;
 
 use crate::engine::Engine;
 use crate::metrics::{Counter, Metrics};
-use crate::net::{intercept, AcceptBackoff, Action, Done, Framing, MAX_LINE_BYTES};
+use crate::net::{AcceptBackoff, Framing, MAX_LINE_BYTES};
 use crate::replication;
+use crate::request::Request;
 
 /// The registration token reserved for the listener.
 const LISTENER_TOKEN: usize = 0;
@@ -84,10 +87,11 @@ type DoneMsg = (usize, String);
 
 /// One request's place in its connection's reply order.
 enum Slot {
-    /// The reply is final.
-    Ready(Done),
+    /// The final reply, and the framing the connection's replies switch
+    /// to after it (`frames` acks only).
+    Ready(String, Option<Framing>),
     /// An engine request waiting for the slots ahead of it to flush.
-    Waiting(String),
+    Waiting(Request),
     /// The engine request running on a worker.
     Running,
 }
@@ -103,8 +107,8 @@ enum Fate {
 
 /// One parsed request, or a reason to stop parsing.
 enum Parsed {
-    /// A complete request (already trimmed; never empty).
-    Cmd(String),
+    /// A complete request, tokenized (never a blank line).
+    Cmd(Request),
     /// Whitespace only — consumed, nothing to do.
     Blank,
     /// Need more input bytes.
@@ -131,10 +135,9 @@ struct Conn {
     slots: VecDeque<Slot>,
     /// Peer half-closed its write side (EOF seen).
     read_closed: bool,
-    /// A closing reply has been queued; stop parsing new requests.
+    /// A closing reply has been queued as the last slot: stop parsing,
+    /// and close once it is flushed and `wbuf` drains.
     closing: bool,
-    /// The closing reply has been rendered; close once `wbuf` drains.
-    close_after_flush: bool,
     /// Interest currently registered with the poller.
     interest: Interest,
     /// Set by a readiness event; cleared after the read attempt.
@@ -158,7 +161,6 @@ impl Conn {
             slots: VecDeque::new(),
             read_closed: false,
             closing: false,
-            close_after_flush: false,
             interest: Interest::READ,
             want_read: false,
             last_write_progress: Instant::now(),
@@ -334,7 +336,7 @@ fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
     while let Ok((token, reply)) = done_rx.try_recv() {
         if let Some(slot @ Slot::Running) = conns.get_mut(&token).and_then(|c| c.slots.front_mut())
         {
-            *slot = Slot::Ready(Done::reply(reply));
+            *slot = Slot::Ready(reply, None);
         }
     }
 }
@@ -363,7 +365,7 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
         // parser refuses a pipelined `replicate`).
         return Fate::Replicate(from);
     }
-    if conn.close_after_flush && conn.pending_write() == 0 {
+    if conn.closing && conn.slots.is_empty() && conn.pending_write() == 0 {
         return Fate::Close;
     }
     if conn.read_closed
@@ -453,54 +455,68 @@ fn next_request(conn: &mut Conn) -> Parsed {
             (&haystack[4..4 + len], 4 + len)
         }
     };
-    let cmd = String::from_utf8_lossy(body).trim().to_string();
-    conn.rpos += consumed;
-    if cmd.is_empty() {
+    let cmd = String::from_utf8_lossy(body);
+    let parsed = if cmd.trim().is_empty() {
         Parsed::Blank
     } else {
-        Parsed::Cmd(cmd)
-    }
+        Parsed::Cmd(Request::parse(&cmd))
+    };
+    conn.rpos += consumed;
+    parsed
 }
 
 /// Parses as many complete requests as the gates allow into reply
-/// slots: connection-level commands and violations finish at once,
-/// engine requests wait for [`start_front`].
+/// slots: the connection-level commands (`quit`, `frames`, `replicate`)
+/// and violations finish at once, engine requests wait for
+/// [`start_front`].
 fn parse(conn: &mut Conn) {
     while !conn.closing
         && conn.replicate_from.is_none()
         && conn.slots.len() < MAX_INFLIGHT
         && conn.pending_write() < WBUF_GATE
     {
-        let done = match next_request(conn) {
-            Parsed::Cmd(cmd) => match intercept(&cmd, conn.parse_framing) {
-                Action::Reply(done) => done,
-                Action::Dispatch => {
-                    conn.slots.push_back(Slot::Waiting(cmd));
-                    continue;
-                }
-                // No reply flows through the reactor: the streamer writes
-                // the handshake itself, so nothing may be owed before it.
-                Action::Replicate(from)
-                    if conn.slots.is_empty()
-                        && conn.pending_write() == 0
-                        && conn.unparsed() == 0 =>
-                {
-                    conn.replicate_from = Some(from);
-                    continue;
-                }
-                Action::Replicate(_) => Done::closing("err proto replicate cannot be pipelined"),
+        let (reply, close) = match next_request(conn) {
+            Parsed::Cmd(Request::Quit) => ("ok bye".to_string(), true),
+            Parsed::Cmd(Request::Frames(Ok(None))) => {
+                (format!("ok frames={}", conn.parse_framing.name()), false)
+            }
+            Parsed::Cmd(Request::Frames(Ok(Some(framing)))) => {
+                // Incoming bytes switch right here; outgoing replies
+                // switch when the ack is rendered (ordered with every
+                // earlier reply).
+                conn.parse_framing = framing;
+                let ack = format!("ok frames={}", framing.name());
+                conn.slots.push_back(Slot::Ready(ack, Some(framing)));
+                continue;
+            }
+            Parsed::Cmd(Request::Frames(Err(name))) => {
+                (format!("err proto unknown framing `{name}`"), false)
+            }
+            // No reply flows through the reactor: the streamer writes the
+            // handshake itself, so nothing may be owed before it.
+            Parsed::Cmd(Request::Replicate(Some(from)))
+                if conn.slots.is_empty() && conn.pending_write() == 0 && conn.unparsed() == 0 =>
+            {
+                conn.replicate_from = Some(from);
+                continue;
+            }
+            Parsed::Cmd(Request::Replicate(from)) => match from {
+                Some(_) => ("err proto replicate cannot be pipelined".to_string(), true),
+                None => (
+                    "err proto usage: replicate <tcs-epoch> <data-epoch>".to_string(),
+                    false,
+                ),
             },
+            Parsed::Cmd(request) => {
+                conn.slots.push_back(Slot::Waiting(request));
+                continue;
+            }
             Parsed::Blank => continue,
             Parsed::Incomplete => break,
-            Parsed::Violation(reply) => Done::closing(reply),
+            Parsed::Violation(reply) => (reply.to_string(), true),
         };
-        if let Some(framing) = done.switch_to {
-            // Incoming bytes switch right here; outgoing replies switch
-            // when the ack is rendered (ordered with every earlier reply).
-            conn.parse_framing = framing;
-        }
-        conn.closing |= done.close;
-        conn.slots.push_back(Slot::Ready(done));
+        conn.closing = close;
+        conn.slots.push_back(Slot::Ready(reply, None));
     }
     // Reclaim consumed input.
     if conn.rpos > 0 {
@@ -510,33 +526,29 @@ fn parse(conn: &mut Conn) {
 }
 
 /// Moves the finished slots at the front into the write buffer, applying
-/// framing switches and close requests as they pass.
+/// framing switches as they pass.
 fn flush_ready(conn: &mut Conn) {
     let was_empty = conn.pending_write() == 0;
     let mut rendered = false;
     while let Some(slot) = conn.slots.pop_front() {
-        let Slot::Ready(done) = slot else {
+        let Slot::Ready(reply, switch) = slot else {
             conn.slots.push_front(slot);
             break;
         };
         rendered = true;
         match conn.reply_framing {
             Framing::Line => {
-                conn.wbuf.extend_from_slice(done.reply.as_bytes());
+                conn.wbuf.extend_from_slice(reply.as_bytes());
                 conn.wbuf.push(b'\n');
             }
             Framing::Binary => {
-                let bytes = done.reply.as_bytes();
                 conn.wbuf
-                    .extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-                conn.wbuf.extend_from_slice(bytes);
+                    .extend_from_slice(&(reply.len() as u32).to_le_bytes());
+                conn.wbuf.extend_from_slice(reply.as_bytes());
             }
         }
-        if let Some(framing) = done.switch_to {
+        if let Some(framing) = switch {
             conn.reply_framing = framing;
-        }
-        if done.close {
-            conn.close_after_flush = true;
         }
     }
     if was_empty && rendered {
@@ -552,16 +564,18 @@ fn start_front(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
     let Some(slot) = conn.slots.front_mut() else {
         return;
     };
-    let Slot::Waiting(cmd) = slot else {
-        return;
+    let request = match std::mem::replace(slot, Slot::Running) {
+        Slot::Waiting(request) => request,
+        other => {
+            *slot = other;
+            return;
+        }
     };
-    let cmd = std::mem::take(cmd);
-    *slot = Slot::Running;
     let engine = Arc::clone(ctx.engine);
     let tx = ctx.done_tx.clone();
     let poller = Arc::clone(ctx.poller);
     ctx.pool.execute(move || {
-        let reply = answer(engine.metrics(), || engine.handle(&cmd));
+        let reply = answer(engine.metrics(), || engine.execute(&request));
         let _ = tx.send((token, reply));
         let _ = poller.wake();
     });
@@ -623,7 +637,7 @@ fn detach_replica(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::CacheCounts;
+    use crate::metrics::{CacheCounts, Op};
     use magik_runtime::PoolCounters;
 
     #[test]
@@ -646,9 +660,10 @@ mod tests {
         parse(&mut conn);
         // `quit` closes: the `ping` behind it is never parsed.
         assert_eq!(conn.slots.len(), 4);
-        assert!(
-            matches!(conn.slots.front(), Some(Slot::Waiting(cmd)) if cmd == "check q(X) :- p(X).")
-        );
+        assert!(matches!(
+            conn.slots.front(),
+            Some(Slot::Waiting(Request::Payload(Op::Check, query))) if query == "q(X) :- p(X)."
+        ));
         conn.slots[0] = Slot::Running;
         flush_ready(&mut conn);
         assert_eq!(
@@ -668,6 +683,6 @@ mod tests {
             "ok complete\nok frames=line\nerr proto usage: replicate <tcs-epoch> <data-epoch>\nok bye\n"
         );
         assert_eq!(conn.slots.len(), 0);
-        assert!(conn.close_after_flush);
+        assert!(conn.closing);
     }
 }

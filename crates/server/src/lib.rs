@@ -26,9 +26,9 @@
 //!   [`run_replica`] — WAL log-shipping replication: a primary streams
 //!   its write-ahead log to read-only replicas from a snapshot-consistent
 //!   position. A replica engine applies each shipped op through the
-//!   function crash recovery uses (`Engine::apply_logged`), refuses
-//!   client writes itself, and reports its epoch lag via the
-//!   `replication` request.
+//!   write path client writes and crash recovery run, refuses client
+//!   writes itself, and reports its epoch lag via the `replication`
+//!   request.
 //! * [`Metrics`] / [`Histogram`] — one table of lock-free counters and
 //!   fixed-bucket latency quantiles, reported by the `metrics` request
 //!   together with the caches' hits and misses, the compute pool's
@@ -70,6 +70,7 @@ mod event_loop;
 mod metrics;
 mod net;
 mod replication;
+mod request;
 
 pub use durability::{DurabilityOptions, RecoveryReport};
 pub use engine::Engine;

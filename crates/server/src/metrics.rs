@@ -100,19 +100,20 @@ pub enum Op {
     Other,
 }
 
-/// The name of each [`Op`], indexed by `op as usize`.
-const OP_NAMES: [&str; 11] = [
-    "check",
-    "generalize",
-    "specialize",
-    "eval",
-    "assert",
-    "retract",
-    "compl",
-    "guaranteed",
-    "analyze",
-    "why",
-    "other",
+/// Each [`Op`], indexed by `op as usize`, with its name in the `metrics`
+/// reply. Every name but `other` is also the op's request verb.
+pub(crate) const OPS: [(Op, &str); 11] = [
+    (Op::Check, "check"),
+    (Op::Generalize, "generalize"),
+    (Op::Specialize, "specialize"),
+    (Op::Eval, "eval"),
+    (Op::Assert, "assert"),
+    (Op::Retract, "retract"),
+    (Op::Compl, "compl"),
+    (Op::Guaranteed, "guaranteed"),
+    (Op::Analyze, "analyze"),
+    (Op::Why, "why"),
+    (Op::Other, "other"),
 ];
 
 /// One counter the engine adds to. Names, reply order and the counts
@@ -215,7 +216,7 @@ struct OpStats {
 /// Shared, thread-safe server metrics.
 #[derive(Debug, Default)]
 pub struct Metrics {
-    ops: [OpStats; OP_NAMES.len()],
+    ops: [OpStats; OPS.len()],
     counters: [AtomicU64; COUNTERS],
 }
 
@@ -266,7 +267,7 @@ impl Metrics {
             }
             let _ = write!(out, "{name}{suffix}={value}");
         };
-        for (name, stats) in OP_NAMES.into_iter().zip(&self.ops) {
+        for ((_, name), stats) in OPS.iter().zip(&self.ops) {
             let latency = &stats.latency;
             let count = latency.count();
             if count == 0 {

@@ -11,12 +11,11 @@
 //! The protocol (grammar in `PROTOCOL.md`) is requests in, replies out,
 //! in order, with request *pipelining* (many requests in flight per
 //! connection, replies strictly in request order) and a length-prefixed
-//! *binary framing* negotiated in-band with `frames binary`. The front
-//! end keeps only framing and the connection-level commands — `quit`,
-//! `frames` and the `replicate` handoff — classified by [`intercept`],
-//! which answers them with a finished [`Done`] reply carrying its
-//! framing switch and close flag; every other request, `replication`
-//! and a replica's refused writes included, is the engine's.
+//! *binary framing* negotiated in-band with `frames binary`. The reactor
+//! tokenizes each request once ([`crate::request`]) and keeps only
+//! framing and the connection-level commands — `quit`, `frames` and the
+//! `replicate` handoff; every other request, `replication` and a
+//! replica's refused writes included, is the engine's.
 
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -52,81 +51,6 @@ impl Framing {
             Framing::Binary => "binary",
         }
     }
-}
-
-/// A finished reply: one the front end produces itself, or one a worker
-/// returned from the engine.
-pub(crate) struct Done {
-    pub(crate) reply: String,
-    /// Switch the connection's reply framing after this reply.
-    pub(crate) switch_to: Option<Framing>,
-    /// Close the connection once this reply is flushed.
-    pub(crate) close: bool,
-}
-
-impl Done {
-    /// A reply that leaves the connection as it is.
-    pub(crate) fn reply(reply: impl Into<String>) -> Done {
-        Done {
-            reply: reply.into(),
-            switch_to: None,
-            close: false,
-        }
-    }
-
-    /// A reply after which the connection closes.
-    pub(crate) fn closing(reply: impl Into<String>) -> Done {
-        Done {
-            close: true,
-            ..Done::reply(reply)
-        }
-    }
-}
-
-/// What the front end should do with one parsed request.
-pub(crate) enum Action {
-    /// Answer without touching the engine.
-    Reply(Done),
-    /// Hand the request to `Engine::handle` on a worker.
-    Dispatch,
-    /// Hand the connection to a WAL streamer starting after this
-    /// `(tcs_epoch, data_epoch)` position.
-    Replicate((u64, u64)),
-}
-
-/// Classifies one request line for the front end. Everything that is
-/// not a connection-level command (`quit`, `frames`, `replicate`) is
-/// [`Action::Dispatch`]ed to the engine.
-pub(crate) fn intercept(cmd: &str, current: Framing) -> Action {
-    let (verb, rest) = match cmd.split_once(char::is_whitespace) {
-        Some((v, r)) => (v, r.trim()),
-        None => (cmd, ""),
-    };
-    let switch = |framing: Framing| Done {
-        switch_to: Some(framing),
-        ..Done::reply(format!("ok frames={}", framing.name()))
-    };
-    Action::Reply(match verb {
-        "quit" => Done::closing("ok bye"),
-        "frames" => match rest {
-            "" => Done::reply(format!("ok frames={}", current.name())),
-            "binary" => switch(Framing::Binary),
-            "line" => switch(Framing::Line),
-            other => Done::reply(format!("err proto unknown framing `{other}`")),
-        },
-        "replicate" => {
-            let mut parts = rest.split_whitespace();
-            match (
-                parts.next().and_then(|s| s.parse::<u64>().ok()),
-                parts.next().and_then(|s| s.parse::<u64>().ok()),
-                parts.next(),
-            ) {
-                (Some(te), Some(de), None) => return Action::Replicate((te, de)),
-                _ => Done::reply("err proto usage: replicate <tcs-epoch> <data-epoch>"),
-            }
-        }
-        _ => return Action::Dispatch,
-    })
 }
 
 /// Exponential backoff policy for failed `accept` calls.
@@ -281,43 +205,5 @@ mod tests {
         b.on_success();
         assert_eq!(b.on_error(), AcceptBackoff::START);
         assert_eq!(b.on_error(), AcceptBackoff::START * 2);
-    }
-
-    #[test]
-    fn intercept_classifies_connection_commands() {
-        assert!(matches!(
-            intercept("quit", Framing::Line),
-            Action::Reply(Done { reply, switch_to: None, close: true }) if reply == "ok bye"
-        ));
-        assert!(matches!(
-            intercept("frames binary", Framing::Line),
-            Action::Reply(Done { reply, switch_to: Some(Framing::Binary), close: false })
-                if reply == "ok frames=binary"
-        ));
-        assert!(matches!(
-            intercept("frames", Framing::Binary),
-            Action::Reply(Done { reply, switch_to: None, close: false })
-                if reply == "ok frames=binary"
-        ));
-        assert!(matches!(
-            intercept("replicate 3 7", Framing::Line),
-            Action::Replicate((3, 7))
-        ));
-        assert!(matches!(
-            intercept("replicate x", Framing::Line),
-            Action::Reply(Done { reply, switch_to: None, close: false })
-                if reply.starts_with("err proto usage")
-        ));
-        assert!(matches!(
-            intercept("check q() :- p().", Framing::Line),
-            Action::Dispatch
-        ));
-        // The engine answers `replication` and refuses a replica's writes.
-        for cmd in ["replication", "assert p(a)."] {
-            assert!(
-                matches!(intercept(cmd, Framing::Line), Action::Dispatch),
-                "{cmd}"
-            );
-        }
     }
 }

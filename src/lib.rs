@@ -92,8 +92,8 @@ pub use magik_cert::{
     Certificate, CompleteCert, FactDerivation, IncompleteCert, RepairCert,
 };
 pub use magik_completeness::{
-    answering, cert_statements, certify, chase_query, classify_answers, complete_unifiers,
-    constraints, count_bounds, counterexample, explain, explain_check, g_op, is_complete,
+    answering, cert_statements, certify, certify_explained, chase_query, classify_answers,
+    complete_unifiers, constraints, count_bounds, explain, explain_check, g_op, is_complete,
     is_complete_under, is_complete_via_datalog, is_instantiation_of, is_mcg, is_mci, k_mcs,
     k_mcs_on, lint, mcg, mcg_under, mcg_with_stats, mcis, mcis_bounded, publishable_counts,
     render_counterexample, render_explanation, render_explanation_with_locations,
