@@ -17,8 +17,8 @@
 //! checks with an attached minimal repair (M025).
 //!
 //! All diagnostics are span-free ([`Location`]s only): live state has no
-//! source text. The server caches the result per
-//! `(tcs_epoch, data_epoch)` — see `magik-server`'s `AnalysisCache`.
+//! source text. The server caches the rendered result per
+//! `(tcs_epoch, data_epoch)` in its engine's `analysis` cache.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -41,9 +41,9 @@ fn relation(n: usize) -> (Vocabulary, Pred, Instance) {
     (v, pred, db)
 }
 
-/// Cells copied by one write made while a snapshot shares `db`.
+/// Cells copied by one write made while a clone shares `db`.
 fn copied_by(db: &mut Instance, write: impl FnOnce(&mut Instance) -> bool) -> u64 {
-    let snap = db.snapshot();
+    let snap = db.clone();
     let before = cow_cells_copied();
     assert!(write(db));
     let copied = cow_cells_copied() - before;
@@ -64,7 +64,7 @@ fn bench_after_snapshot(c: &mut Criterion) {
         let present = row(&mut v, pred, n / 2);
         group.bench_with_input(BenchmarkId::new("insert", n), &fresh, |b, fact| {
             b.iter_batched(
-                || (db.clone(), db.snapshot()),
+                || (db.clone(), db.clone()),
                 |(mut live, snap)| {
                     assert!(live.insert(fact.clone()));
                     (live, snap)
@@ -74,7 +74,7 @@ fn bench_after_snapshot(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("remove", n), &present, |b, fact| {
             b.iter_batched(
-                || (db.clone(), db.snapshot()),
+                || (db.clone(), db.clone()),
                 |(mut live, snap)| {
                     assert!(live.remove(fact));
                     (live, snap)

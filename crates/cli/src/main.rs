@@ -409,7 +409,7 @@ fn cmd_eval(vocab: &Vocabulary, doc: &Document) {
                     println!("  {}", tuple.display(vocab));
                 }
             }
-            Err(e) => println!("cannot evaluate {}: {e}", q.display(vocab)),
+            Err(e) => println!("cannot evaluate {}: {}", q.display(vocab), e.display(vocab)),
         }
     }
 }
@@ -437,7 +437,7 @@ fn cmd_bounds(vocab: &mut Vocabulary, doc: &Document, k: usize) {
                     None => println!("  possible further answers: unbounded (no MCG)"),
                 }
             }
-            Err(e) => println!("  cannot evaluate: {e}"),
+            Err(e) => println!("  cannot evaluate: {}", e.display(vocab)),
         }
         match count_bounds(q, &doc.tcs, &doc.facts) {
             Ok(b) => match b.upper {
@@ -445,7 +445,7 @@ fn cmd_bounds(vocab: &mut Vocabulary, doc: &Document, k: usize) {
                 Some(u) => println!("  ideal answer count: between {} and {u}", b.lower),
                 None => println!("  ideal answer count: at least {}", b.lower),
             },
-            Err(e) => println!("  cannot bound: {e}"),
+            Err(e) => println!("  cannot bound: {}", e.display(vocab)),
         }
         match publishable_counts(q, &doc.tcs, vocab, &doc.facts, k) {
             Ok(rows) if rows.is_empty() => {
@@ -460,7 +460,7 @@ fn cmd_bounds(vocab: &mut Vocabulary, doc: &Document, k: usize) {
                     println!("    |{}| = {}", row.query.display(vocab), row.count);
                 }
             }
-            Err(e) => println!("  cannot specialize: {e}"),
+            Err(e) => println!("  cannot specialize: {}", e.display(vocab)),
         }
     }
 }
@@ -577,7 +577,9 @@ fn cmd_simulate(vocab: &Vocabulary, doc: &Document) {
                     println!("  at risk: {}", t.display(vocab));
                 }
             }
-            (Err(e), _) | (_, Err(e)) => println!("cannot evaluate {}: {e}", q.display(vocab)),
+            (Err(e), _) | (_, Err(e)) => {
+                println!("cannot evaluate {}: {}", q.display(vocab), e.display(vocab));
+            }
         }
     }
 }
@@ -881,13 +883,13 @@ fn cmd_explain_plan(args: &[String]) -> ExitCode {
                     objects.push(format!(
                         r#"{{"query":"{}","error":"{}"}}"#,
                         json_escape(&q.display(&vocab).to_string()),
-                        json_escape(&e.to_string())
+                        json_escape(&e.display(&vocab).to_string())
                     ));
                 } else {
                     if i > 0 {
                         println!();
                     }
-                    println!("cannot plan {}: {e}", q.display(&vocab));
+                    println!("cannot plan {}: {}", q.display(&vocab), e.display(&vocab));
                 }
             }
         }

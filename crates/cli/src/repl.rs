@@ -198,7 +198,7 @@ impl Repl {
                         }
                         writeln!(out, "{} answer(s)", ans.len())?;
                     }
-                    Err(e) => writeln!(out, "error: {e}")?,
+                    Err(e) => writeln!(out, "error: {}", e.display(&self.vocab))?,
                 },
                 Err(e) => writeln!(out, "error: {e}")?,
             },
@@ -209,7 +209,7 @@ impl Repl {
                         Some(u) => writeln!(out, "ideal count: between {} and {u}", b.lower)?,
                         None => writeln!(out, "ideal count: at least {}", b.lower)?,
                     },
-                    Err(e) => writeln!(out, "error: {e}")?,
+                    Err(e) => writeln!(out, "error: {}", e.display(&self.vocab))?,
                 },
                 Err(e) => writeln!(out, "error: {e}")?,
             },

@@ -104,6 +104,56 @@ fn eval_counts_answers() {
 }
 
 #[test]
+fn unsafe_queries_name_their_head_variable() {
+    let dir = std::env::temp_dir().join("magik-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("unsafe-head.magik");
+    std::fs::write(&file, "query q(X, Y) :- p(X).\nfact p(a).\n").unwrap();
+    let file = file.to_str().unwrap();
+    let refusal = "unsafe query: head variable Y does not occur in the body";
+    for (cmd, line) in [
+        (
+            "eval",
+            format!("cannot evaluate q(X, Y) :- p(X): {refusal}"),
+        ),
+        ("bounds", format!("  cannot evaluate: {refusal}")),
+        ("bounds", format!("  cannot bound: {refusal}")),
+        (
+            "simulate",
+            format!("cannot evaluate q(X, Y) :- p(X): {refusal}"),
+        ),
+        (
+            "explain-plan",
+            format!("cannot plan q(X, Y) :- p(X): {refusal}"),
+        ),
+    ] {
+        let out = magik(&[cmd, file]);
+        assert!(out.status.success(), "{cmd}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.lines().any(|l| l == line), "{cmd}: {stdout}");
+    }
+    let mut child = Command::new(env!("CARGO_BIN_EXE_magik"))
+        .args(["repl", file])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    child
+        .stdin
+        .take()
+        .unwrap()
+        .write_all(b"eval q(X, Y) :- p(X).\nbounds q(X, Y) :- p(X).\nquit\n")
+        .unwrap();
+    let out = child.wait_with_output().expect("repl output");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(
+        stdout.matches(&format!("error: {refusal}")).count(),
+        2,
+        "{stdout}"
+    );
+}
+
+#[test]
 fn explain_reports_acyclicity_and_bounds() {
     let out = magik(&["explain", &school_file()]);
     assert!(out.status.success());

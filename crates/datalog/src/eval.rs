@@ -12,19 +12,19 @@
 //!
 //! Semi-naive evaluation, incremental insertion and both DRed passes run
 //! through one round function, [`round`]: it evaluates a batch of work
-//! items (rules, delta facts or re-derivation candidates) against a
-//! snapshot of the model frozen at round start, split across an
-//! [`Executor`] — one chunk on `Executor::Sequential` — and returns the
-//! derived facts in chunk order. The caller drops the snapshot with the
-//! round and then inserts, so the insertions never copy shared storage.
+//! items (rules, delta facts or re-derivation candidates) against a clone
+//! of the model frozen at round start, split across an [`Executor`] — one
+//! chunk on `Executor::Sequential` — and returns the derived facts in
+//! chunk order. The caller drops the clone with the round and then
+//! inserts, so the insertions never copy shared storage.
 //! The naive fixpoint keeps its eager in-place loop: it is the oracle for
 //! stratified negation.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use magik_exec::{match_ground, partition, CompiledBody, ExecStats, Executor};
-use magik_relalg::{Atom, Cst, Fact, Instance, Pred, Snapshot, StoreView, Var};
+use magik_exec::{partition, CompiledBody, ExecStats, Executor};
+use magik_relalg::{match_ground, Atom, Cst, Fact, Instance, Pred, Var};
 
 use crate::program::{Program, Rule};
 
@@ -58,7 +58,7 @@ impl PivotPlan {
         delta
             .iter()
             .filter(|f| f.pred == self.atom.pred)
-            .filter_map(|f| match_ground(&self.atom, &f.args))
+            .filter_map(|f| match_ground(&self.atom.args, &f.args))
             .collect()
     }
 }
@@ -83,7 +83,7 @@ pub(crate) struct CompiledRule {
 }
 
 impl CompiledRule {
-    fn compile(rule: &Rule, stats: Option<&dyn StoreView>, with_pivots: bool) -> CompiledRule {
+    fn compile(rule: &Rule, stats: Option<&Instance>, with_pivots: bool) -> CompiledRule {
         let full = CompiledBody::compile(
             &rule.head.args,
             &rule.body,
@@ -135,16 +135,11 @@ impl CompiledRule {
 
     /// `true` iff this rule derives `fact` in one step from `store`
     /// (first-match over the support plan; requires `with_pivots`).
-    fn supports<S: StoreView + ?Sized>(
-        &self,
-        store: &S,
-        fact: &Fact,
-        stats: &mut ExecStats,
-    ) -> bool {
+    fn supports(&self, store: &Instance, fact: &Fact, stats: &mut ExecStats) -> bool {
         if self.head_pred != fact.pred {
             return false;
         }
-        let Some(seed) = match_ground(&self.head, &fact.args) else {
+        let Some(seed) = match_ground(&self.head.args, &fact.args) else {
             return false;
         };
         self.support
@@ -155,12 +150,7 @@ impl CompiledRule {
 
     /// Evaluates the full body over `model` and appends the derivable
     /// head facts to `out`.
-    fn apply_full<S: StoreView + ?Sized>(
-        &self,
-        model: &S,
-        stats: &mut ExecStats,
-        out: &mut Vec<Fact>,
-    ) {
+    fn apply_full(&self, model: &Instance, stats: &mut ExecStats, out: &mut Vec<Fact>) {
         // Batch execution with the unit seed: one all-unbound row.
         self.full
             .derive_batch(model, &[Vec::new()], stats, &mut |args| {
@@ -185,7 +175,7 @@ impl CompiledProgram {
     /// plans (needed by semi-naive evaluation and incremental insertion).
     pub(crate) fn compile(
         program: &Program,
-        stats: Option<&dyn StoreView>,
+        stats: Option<&Instance>,
         with_pivots: bool,
     ) -> CompiledProgram {
         let mut strata: Vec<Vec<CompiledRule>> = vec![Vec::new(); program.num_strata()];
@@ -255,7 +245,7 @@ impl CompiledProgram {
         let mut derived = 0;
         for stratum in &self.strata {
             // Round 0: every rule's full plan.
-            let candidates = full_round(stratum, model.snapshot(), exec);
+            let candidates = full_round(stratum, model.clone(), exec);
             let delta = insert_new(&mut model, candidates);
             let seeded = delta.len();
             let (rounds, propagated) = propagate(stratum, &mut model, delta, exec);
@@ -301,11 +291,11 @@ impl CompiledProgram {
     /// re-derivation pass rescues facts with surviving alternative
     /// derivations. The returned set includes the seeds themselves.
     ///
-    /// Because the store never changes during the pass, one snapshot
-    /// serves every round.
+    /// Because the store never changes during the pass, every round reads
+    /// the same model.
     pub(crate) fn overdelete_on(
         &self,
-        model: &Snapshot,
+        model: &Instance,
         seeds: Vec<Fact>,
         exec: &Executor,
     ) -> Vec<Fact> {
@@ -329,7 +319,7 @@ impl CompiledProgram {
     /// first-match run of the matching rules' support plans.
     pub(crate) fn supported_on(
         &self,
-        store: &Snapshot,
+        store: &Instance,
         facts: Vec<Fact>,
         exec: &Executor,
     ) -> Vec<Fact> {
@@ -393,10 +383,10 @@ const PARALLEL_DELTA_THRESHOLD: usize = 16;
 /// deduplicated: every caller dedups on insertion. `store` is released
 /// before `round` returns, so a caller that inserts afterwards writes to
 /// an unshared model.
-fn round<T, W>(exec: &Executor, store: Snapshot, items: Vec<T>, work: W) -> Vec<Fact>
+fn round<T, W>(exec: &Executor, store: Instance, items: Vec<T>, work: W) -> Vec<Fact>
 where
     T: Send + Sync + 'static,
-    W: Fn(&Snapshot, &[T], &mut ExecStats, &mut Vec<Fact>) + Send + Sync + 'static,
+    W: Fn(&Instance, &[T], &mut ExecStats, &mut Vec<Fact>) + Send + Sync + 'static,
 {
     let chunks = match exec {
         Executor::Pooled(pool) if items.len() >= PARALLEL_DELTA_THRESHOLD => pool.threads() * 2,
@@ -418,7 +408,7 @@ where
 }
 
 /// Round 0 of a stratum: every rule's full plan, one item per rule.
-fn full_round(rules: &Arc<Vec<CompiledRule>>, store: Snapshot, exec: &Executor) -> Vec<Fact> {
+fn full_round(rules: &Arc<Vec<CompiledRule>>, store: Instance, exec: &Executor) -> Vec<Fact> {
     let rules = Arc::clone(rules);
     let ids = (0..rules.len()).collect();
     round(exec, store, ids, move |store, ids, stats, out| {
@@ -433,7 +423,7 @@ fn full_round(rules: &Arc<Vec<CompiledRule>>, store: Snapshot, exec: &Executor) 
 /// batch plan in a single pass.
 fn delta_round(
     rules: &Arc<Vec<CompiledRule>>,
-    store: Snapshot,
+    store: Instance,
     delta: Vec<Fact>,
     exec: &Executor,
 ) -> Vec<Fact> {
@@ -462,7 +452,7 @@ fn insert_new(model: &mut Instance, facts: Vec<Fact>) -> Vec<Fact> {
 
 /// Propagates `delta` through the compiled delta plans to a fixpoint:
 /// each round matches every delta fact against every rule's pivot atoms
-/// over a snapshot of `model`, inserts what the round derived, and makes
+/// over a clone of `model`, inserts what the round derived, and makes
 /// the new facts the next round's delta. Returns `(rounds, derived)`.
 fn propagate(
     rules: &Arc<Vec<CompiledRule>>,
@@ -474,7 +464,7 @@ fn propagate(
     let mut derived = 0;
     while !delta.is_empty() {
         rounds += 1;
-        let candidates = delta_round(rules, model.snapshot(), delta, exec);
+        let candidates = delta_round(rules, model.clone(), delta, exec);
         delta = insert_new(model, candidates);
         derived += delta.len();
     }
@@ -506,7 +496,7 @@ impl Program {
     /// [`Program::eval_semi_naive`] with each fixpoint round's delta
     /// split across `exec`.
     ///
-    /// Every round runs against a snapshot of the model frozen at round
+    /// Every round runs against a clone of the model frozen at round
     /// start, whatever the executor, so each round derives the same set
     /// of facts on every executor: the model, the derived count and
     /// [`FixpointResult::iterations`] do not depend on `exec`. Property
@@ -557,7 +547,7 @@ impl Program {
         let compiled = CompiledProgram::compile(self, Some(db), false);
         let mut out = Instance::new();
         for stratum in &compiled.strata {
-            for fact in full_round(stratum, db.snapshot(), &Executor::Sequential) {
+            for fact in full_round(stratum, db.clone(), &Executor::Sequential) {
                 out.insert(fact);
             }
         }
@@ -622,8 +612,9 @@ mod tests {
 
     #[test]
     fn pooled_rounds_copy_no_cells() {
-        // Each round releases its snapshot before inserting, on every
-        // executor, so a round's insertions never copy shared storage.
+        // Each round releases its clone of the model before inserting, on
+        // every executor, so a round's insertions never copy shared
+        // storage.
         let mut v = Vocabulary::new();
         let (edge, edb) = chain_edb(&mut v, 300);
         let path = v.pred("path", 2);

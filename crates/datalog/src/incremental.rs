@@ -19,10 +19,9 @@
 //!      consumes a retracted fact. Each round seeds the per-(rule, pivot)
 //!      delta plans with the current deletion delta and evaluates the
 //!      rest of the body over the model **frozen before any deletion** (a
-//!      sound over-approximation), so the whole pass runs on one
-//!      [`Snapshot`](magik_relalg::Snapshot) and parallelizes under the
-//!      pooled executor exactly like insertion rounds. All marked facts
-//!      leave the model.
+//!      sound over-approximation), so the whole pass runs on one clone of
+//!      the model and parallelizes under the pooled executor exactly like
+//!      insertion rounds. All marked facts leave the model.
 //!   2. **Re-derivation.** Over-deletion may remove facts that still have
 //!      derivations avoiding every retracted fact. Each marked fact is
 //!      rescued if it survives in the retained EDB or some rule derives
@@ -213,16 +212,14 @@ impl Materialized {
         }
         let removed = seeds.len();
 
-        // Phase 1 — over-deletion, against the model frozen before any
-        // removal. Everything marked leaves the model. The snapshot dies
-        // before the removal loop, so a model nothing else shares takes
-        // its removals in place. One that is still shared (a server's
-        // published snapshot) is no costlier to mutate: a write to a
-        // shared relation copies only the relation's small delta, never
-        // the relation (see `magik_relalg::Relation`).
-        let frozen = self.model.snapshot();
-        let marked = self.compiled.overdelete_on(&frozen, seeds, &self.exec);
-        drop(frozen);
+        // Phase 1 — over-deletion, against the model before any removal.
+        // Everything marked leaves the model. The pass's rounds release
+        // their clones of the model when it returns, so a model nothing
+        // else shares takes its removals in place. One that is still
+        // shared (a server's published snapshot) is no costlier to
+        // mutate: a write to a shared relation copies only the relation's
+        // small delta, never the relation (see `magik_relalg::Relation`).
+        let marked = self.compiled.overdelete_on(&self.model, seeds, &self.exec);
         let mut overdeleted = 0;
         for fact in &marked {
             if self.model.remove(fact) {
@@ -234,16 +231,13 @@ impl Materialized {
         // the rest need one surviving rule derivation over the pruned
         // model. The rescued facts then re-enter through the ordinary
         // insertion delta machinery, which restores their consequences.
-        // (Same discipline: drop before re-inserting.)
-        let survivors = self.model.snapshot();
         let (kept_edb, candidates): (Vec<Fact>, Vec<Fact>) =
             marked.into_iter().partition(|f| self.edb.contains(f));
         let mut rescue = kept_edb;
         rescue.extend(
             self.compiled
-                .supported_on(&survivors, candidates, &self.exec),
+                .supported_on(&self.model, candidates, &self.exec),
         );
-        drop(survivors);
         let mut rederived = 0;
         let mut delta = Vec::new();
         for fact in rescue {

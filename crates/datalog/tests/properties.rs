@@ -297,7 +297,7 @@ proptest! {
         let program = materialize(&mut v, &rules);
         let edb = materialize_edb(&mut v, &initial);
         let mut m = magik_datalog::Materialized::new(program.clone(), edb).unwrap();
-        let mut held = m.model().snapshot();
+        let mut held = m.model().clone();
         let mut was: BTreeSet<Fact> = m.model().iter_facts().collect();
         let mut writes = Vec::new();
         for (batch, retract_ix) in updates {
@@ -320,7 +320,7 @@ proptest! {
             prop_assert_eq!(m.model(), &program.eval_semi_naive(m.edb()).model);
             prop_assert_eq!(held.len(), was.len());
             prop_assert_eq!(held.iter_facts().collect::<BTreeSet<Fact>>(), was);
-            held = m.model().snapshot();
+            held = m.model().clone();
             was = m.model().iter_facts().collect();
         }
     }

@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 
 use magik_relalg::batch::{Batch, BatchPlan, JoinStrategy};
 use magik_relalg::exec::{ExecStats, Plan, Projection};
-use magik_relalg::{AnswerSet, Atom, Cst, EvalError, Fact, Pred, Query, StoreView, Term, Var};
+use magik_relalg::{AnswerSet, Atom, Cst, EvalError, Fact, Instance, Pred, Query, Term, Var};
 
 /// A safety-checked conjunctive query compiled to a [`Plan`] plus a head
 /// [`Projection`].
@@ -29,7 +29,7 @@ impl CompiledQuery {
     /// Returns [`EvalError::UnsafeQuery`] if a head variable does not
     /// occur in the body, exactly like
     /// [`answers`](magik_relalg::answers).
-    pub fn compile(q: &Query, stats: Option<&dyn StoreView>) -> Result<CompiledQuery, EvalError> {
+    pub fn compile(q: &Query, stats: Option<&Instance>) -> Result<CompiledQuery, EvalError> {
         let body_vars = q.body_vars();
         if let Some(v) = q.head_vars().into_iter().find(|v| !body_vars.contains(v)) {
             return Err(EvalError::UnsafeQuery(v));
@@ -47,7 +47,7 @@ impl CompiledQuery {
 
     /// Evaluates the compiled query over `db` in batch mode, accumulating
     /// execution counters into `stats`.
-    pub fn answers<S: StoreView + ?Sized>(&self, db: &S, stats: &mut ExecStats) -> AnswerSet {
+    pub fn answers(&self, db: &Instance, stats: &mut ExecStats) -> AnswerSet {
         let out = self
             .batch
             .run(db, Batch::from_seeds(&self.plan, &[Vec::new()]), stats);
@@ -56,11 +56,6 @@ impl CompiledQuery {
             ans.insert(self.head.emit_with(&mut |s| out.value(s, r)));
         }
         ans
-    }
-
-    /// `true` iff the query has at least one answer over `db`.
-    pub fn has_any_answer<S: StoreView + ?Sized>(&self, db: &S, stats: &mut ExecStats) -> bool {
-        self.plan.first_match(db, &[], stats)
     }
 
     /// The source query.
@@ -99,8 +94,9 @@ impl CompiledQuery {
 /// For **full** execution compile with an empty `bound` set and run with an
 /// empty seed. For **delta** execution compile the body *minus* the pivot
 /// atom with the pivot's variables declared `bound`, then seed each run
-/// from a delta fact via [`match_ground`]. Either way the plan is compiled
-/// once and reused across fixpoint rounds and increments.
+/// from a delta fact via [`match_ground`](magik_relalg::match_ground).
+/// Either way the plan is compiled once and reused across fixpoint rounds
+/// and increments.
 #[derive(Debug, Clone)]
 pub struct CompiledBody {
     plan: Plan,
@@ -131,7 +127,7 @@ impl CompiledBody {
         body: &[Atom],
         negative: &[Atom],
         bound: &BTreeSet<Var>,
-        stats: Option<&dyn StoreView>,
+        stats: Option<&Instance>,
     ) -> Result<CompiledBody, Var> {
         let plan = Plan::compile(body, bound, stats);
         let expected = if bound.is_empty() {
@@ -157,9 +153,9 @@ impl CompiledBody {
     /// extending `seed`, skipping rows blocked by a negated atom. Head
     /// tuples are handed to `emit` (duplicates are possible; callers
     /// dedupe on insertion).
-    pub fn for_each_derivation<S: StoreView + ?Sized>(
+    pub fn for_each_derivation(
         &self,
-        db: &S,
+        db: &Instance,
         seed: &[(Var, Cst)],
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<Cst>),
@@ -183,9 +179,9 @@ impl CompiledBody {
     /// head variables declared bound and seeded from an over-deleted
     /// fact, it answers "does some surviving rule instantiation still
     /// derive this fact?" without enumerating the instantiations.
-    pub fn has_derivation<S: StoreView + ?Sized>(
+    pub fn has_derivation(
         &self,
-        db: &S,
+        db: &Instance,
         seed: &[(Var, Cst)],
         stats: &mut ExecStats,
     ) -> bool {
@@ -210,9 +206,9 @@ impl CompiledBody {
     /// head tuple. Derives exactly the tuples that per-seed calls to
     /// `for_each_derivation` would (order within the batch unspecified;
     /// callers dedupe on insertion).
-    pub fn derive_batch<S: StoreView + ?Sized>(
+    pub fn derive_batch(
         &self,
-        db: &S,
+        db: &Instance,
         seeds: &[Vec<(Var, Cst)>],
         stats: &mut ExecStats,
         emit: &mut dyn FnMut(Vec<Cst>),
@@ -246,39 +242,10 @@ impl CompiledBody {
     }
 }
 
-/// Matches a ground tuple against an atom pattern: the pivot step of delta
-/// execution. Returns the variable bindings induced by the match, or
-/// `None` if a constant disagrees or a repeated variable would need two
-/// values. The bindings seed a delta-mode [`CompiledBody`] run.
-pub fn match_ground(atom: &Atom, args: &[Cst]) -> Option<Vec<(Var, Cst)>> {
-    if atom.args.len() != args.len() {
-        return None;
-    }
-    let mut seed: Vec<(Var, Cst)> = Vec::with_capacity(args.len());
-    for (&t, &c) in atom.args.iter().zip(args) {
-        match t {
-            Term::Cst(tc) => {
-                if tc != c {
-                    return None;
-                }
-            }
-            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
-                Some(&(_, bound)) => {
-                    if bound != c {
-                        return None;
-                    }
-                }
-                None => seed.push((v, c)),
-            },
-        }
-    }
-    Some(seed)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magik_relalg::{Instance, Vocabulary};
+    use magik_relalg::{match_ground, Vocabulary};
 
     fn fact(v: &mut Vocabulary, p: Pred, args: &[&str]) -> Fact {
         Fact::new(p, args.iter().map(|s| v.cst(s)).collect())
@@ -306,7 +273,6 @@ mod tests {
         let ans = cq.answers(&db, &mut stats);
         assert_eq!(ans, magik_relalg::answers(&q, &db).unwrap());
         assert!(stats.rows >= 1);
-        assert!(cq.has_any_answer(&db, &mut stats));
 
         // Same compiled plan, later instance version: still correct.
         db.insert(fact(&mut v, e, &["c", "d"]));
@@ -353,14 +319,14 @@ mod tests {
             Some(&db),
         )
         .unwrap();
-        let seed = match_ground(&pivot, &[v.cst("a"), v.cst("b")]).unwrap();
+        let seed = match_ground(&pivot.args, &[v.cst("a"), v.cst("b")]).unwrap();
         let mut derived = Vec::new();
         body.for_each_derivation(&db, &seed, &mut ExecStats::default(), &mut |t| {
             derived.push(t);
         });
         assert_eq!(derived, vec![vec![v.cst("a"), v.cst("c")]]);
         // A delta fact that matches nothing downstream derives nothing.
-        let seed = match_ground(&pivot, &[v.cst("x"), v.cst("y")]).unwrap();
+        let seed = match_ground(&pivot.args, &[v.cst("x"), v.cst("y")]).unwrap();
         let mut none = Vec::new();
         body.for_each_derivation(&db, &seed, &mut ExecStats::default(), &mut |t| {
             none.push(t);
@@ -400,7 +366,7 @@ mod tests {
         ];
         let seeds: Vec<Vec<(Var, Cst)>> = deltas
             .iter()
-            .filter_map(|d| match_ground(&pivot, d))
+            .filter_map(|d| match_ground(&pivot.args, d))
             .collect();
         // Oracle: one for_each_derivation call per seed.
         let mut expect = Vec::new();
@@ -474,29 +440,16 @@ mod tests {
         let bound: BTreeSet<Var> = [xv, zv].into_iter().collect();
         let support = CompiledBody::compile(&head.args, &body, &[], &bound, Some(&db)).unwrap();
         let mut stats = ExecStats::default();
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("c")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("c")]).unwrap();
         assert!(support.has_derivation(&db, &seed, &mut stats));
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("z")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("z")]).unwrap();
         assert!(!support.has_derivation(&db, &seed, &mut stats));
         // A negated atom blocks the only supporting row.
         let neg = vec![Atom::new(blocked, vec![Term::Var(xv), Term::Var(zv)])];
         let guarded = CompiledBody::compile(&head.args, &body, &neg, &bound, Some(&db)).unwrap();
-        let seed = match_ground(&head, &[v.cst("a"), v.cst("c")]).unwrap();
+        let seed = match_ground(&head.args, &[v.cst("a"), v.cst("c")]).unwrap();
         assert!(guarded.has_derivation(&db, &seed, &mut stats));
         db.insert(fact(&mut v, blocked, &["a", "c"]));
         assert!(!guarded.has_derivation(&db, &seed, &mut stats));
-    }
-
-    #[test]
-    fn match_ground_handles_constants_and_repeats() {
-        let mut v = Vocabulary::new();
-        let p = v.pred("p", 3);
-        let x = v.var("X");
-        let (a, b) = (v.cst("a"), v.cst("b"));
-        let atom = Atom::new(p, vec![Term::Var(x), Term::Cst(a), Term::Var(x)]);
-        assert_eq!(match_ground(&atom, &[b, a, b]), Some(vec![(x, b)]));
-        assert_eq!(match_ground(&atom, &[b, b, b]), None); // constant mismatch
-        assert_eq!(match_ground(&atom, &[a, a, b]), None); // repeat mismatch
-        assert_eq!(match_ground(&atom, &[a, a]), None); // arity mismatch
     }
 }

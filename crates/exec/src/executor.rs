@@ -8,9 +8,9 @@
 //! work-stealing [`ThreadPool`] from `magik-runtime`.
 //!
 //! Tasks must be `'static` (the pool has no scoped API in safe code), so
-//! callers ship shared state in `Arc`s — the relalg
-//! [`Snapshot`](magik_relalg::Snapshot) exists precisely to make that
-//! cheap.
+//! callers ship shared state in `Arc`s or in clones of a relalg
+//! [`Instance`](magik_relalg::Instance), which cost O(#relations) `Arc`
+//! bumps.
 
 use std::sync::Arc;
 

@@ -13,12 +13,13 @@
 //!   head projection, executable repeatedly against evolving instances;
 //! * [`CompiledBody`] — a rule-shaped body (positive atoms, stratified
 //!   negation, declared-bound pivot variables) compiled for full or
-//!   delta-mode execution, the building block of the Datalog engine;
-//! * [`match_ground`] — pivot matching: unifies a ground fact with an atom
-//!   pattern to produce the seed bindings of a delta run;
+//!   delta-mode execution, the building block of the Datalog engine, whose
+//!   delta runs are seeded by [`match_ground`](magik_relalg::match_ground);
 //! * [`LruCache`] — a small exact LRU with hit/miss counters, behind
-//!   every cache of the server engine; [`PlanCache`] is the one holding
-//!   shared [`CompiledQuery`]s keyed on canonical query forms;
+//!   every cache of the server engine (its plan cache maps a query key to
+//!   a shared [`CompiledQuery`] and the query's head name);
+//!   [`PlanCache`] is a plain LRU of shared [`CompiledQuery`]s, which the
+//!   benchmark harness's shadow session keys on canonical query forms;
 //! * [`explain_text`] / [`explain_json`] — human- and machine-readable
 //!   renderings of a plan and its execution counters, backing the CLI's
 //!   `explain-plan` command;
@@ -37,7 +38,7 @@ mod explain;
 pub mod reference;
 
 pub use cache::{LruCache, PlanCache};
-pub use compiled::{match_ground, CompiledBody, CompiledQuery};
+pub use compiled::{CompiledBody, CompiledQuery};
 pub use executor::{available_parallelism, partition, Executor, PoolCounters, ThreadPool};
 pub use explain::{explain_json, explain_text};
 pub use magik_relalg::batch::{Batch, BatchOp, BatchPlan, JoinStrategy};

@@ -234,11 +234,22 @@ pub(crate) fn tokenize_with_comments(src: &str) -> Result<(Vec<Token>, Vec<Comme
                 });
             }
             _ => {
+                // Every other branch stops on an ASCII byte, so `pos`
+                // starts a character.
+                let ch = src[pos..].chars().next().expect("pos < len");
+                // Letters and digits print as themselves, any other
+                // non-ASCII character as its escape, so an invisible one
+                // stays visible.
+                let shown = if ch.is_ascii() || ch.is_alphanumeric() {
+                    ch.to_string()
+                } else {
+                    ch.escape_unicode().to_string()
+                };
                 return Err(LexError {
-                    message: format!("unexpected character `{}`", c as char),
+                    message: format!("unexpected character `{shown}`"),
                     line: tline,
                     col: tcol,
-                    span: Span::new(tpos, tpos + 1),
+                    span: Span::new(tpos, tpos + ch.len_utf8()),
                 });
             }
         }
@@ -354,5 +365,24 @@ mod tests {
         let err = tokenize("\"oops").unwrap_err();
         assert!(err.message.contains("unterminated"));
         assert_eq!(err.span.start, 0);
+    }
+
+    #[test]
+    fn lex_errors_name_a_multibyte_character_whole() {
+        // A letter prints as itself, spanning both of its bytes; the
+        // column stays byte-based.
+        let src = "q(X) :- p(X), \u{e9}(X).";
+        let err = tokenize(src).unwrap_err();
+        assert_eq!(err.message, "unexpected character `\u{e9}`");
+        assert_eq!((err.line, err.col), (1, 15));
+        assert_eq!(&src[err.span.start..err.span.end], "\u{e9}");
+        // An invisible one prints as its escape, spanning all three bytes.
+        let err = tokenize("p(a) \u{200b}q").unwrap_err();
+        assert_eq!(err.message, "unexpected character `\\u{200b}`");
+        assert_eq!(err.span, Span::new(5, 8));
+        // After a quoted string holding multibyte text, too.
+        let err = tokenize("p(\"\u{e9}t\u{e9}\") \u{2192}").unwrap_err();
+        assert_eq!(err.message, "unexpected character `\\u{2192}`");
+        assert_eq!(err.span.end - err.span.start, 3);
     }
 }

@@ -33,7 +33,7 @@
 
 use crate::atom::Pred;
 use crate::exec::{Access, ColAction, ExecStats, Key, Plan};
-use crate::instance::{Relation, StoreView};
+use crate::instance::{Instance, Relation};
 use crate::term::{Cst, Var};
 
 /// A column-major batch of partial assignments over a plan's slots.
@@ -207,7 +207,7 @@ impl BatchPlan {
     /// size — `1` for full evaluation, the nominal delta-batch size for
     /// semi-naive delta plans. The choice affects only speed, never
     /// results.
-    pub fn compile(plan: &Plan, stats: Option<&dyn StoreView>, expected_rows: usize) -> BatchPlan {
+    pub fn compile(plan: &Plan, stats: Option<&Instance>, expected_rows: usize) -> BatchPlan {
         Self::compile_inner(plan, stats, expected_rows, None)
     }
 
@@ -219,7 +219,7 @@ impl BatchPlan {
 
     fn compile_inner(
         plan: &Plan,
-        stats: Option<&dyn StoreView>,
+        stats: Option<&Instance>,
         expected_rows: usize,
         force: Option<JoinStrategy>,
     ) -> BatchPlan {
@@ -307,7 +307,7 @@ impl BatchPlan {
     /// [`Batch::from_seeds`]), and returns the batch of complete rows —
     /// every plan slot bound, one row per satisfying assignment (row
     /// order is unspecified; duplicates mirror the tuple executor's).
-    pub fn run<S: StoreView + ?Sized>(&self, db: &S, seed: Batch, stats: &mut ExecStats) -> Batch {
+    pub fn run(&self, db: &Instance, seed: Batch, stats: &mut ExecStats) -> Batch {
         stats.ensure_ops(self.ops.len());
         stats.batches += 1;
         let mut batch = seed;
@@ -337,7 +337,7 @@ fn choose_strategy(
     const_filters: &[(usize, Cst)],
     join_keys: &[(usize, usize)],
     b_est: usize,
-    stats: Option<&dyn StoreView>,
+    stats: Option<&Instance>,
     force: Option<JoinStrategy>,
 ) -> (JoinStrategy, usize, usize) {
     let rel = stats.and_then(|db| db.relation(pred));

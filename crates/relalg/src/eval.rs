@@ -11,11 +11,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::atom::{Atom, Pred};
-use crate::exec::{ExecStats, Plan, Projection};
+use crate::display::DisplayWith;
+use crate::exec::{match_ground, ExecStats, Plan, Projection};
 use crate::instance::Instance;
 use crate::query::Query;
 use crate::subst::Substitution;
 use crate::term::{Cst, Term, Var};
+use crate::vocab::Vocabulary;
 
 /// One answer tuple: the image of the head terms under a satisfying
 /// assignment.
@@ -37,9 +39,24 @@ pub enum EvalError {
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            EvalError::UnsafeQuery(v) => {
-                write!(f, "unsafe query: head variable #{} not in body", v.index())
-            }
+            EvalError::UnsafeQuery(v) => write!(
+                f,
+                "unsafe query: head variable #{} does not occur in the body",
+                v.index()
+            ),
+        }
+    }
+}
+
+/// Names the variable, where [`fmt::Display`] can give only its id.
+impl DisplayWith for EvalError {
+    fn fmt_with(&self, vocab: &Vocabulary, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EvalError::UnsafeQuery(v) => write!(
+                f,
+                "unsafe query: head variable {} does not occur in the body",
+                v.display(vocab)
+            ),
         }
     }
 }
@@ -80,28 +97,9 @@ pub fn answers(q: &Query, db: &Instance) -> Result<AnswerSet, EvalError> {
 /// declared bound, seeded from `target`, and the search stops at the first
 /// witness.
 pub fn has_answer(q: &Query, db: &Instance, target: &[Cst]) -> bool {
-    if q.head.len() != target.len() {
+    let Some(seed) = match_ground(&q.head, target) else {
         return false;
-    }
-    // Seed the assignment from the head/target correspondence.
-    let mut seed: Vec<(Var, Cst)> = Vec::new();
-    for (&t, &c) in q.head.iter().zip(target) {
-        match t {
-            Term::Cst(tc) => {
-                if tc != c {
-                    return false;
-                }
-            }
-            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
-                Some(&(_, bound)) => {
-                    if bound != c {
-                        return false;
-                    }
-                }
-                None => seed.push((v, c)),
-            },
-        }
-    }
+    };
     let bound: BTreeSet<Var> = seed.iter().map(|&(v, _)| v).collect();
     let plan = Plan::compile(&q.body, &bound, Some(db));
     plan.first_match(db, &seed, &mut ExecStats::default())
@@ -137,27 +135,7 @@ pub struct Witness {
 /// cost is one row capture on the (single) accepted match, so callers that
 /// only need the boolean should keep using [`has_answer`].
 pub fn has_answer_witness(q: &Query, db: &Instance, target: &[Cst]) -> Option<Witness> {
-    if q.head.len() != target.len() {
-        return None;
-    }
-    let mut seed: Vec<(Var, Cst)> = Vec::new();
-    for (&t, &c) in q.head.iter().zip(target) {
-        match t {
-            Term::Cst(tc) => {
-                if tc != c {
-                    return None;
-                }
-            }
-            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
-                Some(&(_, bound)) => {
-                    if bound != c {
-                        return None;
-                    }
-                }
-                None => seed.push((v, c)),
-            },
-        }
-    }
+    let seed = match_ground(&q.head, target)?;
     let bound: BTreeSet<Var> = seed.iter().map(|&(v, _)| v).collect();
     let plan = Plan::compile(&q.body, &bound, Some(db));
     let mut binding: Option<Vec<(Var, Cst)>> = None;
@@ -206,7 +184,6 @@ pub fn homomorphisms(body: &[Atom], db: &Instance) -> Vec<Substitution> {
 mod tests {
     use super::*;
     use crate::atom::Fact;
-    use crate::Vocabulary;
 
     /// The running-example database of the paper (Example 1).
     fn school_db(v: &mut Vocabulary) -> Instance {
@@ -304,9 +281,11 @@ mod tests {
             vec![Term::Var(y)],
             vec![Atom::new(p, vec![Term::Var(x)])],
         );
+        let err = answers(&q, &Instance::new()).unwrap_err();
+        assert_eq!(err, EvalError::UnsafeQuery(y));
         assert_eq!(
-            answers(&q, &Instance::new()),
-            Err(EvalError::UnsafeQuery(y))
+            err.display(&v).to_string(),
+            "unsafe query: head variable Y does not occur in the body"
         );
     }
 

@@ -43,7 +43,10 @@
 //! first-match via [`Plan::first_match`] (`has_answer`, containment), and
 //! delta execution — compile the body *without* the pivot atom, declare
 //! the pivot's variables `bound`, and seed each run from a delta fact
-//! (semi-naive Datalog; see `magik-exec`'s `CompiledBody`).
+//! (semi-naive Datalog; see `magik-exec`'s `CompiledBody`). Every seeded
+//! mode builds its seed with [`match_ground`]: the head against a target
+//! tuple, a pivot atom against a delta fact, or a rule head against a
+//! fact whose support DRed checks.
 //!
 //! Runs fill an [`ExecStats`] with probe/scan/backtrack counters, both in
 //! aggregate and per op, feeding the server's metrics endpoint and the
@@ -52,7 +55,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::atom::{Atom, Pred};
-use crate::instance::{RowRef, StoreView};
+use crate::instance::{Instance, RowRef};
 use crate::term::{Cst, Term, Var};
 
 /// How a [`PlanOp`] enumerates candidate tuples.
@@ -245,7 +248,7 @@ impl Row<'_> {
 fn estimate(
     atom: &Atom,
     slot_of: &HashMap<Var, usize>,
-    stats: Option<&dyn StoreView>,
+    stats: Option<&Instance>,
 ) -> (usize, Access) {
     // Without statistics, fall back to a shape heuristic: constants are
     // the most selective, bound-variable probes next, scans last; the
@@ -306,7 +309,7 @@ impl Plan {
     /// supplies the instance whose cardinalities and index selectivities
     /// drive atom ordering; without it a shape heuristic is used. The
     /// statistics influence only performance, never results.
-    pub fn compile(body: &[Atom], bound: &BTreeSet<Var>, stats: Option<&dyn StoreView>) -> Plan {
+    pub fn compile(body: &[Atom], bound: &BTreeSet<Var>, stats: Option<&Instance>) -> Plan {
         let mut slots: Vec<Var> = bound.iter().copied().collect();
         let seed_slots = slots.len();
         let mut slot_of: HashMap<Var, usize> =
@@ -394,14 +397,11 @@ impl Plan {
     /// `seed`, calling `visit` for each complete row; `visit` returns
     /// `false` to stop the search. Returns `false` iff stopped early.
     ///
-    /// `db` is any [`StoreView`] — a live [`crate::Instance`] or a frozen
-    /// [`crate::Snapshot`]; plans are store-agnostic.
-    ///
     /// Every variable declared `bound` at compile time must be covered by
     /// `seed`; seed entries for variables without a slot are ignored.
-    pub fn run<S: StoreView + ?Sized>(
+    pub fn run(
         &self,
-        db: &S,
+        db: &Instance,
         seed: &[(Var, Cst)],
         stats: &mut ExecStats,
         visit: &mut dyn FnMut(Row<'_>) -> bool,
@@ -422,12 +422,7 @@ impl Plan {
 
     /// `true` iff the body has at least one satisfying assignment over
     /// `db` extending `seed` (first-match mode: stops at the first row).
-    pub fn first_match<S: StoreView + ?Sized>(
-        &self,
-        db: &S,
-        seed: &[(Var, Cst)],
-        stats: &mut ExecStats,
-    ) -> bool {
+    pub fn first_match(&self, db: &Instance, seed: &[(Var, Cst)], stats: &mut ExecStats) -> bool {
         let mut found = false;
         self.run(db, seed, stats, &mut |_| {
             found = true;
@@ -436,10 +431,10 @@ impl Plan {
         found
     }
 
-    fn step<S: StoreView + ?Sized>(
+    fn step(
         &self,
         i: usize,
-        db: &S,
+        db: &Instance,
         regs: &mut Vec<Option<Cst>>,
         stats: &mut ExecStats,
         visit: &mut dyn FnMut(Row<'_>) -> bool,
@@ -484,12 +479,12 @@ impl Plan {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn try_row<S: StoreView + ?Sized>(
+    fn try_row(
         &self,
         i: usize,
         op: &PlanOp,
         row: RowRef<'_>,
-        db: &S,
+        db: &Instance,
         regs: &mut Vec<Option<Cst>>,
         stats: &mut ExecStats,
         visit: &mut dyn FnMut(Row<'_>) -> bool,
@@ -532,6 +527,36 @@ impl Plan {
         }
         keep_going
     }
+}
+
+/// Matches a ground tuple against a term pattern: the seed of a plan run
+/// whose pattern variables are declared bound. Returns the bindings the
+/// match induces, in first-occurrence order, or `None` if the lengths
+/// differ, a constant disagrees, or a repeated variable would need two
+/// values.
+pub fn match_ground(terms: &[Term], values: &[Cst]) -> Option<Vec<(Var, Cst)>> {
+    if terms.len() != values.len() {
+        return None;
+    }
+    let mut seed: Vec<(Var, Cst)> = Vec::with_capacity(values.len());
+    for (&t, &c) in terms.iter().zip(values) {
+        match t {
+            Term::Cst(tc) => {
+                if tc != c {
+                    return None;
+                }
+            }
+            Term::Var(v) => match seed.iter().find(|&&(sv, _)| sv == v) {
+                Some(&(_, bound)) => {
+                    if bound != c {
+                        return None;
+                    }
+                }
+                None => seed.push((v, c)),
+            },
+        }
+    }
+    Some(seed)
 }
 
 /// A tuple template over a plan's registers: the compiled form of a head
@@ -768,7 +793,7 @@ mod tests {
     }
 
     #[test]
-    fn plans_run_identically_on_instance_and_snapshot() {
+    fn plans_run_identically_on_an_instance_and_its_clone() {
         let mut v = Vocabulary::new();
         let e = v.pred("e", 2);
         let mut db = Instance::new();
@@ -780,8 +805,8 @@ mod tests {
             Atom::new(e, vec![Term::Var(x), Term::Var(y)]),
             Atom::new(e, vec![Term::Var(y), Term::Var(z)]),
         ];
-        let snap = db.snapshot();
-        // Compile against either store (the snapshot carries the stats).
+        let snap = db.clone();
+        // Compile against either copy (the clone carries the stats).
         let plan = Plan::compile(&body, &BTreeSet::new(), Some(&snap));
         let mut on_db = Vec::new();
         plan.run(&db, &[], &mut ExecStats::default(), &mut |row| {
@@ -794,7 +819,7 @@ mod tests {
             true
         });
         assert_eq!(on_db, on_snap);
-        // Writes after the snapshot are seen by the instance run only.
+        // Writes after the clone are seen by the instance run only.
         db.insert(fact(&mut v, e, &["c", "d"]));
         let count = |s: &mut Vec<()>, _row: Row<'_>| {
             s.push(());
@@ -810,6 +835,19 @@ mod tests {
         });
         assert!(later.len() > frozen.len());
         assert_eq!(frozen.len(), on_snap.len());
+    }
+
+    #[test]
+    fn match_ground_handles_constants_and_repeats() {
+        let mut v = Vocabulary::new();
+        let x = v.var("X");
+        let (a, b) = (v.cst("a"), v.cst("b"));
+        let terms = [Term::Var(x), Term::Cst(a), Term::Var(x)];
+        assert_eq!(match_ground(&terms, &[b, a, b]), Some(vec![(x, b)]));
+        assert_eq!(match_ground(&terms, &[b, b, b]), None); // constant mismatch
+        assert_eq!(match_ground(&terms, &[a, a, b]), None); // repeat mismatch
+        assert_eq!(match_ground(&terms, &[a, a]), None); // length mismatch
+        assert_eq!(match_ground(&[], &[]), Some(Vec::new()));
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //! [`Relation::distinct_in_col`]) equal to those of a fresh relation
 //! holding the same facts.
 //!
-//! Relations are `Arc`-shared copy-on-write: cloning an [`Instance`] or
-//! taking a [`Snapshot`] is O(#relations), and a writer clones a relation
-//! only on the first mutation after a share ([`Arc::make_mut`]). That
-//! clone copies the delta and shares the base, so a write after a
-//! snapshot costs O(delta), never O(relation). A write whose base no other
+//! Relations are `Arc`-shared copy-on-write: cloning an [`Instance`] is
+//! O(#relations), and a writer clones a relation only on the first
+//! mutation after a share ([`Arc::make_mut`]). That clone copies the delta
+//! and shares the base, so a write after a clone costs O(delta), never
+//! O(relation). A write whose base no other
 //! relation shares goes straight into the base, as a fresh instance's
 //! always do, so canonical databases and fixpoint rounds keep one
 //! contiguous table. Once the delta holds [`DELTA_ROWS`] rows the next
@@ -27,9 +27,10 @@
 //! counts what these copies copy.
 //!
 //! Because the per-column indexes and the statistics the planner consults
-//! live *inside* [`Relation`], a snapshot carries everything evaluation
-//! needs — readers on other threads keep probing a frozen, consistent
-//! state while the writer diverges.
+//! live *inside* [`Relation`], a clone carries everything evaluation
+//! needs: a clone is an immutable, `Send + Sync` snapshot, and readers on
+//! other threads keep probing it, frozen and consistent, while the writer
+//! diverges.
 
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -41,7 +42,7 @@ use crate::term::Cst;
 
 /// How many rows (inserted rows plus deleted base positions) a relation's
 /// delta holds before the next write folds it into the base. Fixed, so a
-/// write after a snapshot copies at most `DELTA_ROWS × arity` cells
+/// write after a clone copies at most `DELTA_ROWS × arity` cells
 /// whatever the relation's size; the fold costs one copy of the relation
 /// per `DELTA_ROWS` writes.
 pub const DELTA_ROWS: usize = 64;
@@ -366,11 +367,6 @@ impl RowRef<'_> {
     pub fn to_vec(&self) -> Vec<Cst> {
         self.table.tuple(self.row as usize)
     }
-
-    /// `true` iff the row equals `tuple` column-for-column.
-    pub fn eq_tuple(&self, tuple: &[Cst]) -> bool {
-        self.arity() == tuple.len() && (0..tuple.len()).all(|c| self.get(c) == tuple[c])
-    }
 }
 
 impl Index<usize> for RowRef<'_> {
@@ -588,30 +584,12 @@ impl Relation {
     }
 }
 
-/// Read access to a set of indexed relations — the store abstraction
-/// compiled plans execute against.
-///
-/// Implemented by [`Instance`] (the mutable, copy-on-write store) and
-/// [`Snapshot`] (a frozen, `Send + Sync` view). `exec::Plan` and everything
-/// built on it ([`crate::answers`], the `magik-exec` compiled bodies, the
-/// Datalog fixpoints) only ever need this read surface, so a single
-/// compiled plan can run against either representation.
-pub trait StoreView {
-    /// The extension of `pred`, if any fact over it exists.
-    fn relation(&self, pred: Pred) -> Option<&Relation>;
-
-    /// Membership test.
-    fn contains(&self, fact: &Fact) -> bool {
-        self.relation(fact.pred)
-            .is_some_and(|r| r.contains(&fact.args))
-    }
-}
-
 /// A database instance: a finite set of facts, grouped by relation.
 ///
-/// Relations are `Arc`-shared: `clone` and [`Instance::snapshot`] are
-/// O(#relations), and mutation copies a relation's delta only when the
-/// relation is shared with a snapshot or another clone (copy-on-write).
+/// Relations are `Arc`-shared: `clone` is O(#relations), and mutation
+/// copies a relation's delta only when the relation is shared with another
+/// clone (copy-on-write). A clone is therefore the snapshot every reader
+/// takes: it never observes the writes made to the instance it came from.
 #[derive(Debug, Clone, Default)]
 pub struct Instance {
     rels: BTreeMap<Pred, Arc<Relation>>,
@@ -626,28 +604,6 @@ impl Instance {
     /// Inserts a fact; returns `true` if it was not already present.
     pub fn insert(&mut self, fact: Fact) -> bool {
         Arc::make_mut(self.rels.entry(fact.pred).or_default()).insert(fact.args)
-    }
-
-    /// Inserts a batch of facts, updating the per-relation/per-column
-    /// indexes incrementally (no rebuild); returns the number of new
-    /// facts. Facts are grouped by relation so each relation's entry is
-    /// resolved once per run, which makes this the preferred call on hot
-    /// ingest paths (e.g. a server's `assert-fact` loop).
-    pub fn insert_bulk(&mut self, facts: impl IntoIterator<Item = Fact>) -> usize {
-        let mut grouped: BTreeMap<Pred, Vec<Vec<Cst>>> = BTreeMap::new();
-        for fact in facts {
-            grouped.entry(fact.pred).or_default().push(fact.args);
-        }
-        let mut added = 0;
-        for (pred, tuples) in grouped {
-            let rel = Arc::make_mut(self.rels.entry(pred).or_default());
-            for args in tuples {
-                if rel.insert(args) {
-                    added += 1;
-                }
-            }
-        }
-        added
     }
 
     /// Removes a fact; returns `true` if it was present. Column indexes
@@ -669,7 +625,8 @@ impl Instance {
 
     /// Membership test.
     pub fn contains(&self, fact: &Fact) -> bool {
-        StoreView::contains(self, fact)
+        self.relation(fact.pred)
+            .is_some_and(|r| r.contains(&fact.args))
     }
 
     /// The extension of `pred`, if any fact over it exists.
@@ -677,18 +634,18 @@ impl Instance {
         self.rels.get(&pred).map(Arc::as_ref)
     }
 
-    /// Takes an immutable, `Send + Sync` snapshot of the instance.
-    ///
-    /// O(#relations): each relation is shared by bumping its `Arc`
-    /// refcount. The next mutation of `self` copies the touched
-    /// relation's delta first ([`Arc::make_mut`]; the base stays shared),
-    /// so the snapshot keeps observing exactly the state at the time of
-    /// the call — including the per-column indexes and statistics the
-    /// planner uses.
+    /// A clone of the instance. Kept for the benchmark harness in
+    /// `perfbench/`, which calls it, until the next benchmark change; other
+    /// code calls `clone`.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            rels: self.rels.clone(),
-        }
+        self.clone()
+    }
+
+    /// A clone of the instance. Kept for the benchmark harness in
+    /// `perfbench/`, which calls it, until the next benchmark change; other
+    /// code calls `clone`.
+    pub fn to_instance(&self) -> Instance {
+        self.clone()
     }
 
     /// Total number of facts.
@@ -728,73 +685,10 @@ impl Instance {
     }
 }
 
-impl StoreView for Instance {
-    fn relation(&self, pred: Pred) -> Option<&Relation> {
-        Instance::relation(self, pred)
-    }
-}
-
-/// An immutable snapshot of an [`Instance`], sharing the relation storage
-/// of the instance it was taken from.
-///
-/// A snapshot is `Send + Sync` and never changes: evaluation on other
-/// threads proceeds against it without any locking while the source
-/// instance keeps mutating (copy-on-write keeps the shared storage
-/// untouched). Obtain one with [`Instance::snapshot`]; turn it back into a
-/// mutable store with [`Snapshot::to_instance`] (also O(#relations)).
-#[derive(Debug, Clone, Default)]
-pub struct Snapshot {
-    rels: BTreeMap<Pred, Arc<Relation>>,
-}
-
-impl Snapshot {
-    /// The extension of `pred`, if any fact over it exists.
-    pub fn relation(&self, pred: Pred) -> Option<&Relation> {
-        self.rels.get(&pred).map(Arc::as_ref)
-    }
-
-    /// Membership test.
-    pub fn contains(&self, fact: &Fact) -> bool {
-        StoreView::contains(self, fact)
-    }
-
-    /// Total number of facts.
-    pub fn len(&self) -> usize {
-        self.rels.values().map(|r| r.len()).sum()
-    }
-
-    /// `true` iff the snapshot has no facts.
-    pub fn is_empty(&self) -> bool {
-        self.rels.values().all(|r| r.is_empty())
-    }
-
-    /// Iterates over all facts, grouped by relation (relations in
-    /// predicate-id order, tuples in [`Relation::iter`] order).
-    pub fn iter_facts(&self) -> impl Iterator<Item = Fact> + '_ {
-        self.rels
-            .iter()
-            .flat_map(|(&p, r)| r.iter().map(move |args| Fact::new(p, args.to_vec())))
-    }
-
-    /// The predicates with at least one fact.
-    pub fn preds(&self) -> impl Iterator<Item = Pred> + '_ {
-        self.rels.keys().copied()
-    }
-
-    /// A mutable instance sharing this snapshot's storage (copy-on-write:
-    /// O(#relations) now, per-relation delta copies only on mutation).
-    pub fn to_instance(&self) -> Instance {
-        Instance {
-            rels: self.rels.clone(),
-        }
-    }
-}
-
-impl StoreView for Snapshot {
-    fn relation(&self, pred: Pred) -> Option<&Relation> {
-        Snapshot::relation(self, pred)
-    }
-}
+/// The name the benchmark harness in `perfbench/` gives a cloned
+/// [`Instance`]. Kept until the next benchmark change; other code names
+/// the type `Instance`.
+pub type Snapshot = Instance;
 
 impl PartialEq for Instance {
     fn eq(&self, other: &Self) -> bool {
@@ -911,12 +805,12 @@ mod tests {
     }
 
     #[test]
-    fn bulk_insert_and_remove_keep_indexes_incremental() {
-        // Grow with insert_bulk, shrink with remove, and compare the
-        // surviving instance against one rebuilt from scratch — both the
-        // fact set and every per-column candidate list must agree, and
-        // query evaluation (which trusts the index) must return the same
-        // answers either way.
+    fn insert_and_remove_keep_indexes_incremental() {
+        // Grow with insert, shrink with remove, and compare the surviving
+        // instance against one rebuilt from scratch — both the fact set
+        // and every per-column candidate list must agree, and query
+        // evaluation (which trusts the index) must return the same answers
+        // either way.
         let mut v = Vocabulary::new();
         let p = v.pred("p", 2);
         let q = v.pred("q", 1);
@@ -933,14 +827,13 @@ mod tests {
             })
             .collect();
         let mut incremental = Instance::new();
-        // Two batches plus duplicate re-insertion.
-        let first = incremental.insert_bulk(facts[..20].iter().cloned());
-        let second = incremental.insert_bulk(facts[20..].iter().cloned());
+        // Every fact, then duplicate re-insertion.
+        let added = facts.iter().filter(|&f| incremental.insert(f.clone()));
         assert_eq!(
-            first + second,
+            added.count(),
             facts.iter().cloned().collect::<Instance>().len()
         );
-        assert_eq!(incremental.insert_bulk(facts.iter().cloned()), 0);
+        assert!(facts.iter().all(|f| !incremental.insert(f.clone())));
         // Remove every fourth distinct fact.
         let distinct: Vec<Fact> = incremental.iter_facts().collect();
         for f in distinct.iter().step_by(4) {
@@ -987,7 +880,7 @@ mod tests {
         assert_eq!(rel.matches(0, a).len(), 2);
         assert_eq!(rel.matches(1, b).len(), 0);
         for pos in rel.matches(1, a) {
-            assert!(rel.row(pos).eq_tuple(&[a, a]));
+            assert_eq!(rel.row(pos).to_vec(), [a, a]);
         }
         // Removing the final facts drops the relation entirely.
         assert!(db.remove(&Fact::new(p, vec![a, a])));
@@ -997,20 +890,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_isolated_from_later_writes() {
+    fn clone_is_isolated_from_later_writes() {
         let mut v = Vocabulary::new();
         let p = v.pred("p", 2);
         let q = v.pred("q", 1);
         let mut db = Instance::new();
         db.insert(fact(&mut v, p, &["a", "b"]));
         db.insert(fact(&mut v, q, &["a"]));
-        let snap = db.snapshot();
-        // Mutate every relation after the snapshot: insert, remove, and
-        // drop a relation entirely.
+        let snap = db.clone();
+        // Mutate every relation after the clone: insert, remove, and drop
+        // a relation entirely.
         db.insert(fact(&mut v, p, &["c", "d"]));
         assert!(db.remove(&fact(&mut v, q, &["a"])));
         assert!(db.remove(&fact(&mut v, p, &["a", "b"])));
-        // The snapshot still sees exactly the original state, indexes
+        // The clone still sees exactly the original state, indexes
         // included.
         assert_eq!(snap.len(), 2);
         assert!(snap.contains(&fact(&mut v, p, &["a", "b"])));
@@ -1024,27 +917,9 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_roundtrips_to_instance() {
-        let mut v = Vocabulary::new();
-        let p = v.pred("p", 1);
-        let mut db = Instance::new();
-        db.insert(fact(&mut v, p, &["a"]));
-        db.insert(fact(&mut v, p, &["b"]));
-        let snap = db.snapshot();
-        let mut copy = snap.to_instance();
-        assert_eq!(copy, db);
-        // Writing through the round-tripped instance leaves the snapshot
-        // (and the original) untouched.
-        copy.insert(fact(&mut v, p, &["c"]));
-        assert_eq!(copy.len(), 3);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(db.len(), 2);
-    }
-
-    #[test]
-    fn snapshot_is_send_and_sync() {
+    fn instance_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<Snapshot>();
+        assert_send_sync::<Instance>();
     }
 
     #[test]
@@ -1069,7 +944,7 @@ mod tests {
         let p = v.pred("p", 1);
         let mut db = Instance::new();
         db.insert(fact(&mut v, p, &["a"]));
-        let snap = db.snapshot();
+        let snap = db.clone();
         let absent = fact(&mut v, p, &["zz"]);
         assert!(!db.remove(&absent));
         // The relation is still the very same shared allocation.
@@ -1116,7 +991,7 @@ mod tests {
             .into_iter()
             .map(|t| Fact::new(p, t.to_vec()))
             .collect();
-        let snap = db.snapshot();
+        let snap = db.clone();
         // Delete a base row, then un-delete it by re-inserting it.
         assert!(db.remove(&Fact::new(p, vec![a, c])));
         assert!(db.remove(&Fact::new(p, vec![b, c])));
@@ -1151,9 +1026,9 @@ mod tests {
         assert!(empty.is_empty());
     }
 
-    /// Cells copied by one write made while a snapshot shares the instance.
+    /// Cells copied by one write made while a clone shares the instance.
     fn copied_by(db: &mut Instance, write: impl FnOnce(&mut Instance) -> bool) -> u64 {
-        let snap = db.snapshot();
+        let snap = db.clone();
         let before = cow_cells_copied();
         assert!(write(db));
         let copied = cow_cells_copied() - before;

@@ -12,14 +12,15 @@
 //!   unsafe intermediate queries), it is checked by [`Query::is_safe`];
 //! * **substitutions** and the freezing map θ ([`Substitution`],
 //!   [`freeze_atom`], [`canonical_database`]);
-//! * database **instances** with per-column indexes and cheap
-//!   copy-on-write **snapshots** ([`Instance`], [`Relation`],
-//!   [`Snapshot`], [`StoreView`]): each relation is a shared base plus a
-//!   small delta, so a write after a snapshot copies O(change), not the
-//!   relation ([`cow_cells_copied`] counts the copies);
+//! * database **instances** with per-column indexes ([`Instance`],
+//!   [`Relation`]), whose clones are cheap copy-on-write snapshots: each
+//!   relation is a shared base plus a small delta, so a write after a
+//!   clone copies O(change), not the relation ([`cow_cells_copied`]
+//!   counts the copies);
 //! * conjunctive-query **evaluation** by compiled register plans (the
 //!   [`exec`] plan IR: atom order, access paths and slot layout fixed at
-//!   compile time; [`answers`], [`has_answer`], [`homomorphisms`]);
+//!   compile time; [`answers`], [`has_answer`], [`homomorphisms`]), every
+//!   seeded run seeded by [`match_ground`];
 //! * **containment**, **equivalence** and **minimization** of conjunctive
 //!   queries, following Chandra–Merlin ([`is_contained_in`],
 //!   [`are_equivalent`], [`minimize`], [`is_minimal`]).
@@ -71,7 +72,8 @@ pub use eval::{
     answers, has_answer, has_answer_witness, homomorphisms, Answer, AnswerSet, EvalError, Witness,
     WitnessStep,
 };
-pub use instance::{cow_cells_copied, Instance, Relation, RowRef, Snapshot, StoreView, DELTA_ROWS};
+pub use exec::match_ground;
+pub use instance::{cow_cells_copied, Instance, Relation, RowRef, Snapshot, DELTA_ROWS};
 pub use minimize::{is_minimal, minimize, minimize_in_place};
 pub use query::Query;
 pub use subst::{

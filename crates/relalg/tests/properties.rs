@@ -10,7 +10,7 @@ use std::collections::BTreeSet;
 use magik_relalg::{
     answers, are_equivalent, canonical_database, freeze_atom, has_answer, is_contained_in,
     is_minimal, minimize, unfreeze_fact, Atom, Cst, Fact, Instance, Pred, Query, Relation,
-    StoreView, Substitution, Term, Vocabulary, DELTA_ROWS,
+    Substitution, Term, Vocabulary, DELTA_ROWS,
 };
 
 /// Abstract term: materialized against a vocabulary later.
@@ -259,17 +259,15 @@ proptest! {
 }
 
 /// One step of a differential-relation workload: writes to one of three
-/// relations (arity 1, 2 and 3), or a change to the set of held shares.
+/// relations (arity 1, 2 and 3), or a change to the set of held clones.
 #[derive(Debug, Clone)]
 enum Step {
     Insert(usize, [u8; 3]),
     Remove(usize, [u8; 3]),
-    /// Hold a snapshot of the live instance.
-    Snapshot,
-    /// Drop the held share at this index (modulo the number held).
-    Drop(u8),
     /// Hold a clone of the live instance.
-    Clone,
+    Hold,
+    /// Drop the held clone at this index (modulo the number held).
+    Drop(u8),
 }
 
 const STEP_DOMAIN: u8 = 6;
@@ -288,9 +286,8 @@ fn step() -> impl Strategy<Value = Step> {
     prop_oneof![
         10 => write().prop_map(|(r, a, b, c)| Step::Insert(r, [a, b, c])),
         7 => write().prop_map(|(r, a, b, c)| Step::Remove(r, [a, b, c])),
-        2 => Just(Step::Snapshot),
+        3 => Just(Step::Hold),
         2 => (0..8u8).prop_map(Step::Drop),
-        1 => Just(Step::Clone),
     ]
 }
 
@@ -328,7 +325,7 @@ fn rows_at(rel: &Relation, positions: impl Iterator<Item = u32>) -> Vec<Vec<Cst>
 
 /// Checks `store` against the oracle: the same facts, and every
 /// statistic equal to that of a relation rebuilt from them.
-fn check_store(store: &dyn StoreView, schema: &Schema, oracle: &Oracle) {
+fn check_store(store: &Instance, schema: &Schema, oracle: &Oracle) {
     for (r, &pred) in schema.preds.iter().enumerate() {
         let rebuilt: Instance = oracle[r]
             .iter()
@@ -357,30 +354,14 @@ fn check_store(store: &dyn StoreView, schema: &Schema, oracle: &Oracle) {
     }
 }
 
-/// A share held while the live instance keeps changing, with the oracle
-/// state it must keep showing.
-enum Held {
-    Snapshot(magik_relalg::Snapshot),
-    Clone(Instance),
-}
-
-impl Held {
-    fn store(&self) -> &dyn StoreView {
-        match self {
-            Held::Snapshot(s) => s,
-            Held::Clone(i) => i,
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random interleavings of writes, snapshots, clones and drops
-    /// against a set oracle. Runs are long enough that the arity-3
-    /// relation's delta passes the fold bound several times, both under
-    /// a held share (the fold copies the base) and without one (it folds
-    /// in place).
+    /// Random interleavings of writes, held clones and drops against a
+    /// set oracle; each held clone must keep showing the oracle state of
+    /// its time. Runs are long enough that the arity-3 relation's delta
+    /// passes the fold bound several times, both under a held clone (the
+    /// fold copies the base) and without one (it folds in place).
     #[test]
     fn differential_relations_match_a_set_oracle(
         steps in proptest::collection::vec(step(), 1_200..1_600),
@@ -388,7 +369,7 @@ proptest! {
         let schema = Schema::new();
         let mut live = Instance::new();
         let mut oracle: Oracle = Default::default();
-        let mut held: Vec<(Held, Oracle)> = Vec::new();
+        let mut held: Vec<(Instance, Oracle)> = Vec::new();
         for (i, step) in steps.into_iter().enumerate() {
             match step {
                 Step::Insert(r, args) => {
@@ -403,12 +384,11 @@ proptest! {
                     prop_assert_eq!(live.remove(&fact), oracle[r].remove(&t));
                     prop_assert!(!live.contains(&fact));
                 }
-                Step::Snapshot => held.push((Held::Snapshot(live.snapshot()), oracle.clone())),
-                Step::Clone => held.push((Held::Clone(live.clone()), oracle.clone())),
+                Step::Hold => held.push((live.clone(), oracle.clone())),
                 Step::Drop(k) => {
                     if !held.is_empty() {
                         let (share, was) = held.remove(k as usize % held.len());
-                        check_store(share.store(), &schema, &was);
+                        check_store(&share, &schema, &was);
                     }
                 }
             }
@@ -418,7 +398,7 @@ proptest! {
         }
         check_store(&live, &schema, &oracle);
         for (share, was) in &held {
-            check_store(share.store(), &schema, was);
+            check_store(share, &schema, was);
         }
         prop_assert!(DELTA_ROWS < 1_200 / 4, "runs cross the fold bound");
     }

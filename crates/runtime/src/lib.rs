@@ -20,8 +20,8 @@
 //!   drains pool queues itself while it waits, so nested fork-join from
 //!   inside a pool job cannot deadlock a saturated pool.
 //! * **Safe code only.** No scoped threads, no unsafe: jobs are `'static`
-//!   boxed closures, and shared state travels in `Arc`s (the relalg
-//!   `Snapshot` type makes that cheap).
+//!   boxed closures, and shared state travels in `Arc`s (a clone of a
+//!   relalg `Instance` is such a share: O(#relations) `Arc` bumps).
 //!
 //! Dropping the pool is a barrier: the queues are drained, every worker
 //! joins, and all submitted jobs have finished.

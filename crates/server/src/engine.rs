@@ -15,13 +15,13 @@
 //!   (`assert`, `retract`, `compl`) serialize on it, apply their change,
 //!   and publish a fresh snapshot before releasing the lock — so
 //!   snapshots become visible in write order and epochs are monotone.
-//!   Publishing is cheap: the relalg [`Instance`] is copy-on-write, so a
-//!   [`magik_relalg::Snapshot`] is O(#relations) `Arc` bumps. So is the
-//!   next write, which lands on relations the published snapshot
-//!   shares: each relation is a shared base plus a small delta, and the
-//!   write copies the delta, not the relation — O(change) in the
-//!   database and again in the T_C model. Freeing the replaced snapshot
-//!   frees only such deltas.
+//!   Publishing is cheap: the relalg [`Instance`] is copy-on-write, so
+//!   the published clone is O(#relations) `Arc` bumps. So is the next
+//!   write, which lands on relations the published snapshot shares:
+//!   each relation is a shared base plus a small delta, and the write
+//!   copies the delta, not the relation — O(change) in the database and
+//!   again in the T_C model. Freeing the replaced snapshot frees only
+//!   such deltas.
 //! * one `Mutex` per cache ([`Cache`]) — held only for the probe or
 //!   insert itself.
 //!
@@ -104,8 +104,7 @@ use magik_datalog::Materialized;
 use magik_exec::{CompiledQuery, ExecStats, Executor, LruCache};
 use magik_parser::{parse_atom, parse_query, parse_tcs, print_query};
 use magik_relalg::{
-    Answer, Atom, Cst, DisplayWith, Fact, Instance, Pred, Query, Snapshot, Symbol, Term, Var,
-    Vocabulary,
+    Answer, Atom, Cst, DisplayWith, Fact, Instance, Pred, Query, Symbol, Term, Var, Vocabulary,
 };
 use magik_storage::{
     CheckpointImage, OpKind, Recovery, StorageError, Store, StoreOptions, WalRecord,
@@ -252,7 +251,7 @@ struct StateSnapshot {
     /// use. Reads parse into overlays of it.
     vocab: Vocabulary,
     /// The stored database at publish time.
-    db: Snapshot,
+    db: Instance,
     /// The TCS set at publish time.
     tcs: Arc<TcSet>,
     /// TCS epoch of this snapshot.
@@ -260,7 +259,7 @@ struct StateSnapshot {
     /// Data epoch of this snapshot.
     data_epoch: u64,
     /// The materialized T_C fixpoint model at publish time.
-    tc_model: Snapshot,
+    tc_model: Instance,
     /// Original predicate → its `R^a` variant in the encoding.
     avail: Arc<BTreeMap<Pred, Pred>>,
 }
@@ -271,7 +270,7 @@ impl StateSnapshot {
         CheckpointImage {
             vocab: self.vocab.clone(),
             tcs: (*self.tcs).clone(),
-            db: self.db.to_instance(),
+            db: self.db.clone(),
             tcs_epoch: self.tcs_epoch,
             data_epoch: self.data_epoch,
         }
@@ -302,11 +301,11 @@ impl WriterState {
     fn publish(&self) -> Arc<StateSnapshot> {
         Arc::new(StateSnapshot {
             vocab: self.vocab.clone(),
-            db: self.db.snapshot(),
+            db: self.db.clone(),
             tcs: Arc::clone(&self.tcs),
             tcs_epoch: self.tcs_epoch,
             data_epoch: self.data_epoch,
-            tc_model: self.tc_mat.model().snapshot(),
+            tc_model: self.tc_mat.model().clone(),
             avail: Arc::clone(&self.avail),
         })
     }
@@ -923,7 +922,7 @@ impl Engine {
                         // Failed compiles (unsafe queries) are not cached:
                         // the error must be re-reported per request.
                         let compiled = CompiledQuery::compile(&form.query, Some(&snap.db))
-                            .map_err(|e| ("eval", format!("{e:?}")))?;
+                            .map_err(|e| ("eval", e.display(&vocab).to_string()))?;
                         let plan = Arc::new(CachedPlan {
                             head: vocab.name(q.name).to_string(),
                             compiled,
@@ -1440,7 +1439,9 @@ mod tests {
         let e = Engine::new();
         e.handle("assert edge(a, b).");
         let q = "eval q(X, Y) :- edge(X, Z).";
-        assert!(e.handle(q).starts_with("err eval "), "{}", e.handle(q));
+        let refusal = "err eval unsafe query: head variable Y does not occur in the body";
+        assert_eq!(e.handle(q), refusal);
+        assert_eq!(e.handle(q), refusal);
         let metrics = e.handle("metrics");
         assert!(metrics.contains("plan_cache.hits=0"), "{metrics}");
     }

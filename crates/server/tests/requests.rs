@@ -211,3 +211,16 @@ fn analyze_state_takes_any_whitespace_before_its_query() {
         assert_eq!(e.handle(line), spaced, "{line:?}");
     }
 }
+
+#[test]
+fn parse_errors_name_a_multibyte_character_whole() {
+    let e = Engine::new();
+    assert_eq!(
+        e.handle("check q(N) :- pupil(N, C, S), \u{e9}(N)."),
+        "err parse 1:25: unexpected character `\u{e9}`"
+    );
+    assert_eq!(
+        e.handle("check \u{200b}q(N) :- pupil(N, C, S)."),
+        "err parse 1:1: unexpected character `\\u{200b}`"
+    );
+}

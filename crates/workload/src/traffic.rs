@@ -5,8 +5,8 @@
 //! This is the server's steady-state shape (A8's `mixed_90_10`) packaged
 //! as a reusable workload: plans are compiled once and reused across data
 //! changes (the plan-cache hit path), each evaluation runs over a fresh
-//! [`Snapshot`](magik_relalg::Snapshot) of the churning instance (so the
-//! column-major copy-on-write sharing is on the measured path), and the
+//! clone of the churning instance (so the column-major copy-on-write
+//! sharing is on the measured path), and the
 //! executor is selectable — the vectorized batch pipeline or the
 //! tuple-at-a-time register machine — so benchmarks (A13) can compare the
 //! two on identical traffic.
@@ -160,7 +160,7 @@ pub fn drive(traffic: &Traffic, mode: ExecMode) -> TrafficReport {
     for op in &traffic.ops {
         match op {
             TrafficOp::Eval(i) => {
-                let snap = db.snapshot();
+                let snap = db.clone();
                 let answers = match mode {
                     ExecMode::Batch => compiled[*i].answers(&snap, &mut report.stats),
                     ExecMode::Tuple => {

@@ -115,7 +115,7 @@ pub use magik_parser::{
 pub use magik_relalg::{
     answers, are_equivalent, canonical_database, has_answer, has_answer_witness, is_contained_in,
     is_strictly_contained_in, minimize, Atom, Cst, DisplayWith, Fact, Instance, Pred, Query,
-    Snapshot, StoreView, Substitution, Term, Var, Vocabulary, Witness, WitnessStep,
+    Substitution, Term, Var, Vocabulary, Witness, WitnessStep,
 };
 pub use magik_server::{
     initial_sync, run_replica, DurabilityOptions, Engine, RecoveryReport, ReplicaStatus, Server,
