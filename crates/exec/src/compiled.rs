@@ -47,6 +47,7 @@ impl CompiledQuery {
 
     /// Evaluates the compiled query over `db` in batch mode, accumulating
     /// execution counters into `stats`.
+    #[inline]
     pub fn answers(&self, db: &Instance, stats: &mut ExecStats) -> AnswerSet {
         let out = self
             .batch

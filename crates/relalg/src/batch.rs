@@ -307,6 +307,7 @@ impl BatchPlan {
     /// [`Batch::from_seeds`]), and returns the batch of complete rows —
     /// every plan slot bound, one row per satisfying assignment (row
     /// order is unspecified; duplicates mirror the tuple executor's).
+    #[inline]
     pub fn run(&self, db: &Instance, seed: Batch, stats: &mut ExecStats) -> Batch {
         stats.ensure_ops(self.ops.len());
         stats.batches += 1;

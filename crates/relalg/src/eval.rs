@@ -70,6 +70,7 @@ impl std::error::Error for EvalError {}
 /// and enumerates all rows; see [`crate::exec`] for the plan IR. Returns
 /// [`EvalError::UnsafeQuery`] if a head variable does not occur in the
 /// body (the answer set would be infinite).
+#[inline]
 pub fn answers(q: &Query, db: &Instance) -> Result<AnswerSet, EvalError> {
     let body_vars = q.body_vars();
     if let Some(v) = q.head_vars().into_iter().find(|v| !body_vars.contains(v)) {

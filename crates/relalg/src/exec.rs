@@ -399,6 +399,7 @@ impl Plan {
     ///
     /// Every variable declared `bound` at compile time must be covered by
     /// `seed`; seed entries for variables without a slot are ignored.
+    #[inline]
     pub fn run(
         &self,
         db: &Instance,
@@ -431,6 +432,7 @@ impl Plan {
         found
     }
 
+    #[inline]
     fn step(
         &self,
         i: usize,
@@ -478,6 +480,7 @@ impl Plan {
         keep_going
     }
 
+    #[inline]
     #[allow(clippy::too_many_arguments)]
     fn try_row(
         &self,

@@ -53,7 +53,7 @@
 //! (Theorem 3 reasons over the canonical database of the frozen query,
 //! never over stored facts), so verdicts are cached under
 //! `(canonical query, tcs_epoch)`. Evaluation answers depend on the query
-//! and the stored facts, so they are cached under
+//! and the stored facts, so their rendered replies are cached under
 //! `(canonical query, data_epoch)`. Each mutation bumps exactly the epochs
 //! whose derived results it can change — `compl` bumps `tcs_epoch`,
 //! `assert`/`retract` bump `data_epoch` — making stale cache keys
@@ -324,7 +324,10 @@ pub struct Engine {
     /// lock it only to store the next snapshot.
     current: Mutex<Arc<StateSnapshot>>,
     verdicts: Cache<(QueryKey, u64), bool>,
-    answer_cache: Cache<(QueryKey, u64), Vec<Answer>>,
+    /// Rendered `eval` replies, keyed by `(query key, data_epoch)`. A
+    /// reply depends only on its key: answers hold only constants, and
+    /// the key carries the spellings of the request-local ones.
+    answer_cache: Cache<(QueryKey, u64), Arc<str>>,
     /// Cached `analyze state` replies, keyed by the `(tcs_epoch,
     /// data_epoch)` pair they were computed against. The live-session
     /// diagnostics (M018–M024) depend on the TCS set *and* the stored
@@ -904,48 +907,46 @@ impl Engine {
 
     /// `eval <query>` — answers over the stored database.
     ///
-    /// Two cache tiers: the answer cache (exact results, invalidated by
-    /// data-epoch bumps) and, on answer misses, the plan cache (compiled
-    /// plans, valid across data epochs). A query that misses both is
-    /// compiled once and its plan kept for the session. Evaluation runs
-    /// on the snapshot — concurrent writers proceed undisturbed.
+    /// Two cache tiers: the answer cache (rendered replies, invalidated
+    /// by data-epoch bumps) and, on answer misses, the plan cache
+    /// (compiled plans, valid across data epochs). A query that misses
+    /// both is compiled once and its plan kept for the session.
+    /// Evaluation runs on the snapshot — concurrent writers proceed
+    /// undisturbed.
     fn req_eval(&self, src: &str) -> Result<String, (&'static str, String)> {
         let (snap, vocab, q) = self.parse_read(src)?;
         let form = CacheForm::of(&q, &vocab);
         let key = (form.key.clone(), snap.data_epoch);
-        let answer_list = match self.answer_cache.get(&key) {
-            Some(list) => list,
+        if let Some(reply) = self.answer_cache.get(&key) {
+            return Ok(reply.to_string());
+        }
+        let plan = match self.plans.get(&form.key) {
+            Some(plan) => plan,
             None => {
-                let plan = match self.plans.get(&form.key) {
-                    Some(plan) => plan,
-                    None => {
-                        // Failed compiles (unsafe queries) are not cached:
-                        // the error must be re-reported per request.
-                        let compiled = CompiledQuery::compile(&form.query, Some(&snap.db))
-                            .map_err(|e| ("eval", e.display(&vocab).to_string()))?;
-                        let plan = Arc::new(CachedPlan {
-                            head: vocab.name(q.name).to_string(),
-                            compiled,
-                        });
-                        self.plans.insert(form.key.clone(), Arc::clone(&plan));
-                        plan
-                    }
-                };
-                let mut stats = ExecStats::default();
-                let set = plan.compiled.answers(&snap.db, &mut stats);
-                self.metrics.add_exec(&stats);
-                let list: Vec<Answer> = set.into_iter().collect();
-                self.answer_cache.insert(key, list.clone());
-                list
+                // Failed compiles (unsafe queries) are not cached: the
+                // error must be re-reported per request.
+                let compiled = CompiledQuery::compile(&form.query, Some(&snap.db))
+                    .map_err(|e| ("eval", e.display(&vocab).to_string()))?;
+                let plan = Arc::new(CachedPlan {
+                    head: vocab.name(q.name).to_string(),
+                    compiled,
+                });
+                self.plans.insert(form.key.clone(), Arc::clone(&plan));
+                plan
             }
         };
-        let rendered: Vec<String> = answer_list
+        let mut stats = ExecStats::default();
+        let set = plan.compiled.answers(&snap.db, &mut stats);
+        self.metrics.add_exec(&stats);
+        let rendered: Vec<String> = set
             .iter()
             .map(|t| form.restore(t).display(&vocab).to_string())
             .collect();
-        Ok(format!("ok {} {}", rendered.len(), rendered.join("; "))
+        let reply = format!("ok {} {}", rendered.len(), rendered.join("; "))
             .trim_end()
-            .to_string())
+            .to_string();
+        self.answer_cache.insert(key, Arc::from(reply.as_str()));
+        Ok(reply)
     }
 
     /// The one write path of client writes, WAL replay and replica apply.
@@ -1733,6 +1734,7 @@ mod tests {
                 "runtime.tasks",
                 "runtime.steals",
                 "pool.panics",
+                "pool.runs",
             ]
         );
     }

@@ -13,12 +13,17 @@
 //! nothing is parsed after a closing reply. Finished slots flush from the
 //! front, so replies leave **strictly in request order** and clients may
 //! pipeline many requests and still match replies positionally. Only the
-//! front slot can be a waiting engine request ready to start, because
-//! everything ahead of it has flushed: a connection runs one engine
-//! request at a time, so a pipelined `compl` + `check` pair behaves
-//! exactly as it would back-to-back. A handler that panics is answered
-//! `err internal …` and counted in `pool.panics`; its connection keeps
-//! serving.
+//! front of the queue can start, because everything ahead of it has
+//! flushed: the *run* of waiting engine requests there, up to the first
+//! slot that is not one, goes to one worker as one job, which executes
+//! them in order and hands back all their replies in one message with
+//! one wake-up. A connection thus executes one engine request at a time,
+//! in arrival order, on at most one worker, so a pipelined `compl` +
+//! `check` pair behaves exactly as it would back-to-back; a reply can
+//! wait for the requests behind it in its run, and workers interleave
+//! connections run by run. A handler that panics is answered
+//! `err internal …` in its own slot and counted in `pool.panics`; the
+//! rest of its run proceeds and its connection keeps serving.
 //!
 //! A connection costs two buffers, not a pool worker: thousands of idle
 //! or slow connections coexist with a handful of threads, and a
@@ -81,9 +86,10 @@ const WRITE_STALL_LIMIT: Duration = Duration::from_secs(30);
 /// Read chunk size.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// A worker's reply routed back to the reactor: connection token and
-/// reply. It fills that connection's running slot.
-type DoneMsg = (usize, String);
+/// A worker's replies to one run, routed back to the reactor: connection
+/// token and one reply per request, in request order. They fill that
+/// connection's running slots.
+type DoneMsg = (usize, Vec<String>);
 
 /// One request's place in its connection's reply order.
 enum Slot {
@@ -92,7 +98,7 @@ enum Slot {
     Ready(String, Option<Framing>),
     /// An engine request waiting for the slots ahead of it to flush.
     Waiting(Request),
-    /// The engine request running on a worker.
+    /// An engine request of the run executing on a worker.
     Running,
 }
 
@@ -330,13 +336,17 @@ fn accept_all(
     }
 }
 
-/// Moves each worker reply into its connection's running slot, which is
-/// always the front one.
+/// Moves each run's replies into its connection's running slots, which
+/// are always the front ones, in order.
 fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
-    while let Ok((token, reply)) = done_rx.try_recv() {
-        if let Some(slot @ Slot::Running) = conns.get_mut(&token).and_then(|c| c.slots.front_mut())
-        {
-            *slot = Slot::Ready(reply, None);
+    while let Ok((token, replies)) = done_rx.try_recv() {
+        let Some(conn) = conns.get_mut(&token) else {
+            continue;
+        };
+        for (slot, reply) in conn.slots.iter_mut().zip(replies) {
+            if let Slot::Running = slot {
+                *slot = Slot::Ready(reply, None);
+            }
         }
     }
 }
@@ -557,28 +567,45 @@ fn flush_ready(conn: &mut Conn) {
     }
 }
 
-/// Starts the front slot on a worker when it is a waiting engine
-/// request. Run after [`flush_ready`], so no other request of the
+/// Starts the run of waiting engine requests at the front, up to the
+/// first slot that is not one, as one worker job, and counts it in
+/// `pool.runs`. Run after [`flush_ready`], so no other request of the
 /// connection is running; concurrency comes from many connections.
 fn start_front(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
-    let Some(slot) = conn.slots.front_mut() else {
-        return;
-    };
-    let request = match std::mem::replace(slot, Slot::Running) {
-        Slot::Waiting(request) => request,
-        other => {
-            *slot = other;
-            return;
+    let mut run = Vec::new();
+    while let Some(slot) = conn.slots.get_mut(run.len()) {
+        match std::mem::replace(slot, Slot::Running) {
+            Slot::Waiting(request) => run.push(request),
+            other => {
+                *slot = other;
+                break;
+            }
         }
-    };
+    }
+    if run.is_empty() {
+        return;
+    }
+    ctx.engine.metrics().add(Counter::PoolRuns, 1);
     let engine = Arc::clone(ctx.engine);
     let tx = ctx.done_tx.clone();
     let poller = Arc::clone(ctx.poller);
     ctx.pool.execute(move || {
-        let reply = answer(engine.metrics(), || engine.execute(&request));
-        let _ = tx.send((token, reply));
+        let replies = answer_run(engine.metrics(), &run, |request| engine.execute(request));
+        let _ = tx.send((token, replies));
         let _ = poller.wake();
     });
+}
+
+/// Executes a run in order, each request under its own [`answer`], so a
+/// panic answers only its own slot and the rest of the run proceeds.
+fn answer_run(
+    metrics: &Metrics,
+    run: &[Request],
+    handle: impl Fn(&Request) -> String,
+) -> Vec<String> {
+    run.iter()
+        .map(|request| answer(metrics, || handle(request)))
+        .collect()
 }
 
 /// Runs one engine request on a worker. A panicking handler is answered
@@ -640,6 +667,47 @@ mod tests {
     use crate::metrics::{CacheCounts, Op};
     use magik_runtime::PoolCounters;
 
+    /// A connection whose read buffer holds `input`, and its peer.
+    fn conn_with(input: &[u8]) -> (Conn, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        conn.rbuf.extend_from_slice(input);
+        (conn, client)
+    }
+
+    /// Starts `conn`'s front run as token 7 on a one-worker pool over
+    /// `engine`, and returns the messages it sent once it has finished.
+    fn start_run(conn: &mut Conn, engine: &Arc<Engine>) -> Vec<DoneMsg> {
+        let pool = ThreadPool::new(1);
+        let poller = Arc::new(Poller::new().unwrap());
+        let (tx, rx) = channel();
+        let ctx = Ctx {
+            engine,
+            pool: &pool,
+            poller: &poller,
+            done_tx: &tx,
+        };
+        start_front(conn, 7, &ctx);
+        // Dropping the pool joins its worker, so the run has finished.
+        drop(pool);
+        rx.try_iter().collect()
+    }
+
+    /// Fills `conn`'s running slots from `msgs` and flushes the finished
+    /// front slots.
+    fn fill_and_flush(conn: Conn, msgs: Vec<DoneMsg>) -> Conn {
+        let mut conns = HashMap::from([(7, conn)]);
+        let (tx, rx) = channel();
+        for msg in msgs {
+            tx.send(msg).unwrap();
+        }
+        fill_running(&mut conns, &rx);
+        let mut conn = conns.remove(&7).unwrap();
+        flush_ready(&mut conn);
+        conn
+    }
+
     #[test]
     fn a_panicking_handler_is_answered_and_counted() {
         let metrics = Metrics::new();
@@ -647,16 +715,84 @@ mod tests {
         let reply = answer(&metrics, || panic!("a handler bug"));
         assert_eq!(reply, "err internal request handler panicked");
         let text = metrics.render(&CacheCounts::default(), &PoolCounters::default());
-        assert!(text.ends_with(" pool.panics=1"), "{text}");
+        assert!(text.ends_with(" pool.panics=1 pool.runs=0"), "{text}");
+    }
+
+    #[test]
+    fn pipelined_requests_start_as_one_run() {
+        let engine = Arc::new(Engine::new());
+        let (mut conn, _client) = conn_with(b"ping\nepochs\nping\n");
+        parse(&mut conn);
+        let msgs = start_run(&mut conn, &engine);
+        assert!(conn.slots.iter().all(|slot| matches!(slot, Slot::Running)));
+        let [(7, replies)] = &msgs[..] else {
+            panic!("one message per run: {msgs:?}");
+        };
+        assert_eq!(replies, &["ok pong", "ok tcs=0 data=0", "ok pong"]);
+        let conn = fill_and_flush(conn, msgs);
+        assert_eq!(
+            String::from_utf8_lossy(&conn.wbuf),
+            "ok pong\nok tcs=0 data=0\nok pong\n"
+        );
+        assert!(conn.slots.is_empty());
+        let metrics = engine.handle("metrics");
+        assert!(metrics.ends_with(" pool.runs=1"), "{metrics}");
+    }
+
+    #[test]
+    fn an_inline_reply_ends_a_run() {
+        let engine = Arc::new(Engine::new());
+        let (mut conn, _client) = conn_with(b"ping\nepochs\nframes\nping\n");
+        parse(&mut conn);
+        let msgs = start_run(&mut conn, &engine);
+        assert!(matches!(
+            conn.slots.make_contiguous(),
+            [
+                Slot::Running,
+                Slot::Running,
+                Slot::Ready(..),
+                Slot::Waiting(Request::Ping)
+            ]
+        ));
+        let mut conn = fill_and_flush(conn, msgs);
+        assert_eq!(
+            String::from_utf8_lossy(&conn.wbuf),
+            "ok pong\nok tcs=0 data=0\nok frames=line\n"
+        );
+        let msgs = start_run(&mut conn, &engine);
+        let conn = fill_and_flush(conn, msgs);
+        assert_eq!(
+            String::from_utf8_lossy(&conn.wbuf),
+            "ok pong\nok tcs=0 data=0\nok frames=line\nok pong\n"
+        );
+        assert!(conn.slots.is_empty());
+        let metrics = engine.handle("metrics");
+        assert!(metrics.ends_with(" pool.runs=2"), "{metrics}");
+    }
+
+    #[test]
+    fn a_panic_answers_only_its_own_slot_of_a_run() {
+        let metrics = Metrics::new();
+        let run = [Request::Ping, Request::Epochs, Request::Ping];
+        let replies = answer_run(&metrics, &run, |request| match request {
+            Request::Epochs => panic!("a handler bug"),
+            _ => "ok pong".to_string(),
+        });
+        let text = metrics.render(&CacheCounts::default(), &PoolCounters::default());
+        assert!(text.contains(" pool.panics=1 "), "{text}");
+        let (mut conn, _client) = conn_with(b"");
+        conn.slots.extend(run.iter().map(|_| Slot::Running));
+        let conn = fill_and_flush(conn, vec![(7, replies)]);
+        assert_eq!(
+            String::from_utf8_lossy(&conn.wbuf),
+            "ok pong\nerr internal request handler panicked\nok pong\n"
+        );
     }
 
     #[test]
     fn inline_replies_wait_behind_the_running_engine_request() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut conn = Conn::new(listener.accept().unwrap().0);
-        conn.rbuf
-            .extend_from_slice(b"check q(X) :- p(X).\nframes\nreplicate x\nquit\nping\n");
+        let (mut conn, _client) =
+            conn_with(b"check q(X) :- p(X).\nframes\nreplicate x\nquit\nping\n");
         parse(&mut conn);
         // `quit` closes: the `ping` behind it is never parsed.
         assert_eq!(conn.slots.len(), 4);
@@ -672,12 +808,7 @@ mod tests {
             "the finished replies wait their turn"
         );
 
-        let mut conns = HashMap::from([(7, conn)]);
-        let (tx, rx) = channel();
-        tx.send((7, "ok complete".to_string())).unwrap();
-        fill_running(&mut conns, &rx);
-        let conn = conns.get_mut(&7).unwrap();
-        flush_ready(conn);
+        let conn = fill_and_flush(conn, vec![(7, vec!["ok complete".to_string()])]);
         assert_eq!(
             String::from_utf8_lossy(&conn.wbuf),
             "ok complete\nok frames=line\nerr proto usage: replicate <tcs-epoch> <data-epoch>\nok bye\n"

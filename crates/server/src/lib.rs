@@ -32,8 +32,10 @@
 //! * [`Metrics`] / [`Histogram`] — one table of lock-free counters and
 //!   fixed-bucket latency quantiles, reported by the `metrics` request
 //!   together with the caches' hits and misses, the compute pool's
-//!   `runtime.tasks`/`runtime.steals`, and `pool.panics` (requests whose
-//!   handler panicked; each is still answered, `err internal …`).
+//!   `runtime.tasks`/`runtime.steals`, `pool.panics` (requests whose
+//!   handler panicked; each is still answered, `err internal …`) and
+//!   `pool.runs` (request-worker jobs, one per run of pipelined
+//!   requests).
 //! * [`LruCache`] — the exact LRU (from `magik-exec`) behind each of the
 //!   engine's caches, which report their own hits and misses.
 //! * [`Engine::open_durable`] / [`DurabilityOptions`] — the optional

@@ -144,10 +144,11 @@ pub(crate) enum Counter {
     ReplApplied,
     ReplSnapshots,
     PoolPanics,
+    PoolRuns,
 }
 
-/// How many counters there are: [`Counter::PoolPanics`] is the last.
-const COUNTERS: usize = Counter::PoolPanics as usize + 1;
+/// How many counters there are: [`Counter::PoolRuns`] is the last.
+const COUNTERS: usize = Counter::PoolRuns as usize + 1;
 
 /// `(hits, misses)` of each engine cache, as [`Metrics::render`]
 /// reports them. The caches count these themselves.
@@ -173,7 +174,7 @@ enum Field {
 /// The `metrics` reply after the per-op fields. Scrapers and the
 /// benchmark's traced run parse these names, so their set and order are
 /// part of the protocol.
-const LAYOUT: [Field; 31] = [
+const LAYOUT: [Field; 32] = [
     Field::Cache("verdict_cache", |c| c.verdict),
     Field::Cache("answer_cache", |c| c.answer),
     Field::Cache("plan_cache", |c| c.plan),
@@ -205,6 +206,7 @@ const LAYOUT: [Field; 31] = [
     Field::Pool("runtime.tasks", |p| p.tasks),
     Field::Pool("runtime.steals", |p| p.steals),
     Field::Count("pool.panics", Counter::PoolPanics),
+    Field::Count("pool.runs", Counter::PoolRuns),
 ];
 
 #[derive(Debug, Default)]
