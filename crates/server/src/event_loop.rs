@@ -21,9 +21,14 @@
 //! in arrival order, on at most one worker, so a pipelined `compl` +
 //! `check` pair behaves exactly as it would back-to-back; a reply can
 //! wait for the requests behind it in its run, and workers interleave
-//! connections run by run. A handler that panics is answered
-//! `err internal …` in its own slot and counted in `pool.panics`; the
-//! rest of its run proceeds and its connection keeps serving.
+//! connections run by run. While a run executes, its connection's
+//! socket is not read: what arrives meanwhile is read when the run's
+//! replies come back and joins the next run, so a pipelining connection
+//! wakes the reactor once per run, not once per request. A handler that
+//! panics is answered `err internal …` in its own slot and counted in
+//! `pool.panics`; the rest of its run proceeds and its connection keeps
+//! serving. A server stop lets each executing request finish and runs
+//! none that has not started.
 //!
 //! A connection costs two buffers, not a pool worker: thousands of idle
 //! or slow connections coexist with a handful of threads, and a
@@ -87,8 +92,8 @@ const WRITE_STALL_LIMIT: Duration = Duration::from_secs(30);
 const READ_CHUNK: usize = 16 * 1024;
 
 /// A worker's replies to one run, routed back to the reactor: connection
-/// token and one reply per request, in request order. They fill that
-/// connection's running slots.
+/// token and one reply per request it ran, in request order. They fill
+/// that connection's running slots.
 type DoneMsg = (usize, Vec<String>);
 
 /// One request's place in its connection's reply order.
@@ -189,6 +194,7 @@ struct Ctx<'a> {
     pool: &'a ThreadPool,
     poller: &'a Arc<Poller>,
     done_tx: &'a Sender<DoneMsg>,
+    stop: &'a Arc<AtomicBool>,
 }
 
 /// Runs the reactor until `stop` is raised. Entry point for the
@@ -260,6 +266,7 @@ pub(crate) fn run(
             pool: &pool,
             poller: &poller,
             done_tx: &done_tx,
+            stop: &stop,
         };
         let tokens: Vec<usize> = conns.keys().copied().collect();
         for token in tokens {
@@ -281,12 +288,12 @@ pub(crate) fn run(
         }
     }
 
-    // Shutdown: joining the pool finishes every dispatched request, then
+    // Shutdown: joining the pool finishes every executing request (a run
+    // stops at the flag, so no request that had not started runs), then
     // finished replies are flushed best-effort before sockets close.
     drop(pool);
     fill_running(&mut conns, &done_rx);
     for conn in conns.values_mut() {
-        flush_ready(conn);
         let _ = try_flush(conn);
     }
     Ok(())
@@ -337,7 +344,10 @@ fn accept_all(
 }
 
 /// Moves each run's replies into its connection's running slots, which
-/// are always the front ones, in order.
+/// are always the front ones, in order, and flushes the finished front:
+/// the slots a run frees let the next pump pass parse the requests that
+/// a full queue left unparsed. A run cut short by a stop leaves its
+/// unrun slots running.
 fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
     while let Ok((token, replies)) = done_rx.try_recv() {
         let Some(conn) = conns.get_mut(&token) else {
@@ -348,6 +358,9 @@ fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
                 *slot = Slot::Ready(reply, None);
             }
         }
+        flush_ready(conn);
+        // Its socket was not read while the run executed.
+        conn.want_read = true;
     }
 }
 
@@ -356,7 +369,7 @@ fn fill_running(conns: &mut HashMap<usize, Conn>, done_rx: &Receiver<DoneMsg>) {
 fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
     if conn.want_read {
         conn.want_read = false;
-        if !conn.read_closed && !conn.closing && conn.replicate_from.is_none() {
+        if may_read(conn) {
             if let Err(()) = read_some(conn) {
                 return Fate::Close;
             }
@@ -395,12 +408,7 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
     }
 
     let want = Interest {
-        read: !conn.read_closed
-            && !conn.closing
-            && conn.replicate_from.is_none()
-            && conn.unparsed() < RBUF_GATE
-            && conn.slots.len() < MAX_INFLIGHT
-            && conn.pending_write() < WBUF_GATE,
+        read: may_read(conn) && !matches!(conn.slots.front(), Some(Slot::Running)),
         write: conn.pending_write() > 0,
     };
     if want != conn.interest {
@@ -410,6 +418,16 @@ fn pump(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) -> Fate {
         conn.interest = want;
     }
     Fate::Keep
+}
+
+/// Whether the backpressure gates let the connection's socket be read.
+fn may_read(conn: &Conn) -> bool {
+    !conn.read_closed
+        && !conn.closing
+        && conn.replicate_from.is_none()
+        && conn.unparsed() < RBUF_GATE
+        && conn.slots.len() < MAX_INFLIGHT
+        && conn.pending_write() < WBUF_GATE
 }
 
 /// Drains the socket into `rbuf` until `WouldBlock`, EOF, or the read
@@ -589,8 +607,11 @@ fn start_front(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
     let engine = Arc::clone(ctx.engine);
     let tx = ctx.done_tx.clone();
     let poller = Arc::clone(ctx.poller);
+    let stop = Arc::clone(ctx.stop);
     ctx.pool.execute(move || {
-        let replies = answer_run(engine.metrics(), &run, |request| engine.execute(request));
+        let replies = answer_run(engine.metrics(), &run, &stop, |request| {
+            engine.execute(request)
+        });
         let _ = tx.send((token, replies));
         let _ = poller.wake();
     });
@@ -598,12 +619,17 @@ fn start_front(conn: &mut Conn, token: usize, ctx: &Ctx<'_>) {
 
 /// Executes a run in order, each request under its own [`answer`], so a
 /// panic answers only its own slot and the rest of the run proceeds.
+/// Once `stop` is raised the requests not yet started are not run, so a
+/// server stop waits for one request per connection, not a whole run;
+/// their slots get no reply.
 fn answer_run(
     metrics: &Metrics,
     run: &[Request],
+    stop: &AtomicBool,
     handle: impl Fn(&Request) -> String,
 ) -> Vec<String> {
     run.iter()
+        .take_while(|_| !stop.load(Ordering::SeqCst))
         .map(|request| answer(metrics, || handle(request)))
         .collect()
 }
@@ -671,31 +697,46 @@ mod tests {
     fn conn_with(input: &[u8]) -> (Conn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
-        let mut conn = Conn::new(listener.accept().unwrap().0);
+        let stream = listener.accept().unwrap().0;
+        stream.set_nonblocking(true).unwrap();
+        let mut conn = Conn::new(stream);
         conn.rbuf.extend_from_slice(input);
         (conn, client)
     }
 
-    /// Starts `conn`'s front run as token 7 on a one-worker pool over
-    /// `engine`, and returns the messages it sent once it has finished.
-    fn start_run(conn: &mut Conn, engine: &Arc<Engine>) -> Vec<DoneMsg> {
+    /// Calls `f` with `conn` registered as token 7 in a context with a
+    /// one-worker pool over `engine`, and returns the messages of the
+    /// runs it started once they have finished.
+    fn with_ctx(
+        engine: &Arc<Engine>,
+        conn: &mut Conn,
+        f: impl FnOnce(&mut Conn, &Ctx<'_>),
+    ) -> Vec<DoneMsg> {
         let pool = ThreadPool::new(1);
         let poller = Arc::new(Poller::new().unwrap());
+        poller.register(&conn.stream, 7, conn.interest).unwrap();
         let (tx, rx) = channel();
+        let stop = Arc::new(AtomicBool::new(false));
         let ctx = Ctx {
             engine,
             pool: &pool,
             poller: &poller,
             done_tx: &tx,
+            stop: &stop,
         };
-        start_front(conn, 7, &ctx);
-        // Dropping the pool joins its worker, so the run has finished.
+        f(conn, &ctx);
+        // Dropping the pool joins its worker, so the runs have finished.
         drop(pool);
         rx.try_iter().collect()
     }
 
-    /// Fills `conn`'s running slots from `msgs` and flushes the finished
-    /// front slots.
+    /// Starts `conn`'s front run and returns its messages.
+    fn start_run(conn: &mut Conn, engine: &Arc<Engine>) -> Vec<DoneMsg> {
+        with_ctx(engine, conn, |conn, ctx| start_front(conn, 7, ctx))
+    }
+
+    /// Fills `conn`'s running slots from `msgs`, which flushes the
+    /// finished front slots.
     fn fill_and_flush(conn: Conn, msgs: Vec<DoneMsg>) -> Conn {
         let mut conns = HashMap::from([(7, conn)]);
         let (tx, rx) = channel();
@@ -703,9 +744,7 @@ mod tests {
             tx.send(msg).unwrap();
         }
         fill_running(&mut conns, &rx);
-        let mut conn = conns.remove(&7).unwrap();
-        flush_ready(&mut conn);
-        conn
+        conns.remove(&7).unwrap()
     }
 
     #[test]
@@ -771,13 +810,58 @@ mod tests {
     }
 
     #[test]
+    fn a_full_run_makes_room_for_the_requests_behind_it() {
+        let engine = Arc::new(Engine::new());
+        let (mut conn, _client) = conn_with("ping\n".repeat(MAX_INFLIGHT + 2).as_bytes());
+        parse(&mut conn);
+        assert_eq!(conn.slots.len(), MAX_INFLIGHT);
+        let msgs = start_run(&mut conn, &engine);
+        let mut conn = fill_and_flush(conn, msgs);
+        // The pump pass after the run's replies parses and starts the two
+        // requests left unparsed, with no further readiness event.
+        let msgs = with_ctx(&engine, &mut conn, |conn, ctx| {
+            assert!(matches!(pump(conn, 7, ctx), Fate::Keep));
+        });
+        assert_eq!(msgs, [(7, vec!["ok pong".to_string(); 2])]);
+        assert_eq!(
+            conn.pending_write(),
+            0,
+            "the full run's replies are written"
+        );
+    }
+
+    #[test]
+    fn a_connection_is_read_when_its_run_returns() {
+        let engine = Arc::new(Engine::new());
+        let (mut conn, mut client) = conn_with(b"ping\n");
+        client.write_all(b"epochs\n").unwrap();
+        let msgs = with_ctx(&engine, &mut conn, |conn, ctx| {
+            assert!(matches!(pump(conn, 7, ctx), Fate::Keep));
+            assert!(!conn.interest.read, "not read while its run executes");
+        });
+        assert_eq!(msgs, [(7, vec!["ok pong".to_string()])]);
+        let mut conn = fill_and_flush(conn, msgs);
+        // The request that arrived during the run is read, parsed and
+        // started by the next pump pass, with no readiness event.
+        let msgs = with_ctx(&engine, &mut conn, |conn, ctx| {
+            assert!(matches!(pump(conn, 7, ctx), Fate::Keep));
+        });
+        assert_eq!(msgs, [(7, vec!["ok tcs=0 data=0".to_string()])]);
+    }
+
+    #[test]
     fn a_panic_answers_only_its_own_slot_of_a_run() {
         let metrics = Metrics::new();
         let run = [Request::Ping, Request::Epochs, Request::Ping];
-        let replies = answer_run(&metrics, &run, |request| match request {
-            Request::Epochs => panic!("a handler bug"),
-            _ => "ok pong".to_string(),
-        });
+        let replies = answer_run(
+            &metrics,
+            &run,
+            &AtomicBool::new(false),
+            |request| match request {
+                Request::Epochs => panic!("a handler bug"),
+                _ => "ok pong".to_string(),
+            },
+        );
         let text = metrics.render(&CacheCounts::default(), &PoolCounters::default());
         assert!(text.contains(" pool.panics=1 "), "{text}");
         let (mut conn, _client) = conn_with(b"");
@@ -787,6 +871,23 @@ mod tests {
             String::from_utf8_lossy(&conn.wbuf),
             "ok pong\nerr internal request handler panicked\nok pong\n"
         );
+    }
+
+    #[test]
+    fn a_stop_ends_a_run_after_its_executing_request() {
+        let metrics = Metrics::new();
+        let stop = AtomicBool::new(false);
+        let run = [Request::Ping, Request::Ping, Request::Ping];
+        let replies = answer_run(&metrics, &run, &stop, |_| {
+            stop.store(true, Ordering::SeqCst);
+            "ok pong".to_string()
+        });
+        assert_eq!(replies, ["ok pong"]);
+        let (mut conn, _client) = conn_with(b"");
+        conn.slots.extend(run.iter().map(|_| Slot::Running));
+        let conn = fill_and_flush(conn, vec![(7, replies)]);
+        assert_eq!(String::from_utf8_lossy(&conn.wbuf), "ok pong\n");
+        assert_eq!(conn.slots.len(), 2, "the unrun requests get no reply");
     }
 
     #[test]

@@ -145,8 +145,10 @@ impl Server {
     }
 
     /// Stops the server: no new connections are accepted, idle
-    /// connections are closed, and in-flight requests finish before
-    /// their workers exit.
+    /// connections are closed, and each connection's executing request
+    /// finishes before the workers exit. The requests behind it, in its
+    /// run and after, are not run and get no reply, so a stop waits for
+    /// at most one request per connection.
     pub fn stop(mut self) {
         self.shutdown();
     }
